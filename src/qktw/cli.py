@@ -32,6 +32,7 @@ from .kneser import (
     treewidth_verdict,
 )
 from .quadric import build_quadric_graph
+from .report import exact_str
 from .suites import SUITE_NAMES, run_suite, verify_all
 from .treedec import (
     pace_read_gr,
@@ -145,7 +146,7 @@ def _cmd_verdict(args) -> int:
 def _cmd_alpha(args) -> int:
     p = KneserParams(args.q, args.n, args.k, args.t)
     formula = alpha_value(p)
-    payload: dict = {"params": p.as_dict(), "formula": str(formula)}
+    payload: dict = {"params": p.as_dict(), "formula": exact_str(formula)}
     from .qbinom import gauss_binom
 
     vertex_count = gauss_binom(p.n, p.k, p.q)

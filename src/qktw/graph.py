@@ -9,6 +9,10 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Sequence
 
+# Budget for graphs built from subspaces or read from files: n masks of
+# up to n bits each, n^2 / 8 bytes, 128 MiB at 2^15 vertices.
+GRAPH_MAX_VERTICES = 2**15
+
 
 def iter_bits(mask: int) -> Iterator[int]:
     """Indices of the set bits of ``mask``, ascending."""
@@ -36,6 +40,17 @@ def components(adj: Sequence[int], subset_mask: int) -> list[int]:
     return out
 
 
+def mask_mismatches(a: Sequence[int], b: Sequence[int]) -> list[tuple[int, int]]:
+    """Pairs (i, j), i < j, on which two adjacency-mask lists disagree, sorted."""
+    if len(a) != len(b):
+        raise ValueError("mask lists must have equal length")
+    return [
+        (i, i + 1 + off)
+        for i, (x, y) in enumerate(zip(a, b))
+        for off in iter_bits((x ^ y) >> (i + 1))
+    ]
+
+
 class Graph:
     """Vertex-labeled undirected graph without loops."""
 
@@ -49,6 +64,20 @@ class Graph:
         self.n = n
         self._adj = [0] * n
         self.labels = list(labels) if labels is not None else None
+
+    @classmethod
+    def from_masks(cls, masks: Sequence[int], labels=None) -> "Graph":
+        """Graph whose vertex v has neighbour mask ``masks[v]``.
+
+        The masks must be symmetric (bit u of v iff bit v of u); loops and
+        bits past the last vertex are rejected.
+        """
+        g = cls(len(masks), labels)
+        for v, m in enumerate(masks):
+            if (m >> v) & 1 or m >> g.n:
+                raise ValueError(f"mask of vertex {v} has a loop or an out-of-range bit")
+        g._adj = list(masks)
+        return g
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]], labels=None) -> "Graph":

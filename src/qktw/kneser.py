@@ -15,15 +15,17 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .errors import InvalidDualParamsError, OutOfCertifiedRangeError
+from .errors import InvalidDualParamsError, OutOfCertifiedRangeError, SizeLimitError
 from .gf import make_field, prime_power, prime_powers_up_to
-from .graph import Graph
+from .graph import GRAPH_MAX_VERTICES, Graph, mask_mismatches
 from .qbinom import CountingExponent, constants, gauss_binom
+from .report import exact_str
 from .subspace import (
     DEFAULT_ENUMERATION_CAP,
     Subspace,
     enumerate_k_subspaces,
     intersect_dim,
+    meet_masks,
     orthogonal_complement,
     subspaces_of,
 )
@@ -141,19 +143,31 @@ def intersection_census(vertices: list[Subspace]) -> dict[int, int]:
 # -- graph construction ------------------------------------------------------
 
 
+def _check_graph_size(p: KneserParams) -> None:
+    """SizeLimitError when [n,k]_q passes GRAPH_MAX_VERTICES."""
+    total = gauss_binom(p.n, p.k, p.q)
+    if total > GRAPH_MAX_VERTICES:
+        raise SizeLimitError(
+            f"K_{p.q}({p.n},{p.k},{p.t}) has {total} vertices; its adjacency "
+            f"masks are limited to {GRAPH_MAX_VERTICES} vertices"
+        )
+
+
 def build_kneser_graph(p: KneserParams, cap: int = DEFAULT_ENUMERATION_CAP) -> Graph:
     """Materialize K_q(n,k,t) with subspace labels.
 
-    Vertices follow the lexicographic RREF order; the constant degree is
-    cross-checked against the closed-form intersection profile.
+    Vertices follow the lexicographic RREF order.  Non-adjacency is
+    "shares a t-subspace", so a vertex's neighbours are the complement of
+    its :func:`meet_masks` mask; no pair of vertices is compared.  The
+    constant degree is cross-checked against the closed-form intersection
+    profile.  Graphs past GRAPH_MAX_VERTICES raise SizeLimitError before
+    anything is enumerated.
     """
+    _check_graph_size(p)
     f = make_field(p.q)
     verts = enumerate_k_subspaces(p.n, p.k, f, cap=cap)
-    g = Graph(len(verts), labels=verts)
-    for i, u in enumerate(verts):
-        for j in range(i + 1, len(verts)):
-            if intersect_dim(u, verts[j]) < p.t:
-                g.add_edge(i, j)
+    full = (1 << len(verts)) - 1
+    g = Graph.from_masks([full & ~m for m in meet_masks(verts, p.t)], labels=verts)
     expected = sum(m for j, m in intersection_counts(p.q, p.n, p.k).items() if j < p.t)
     degrees = set(g.degrees())
     if degrees != {expected}:
@@ -223,27 +237,26 @@ def duality_isomorphism(
     p: KneserParams, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> DualityReport:
     """Check exhaustively that orthogonal complementation is an isomorphism
-    from K_q(n,k,t) onto K_q(n,n-k,n-2k+t), and return the vertex bijection."""
+    from K_q(n,k,t) onto K_q(n,n-k,n-2k+t), and return the vertex bijection.
+
+    The meet masks of the vertices (threshold t) and of their complements
+    (threshold n-2k+t) are both in source order, so their XOR marks
+    exactly the pairs whose adjacency the map fails to preserve.
+    """
     d = p.dual
+    _check_graph_size(p)
     f = make_field(p.q)
     verts = enumerate_k_subspaces(p.n, p.k, f, cap=cap)
     dual_verts = enumerate_k_subspaces(p.n, d.k, f, cap=cap)
     images = [orthogonal_complement(u) for u in verts]
     bijective = len(set(images)) == len(verts) and set(images) == set(dual_verts)
-    mismatches = []
-    pairs = 0
-    for i in range(len(verts)):
-        for j in range(i + 1, len(verts)):
-            pairs += 1
-            src_adjacent = intersect_dim(verts[i], verts[j]) < p.t
-            img_adjacent = intersect_dim(images[i], images[j]) < d.t
-            if src_adjacent != img_adjacent:
-                mismatches.append((i, j))
+    mismatches = mask_mismatches(meet_masks(verts, p.t), meet_masks(images, d.t))
+    n = len(verts)
     return DualityReport(
         params=p,
         dual_params=d,
-        vertex_count=len(verts),
-        pairs_checked=pairs,
+        vertex_count=n,
+        pairs_checked=n * (n - 1) // 2,
         bijective=bijective,
         mismatches=tuple(mismatches),
         mapping=tuple(zip(verts, images)),
@@ -413,9 +426,9 @@ class TreewidthVerdict:
         out: dict = {"params": self.params.as_dict()}
         if self.reflected:
             out["given_params"] = self.given_params.as_dict()
-        out["formula_value"] = str(self.formula_value)
-        out["alpha"] = str(self.alpha)
-        out["upper_bound"] = str(self.upper_bound)
+        out["formula_value"] = exact_str(self.formula_value)
+        out["alpha"] = exact_str(self.alpha)
+        out["upper_bound"] = exact_str(self.upper_bound)
         out["applicable"] = sorted(tag.value for tag in self.applicable)
         out["treewidth_pinned"] = self.treewidth_pinned
         if self.notes:

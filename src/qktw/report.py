@@ -12,13 +12,21 @@ from fractions import Fraction
 
 
 def _str(x: int) -> str:
-    # exact certificates (e.g. 4th-power tail majorants) routinely exceed
-    # the interpreter's default int-to-str conversion guard
+    """Exact decimal text of an int of any size.
+
+    Exact certificates (e.g. 4th-power tail majorants) can exceed the
+    interpreter's int-to-str digit limit.  Only then is the limit lifted,
+    for this one conversion, and the caller's limit restored afterwards.
+    """
     try:
         return str(x)
     except ValueError:
+        limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(0)
-        return str(x)
+        try:
+            return str(x)
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 def exact_str(x) -> str | None:
@@ -42,7 +50,7 @@ def _jsonable(x):
     if isinstance(x, dict):
         return {str(k): _jsonable(v) for k, v in x.items()}
     if isinstance(x, int) and abs(x) >= 2**53:
-        return str(x)
+        return _str(x)
     return x
 
 

@@ -7,7 +7,9 @@ equality of subspaces.
 
 Enumeration walks Schubert cells: choose the pivot columns, then fill the
 free entries.  Rank computations get a bit-packed fast path for q = 2,
-where rows are machine ints and elimination is XOR.
+where rows are machine ints and elimination is XOR.  Whole incidence
+relations ("meets in dimension >= t") come from shared t-subspaces as
+bitmasks, without a per-pair elimination.
 """
 
 from __future__ import annotations
@@ -235,6 +237,35 @@ def subspaces_of(u: Subspace, t: int) -> list[Subspace]:
         out.append(rref_canonical(lifted, f))
     out.sort(key=lambda s: s.rows)
     return out
+
+
+def meet_masks(spaces: Sequence[Subspace], t: int) -> list[int]:
+    """Incidence masks: bit j of mask i is set iff dim(spaces[i] ∩ spaces[j]) >= t.
+
+    Two subspaces meet in dimension >= t exactly when they share a
+    t-subspace.  Each t-subspace gets the mask of the spaces containing
+    it, and a space's mask is the OR of those masks over its own
+    t-subspaces; no pair is compared.  Masks follow the input order, and
+    every space needs dimension >= t.  :func:`intersect_dim` is the
+    elimination-based oracle the tests compare against.
+    """
+    containing: dict[tuple, int] = {}
+    keys = []
+    for i, u in enumerate(spaces):
+        if u.field != spaces[0].field or u.n != spaces[0].n:
+            raise AmbientMismatchError("subspaces live in different ambient spaces")
+        mine = [w.rows for w in subspaces_of(u, t)]
+        keys.append(mine)
+        bit = 1 << i
+        for w in mine:
+            containing[w] = containing.get(w, 0) | bit
+    masks = []
+    for mine in keys:
+        mask = 0
+        for w in mine:
+            mask |= containing[w]
+        masks.append(mask)
+    return masks
 
 
 def intersect_dim(u: Subspace, v: Subspace) -> int:

@@ -14,7 +14,6 @@ edges in sorted order.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -25,7 +24,7 @@ from .errors import (
     NotIndependentError,
     PaceParseError,
 )
-from .graph import Graph, components
+from .graph import GRAPH_MAX_VERTICES, Graph, components
 
 
 @dataclass(frozen=True)
@@ -287,45 +286,76 @@ def pace_write_gr(g: Graph, path, comments: Sequence[str] = ()) -> None:
     _write_text(path, "\n".join(lines) + "\n")
 
 
+def _read_text(path) -> str:
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise PaceParseError(f"not UTF-8 text ({exc.reason})", line) from None
+
+
+def _nat(token: str) -> int:
+    """Value of an ASCII ``[0-9]+`` token; ValueError for anything else.
+
+    ``int()`` alone would also take signs, underscores, surrounding
+    whitespace and non-ASCII digits.
+    """
+    if token.isascii() and token.isdigit():
+        return int(token)
+    raise ValueError(f"not a decimal number: {token!r}")
+
+
 def pace_read_gr(path) -> Graph:
-    text = Path(path).read_text()
+    """Read a .gr file; every number must be an ASCII ``[0-9]+`` token.
+
+    The problem line may declare at most GRAPH_MAX_VERTICES vertices, the
+    budget of the bitmask adjacency.
+    """
+    text = _read_text(path)
     n = m = None
     header_line = 0
-    edges: list[tuple[int, int]] = []
-    for lineno, raw in enumerate(io.StringIO(text), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
+    adj: list[int] = []
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        parts = raw.split()
+        if not parts or parts[0].startswith("c"):
             continue
-        parts = line.split()
         if parts[0] == "p":
             if n is not None:
                 raise PaceParseError("duplicate problem line", lineno)
             if len(parts) != 4 or parts[1] != "tw":
                 raise PaceParseError("problem line must read 'p tw <n> <m>'", lineno)
             try:
-                n, m = int(parts[2]), int(parts[3])
+                n, m = _nat(parts[2]), _nat(parts[3])
             except ValueError:
                 raise PaceParseError("non-integer counts in problem line", lineno)
             header_line = lineno
-            if n <= 0:
-                raise PaceParseError("graph must have at least one vertex", lineno)
+            if not 1 <= n <= GRAPH_MAX_VERTICES:
+                raise PaceParseError(
+                    f"vertex count must be in 1..{GRAPH_MAX_VERTICES}", lineno
+                )
+            adj = [0] * n
             continue
         if n is None:
             raise PaceParseError("edge data before the problem line", lineno)
         if len(parts) != 2:
             raise PaceParseError("edge lines must have exactly two endpoints", lineno)
-        try:
-            u, v = int(parts[0]), int(parts[1])
+        a, b = parts
+        try:  # _nat inlined: this loop runs once per edge
+            if not (a.isascii() and a.isdigit() and b.isascii() and b.isdigit()):
+                raise ValueError
+            u, v = int(a) - 1, int(b) - 1
         except ValueError:
             raise PaceParseError("non-integer vertex id", lineno)
-        if not (1 <= u <= n and 1 <= v <= n):
+        if not (0 <= u < n and 0 <= v < n):
             raise PaceParseError(f"vertex out of range 1..{n}", lineno)
         if u == v:
             raise PaceParseError("loops are not allowed", lineno)
-        edges.append((u - 1, v - 1))
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
     if n is None:
         raise PaceParseError("missing problem line", 1)
-    g = Graph.from_edges(n, edges)
+    g = Graph.from_masks(adj)
     if g.edge_count != m:
         raise PaceParseError(
             f"problem line declares {m} edges but {g.edge_count} distinct edges found",
@@ -345,17 +375,19 @@ def pace_write_td(td: TreeDecomposition, n_vertices: int, path, comments: Sequen
 
 
 def pace_read_td(path) -> tuple[TreeDecomposition, int]:
-    """Read a .td file; returns (decomposition, declared vertex count)."""
-    text = Path(path).read_text()
+    """Read a .td file; returns (decomposition, declared vertex count).
+
+    Every number must be an ASCII ``[0-9]+`` token.
+    """
+    text = _read_text(path)
     header = None
     header_line = 0
     bags: dict[int, tuple[int, ...]] = {}
     edges: list[tuple[int, int]] = []
-    for lineno, raw in enumerate(io.StringIO(text), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        parts = raw.split()
+        if not parts or parts[0].startswith("c"):
             continue
-        parts = line.split()
         if parts[0] == "s":
             if header is not None:
                 raise PaceParseError("duplicate solution line", lineno)
@@ -364,7 +396,7 @@ def pace_read_td(path) -> tuple[TreeDecomposition, int]:
                     "solution line must read 's td <#bags> <max-bag-size> <n>'", lineno
                 )
             try:
-                header = (int(parts[2]), int(parts[3]), int(parts[4]))
+                header = (_nat(parts[2]), _nat(parts[3]), _nat(parts[4]))
             except ValueError:
                 raise PaceParseError("non-integer counts in solution line", lineno)
             header_line = lineno
@@ -376,8 +408,8 @@ def pace_read_td(path) -> tuple[TreeDecomposition, int]:
             if len(parts) < 2:
                 raise PaceParseError("bag line needs an id", lineno)
             try:
-                bag_id = int(parts[1])
-                verts = [int(x) for x in parts[2:]]
+                bag_id = _nat(parts[1])
+                verts = [_nat(x) for x in parts[2:]]
             except ValueError:
                 raise PaceParseError("non-integer value in bag line", lineno)
             if not 1 <= bag_id <= nb:
@@ -392,7 +424,7 @@ def pace_read_td(path) -> tuple[TreeDecomposition, int]:
         if len(parts) != 2:
             raise PaceParseError("tree edge lines must have exactly two bag ids", lineno)
         try:
-            x, y = int(parts[0]), int(parts[1])
+            x, y = _nat(parts[0]), _nat(parts[1])
         except ValueError:
             raise PaceParseError("non-integer bag id in tree edge", lineno)
         if not (1 <= x <= nb and 1 <= y <= nb):

@@ -18,6 +18,15 @@ def test_verdict_command(capsys):
     assert payload["applicable"] == ["K421"]
 
 
+def test_verdict_past_the_digit_limit(capsys):
+    code, payload = run_json(capsys, ["verdict", "-q", "2", "-n", "240", "-k", "120", "-t", "5"])
+    assert code == 0
+    assert len(payload["formula_value"]) > 4300
+    code, payload = run_json(capsys, ["alpha", "-q", "2", "-n", "400", "-k", "200", "-t", "5"])
+    assert code == 0 and payload["within_budget"] is False
+    assert len(payload["formula"]) > 4300
+
+
 def test_verdict_bad_params(capsys):
     assert run(["verdict", "-q", "6", "-n", "4", "-k", "2", "-t", "1"]) == 2
     assert run(["verdict", "-q", "2", "-n", "4", "-k", "2", "-t", "2"]) == 2
@@ -57,6 +66,13 @@ def test_gen_size_limit(tmp_path, capsys):
         ["gen", "-q", "2", "-n", "4", "-k", "2", "-t", "1", "-o", str(out), "--cap", "10"]
     )
     assert code == 3
+
+
+def test_gen_past_the_graph_budget(tmp_path, capsys):
+    # 200,787 vertices: within the enumeration cap, past the mask budget
+    out = tmp_path / "g.gr"
+    assert run(["gen", "-q", "2", "-n", "8", "-k", "4", "-t", "1", "-o", str(out)]) == 3
+    assert not out.exists()
 
 
 def test_td_build_and_validate(tmp_path, capsys):

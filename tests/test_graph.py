@@ -6,6 +6,7 @@ from qktw.graph import (
     components,
     cycle_graph,
     iter_bits,
+    mask_mismatches,
     path_graph,
     petersen_graph,
 )
@@ -59,3 +60,35 @@ def test_components():
     # restricted to a subset mask
     comps = components(g.adjacency, 0b01011)
     assert sorted(c.bit_count() for c in comps) == [1, 2]
+
+
+def test_from_masks():
+    pet = petersen_graph()
+    g = Graph.from_masks(pet.adjacency, labels=list("abcdefghij"))
+    assert g == pet and g.labels[3] == "d"
+    with pytest.raises(ValueError):
+        Graph.from_masks([0b10, 0b11])  # loop at vertex 1
+    with pytest.raises(ValueError):
+        Graph.from_masks([0b100, 0])  # neighbour 2 of a 2-vertex graph
+    with pytest.raises(ValueError):
+        Graph.from_masks([])
+
+
+def _flip(masks, pairs):
+    out = list(masks)
+    for i, j in pairs:
+        out[i] ^= 1 << j
+        out[j] ^= 1 << i
+    return out
+
+
+def test_mask_mismatches_returns_exactly_the_changed_pairs():
+    base = petersen_graph().adjacency
+    assert mask_mismatches(base, base) == []
+    changed = [(7, 9), (0, 5), (3, 4), (0, 2), (8, 9)]  # edges and non-edges
+    assert mask_mismatches(base, _flip(base, changed)) == sorted(changed)
+    assert mask_mismatches(_flip(base, changed), base) == sorted(changed)
+    # a diagonal difference is not a pair
+    assert mask_mismatches([0b1, 0], [0, 0]) == []
+    with pytest.raises(ValueError):
+        mask_mismatches(base, base[:-1])

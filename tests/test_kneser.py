@@ -2,8 +2,10 @@ from fractions import Fraction
 
 import pytest
 
-from qktw.errors import OutOfCertifiedRangeError
+from qktw import kneser
+from qktw.errors import OutOfCertifiedRangeError, SizeLimitError
 from qktw.gf import make_field
+from qktw.graph import GRAPH_MAX_VERTICES
 from qktw.kneser import (
     KneserParams,
     ResultTag,
@@ -20,7 +22,12 @@ from qktw.kneser import (
     treewidth_verdict,
 )
 from qktw.qbinom import gauss_binom
-from qktw.subspace import enumerate_k_subspaces, intersect_dim, rref_canonical
+from qktw.subspace import (
+    enumerate_k_subspaces,
+    intersect_dim,
+    orthogonal_complement,
+    rref_canonical,
+)
 
 F2 = make_field(2)
 
@@ -118,6 +125,52 @@ def test_duality_isomorphism_self_dual():
     rep = duality_isomorphism(KneserParams(2, 4, 2, 1))
     assert rep.dual_params == KneserParams(2, 4, 2, 1)
     assert rep.passed
+
+
+def test_duality_mismatches_match_the_pairwise_oracle(monkeypatch):
+    # swap the images of two vertices; the per-pair elimination loop says
+    # which pairs the broken map fails on
+    p = KneserParams(2, 5, 2, 1)
+    verts = enumerate_k_subspaces(5, 2, F2)
+    images = [orthogonal_complement(u) for u in verts]
+    images[3], images[40] = images[40], images[3]
+    lookup = dict(zip(verts, images))
+    monkeypatch.setattr(kneser, "orthogonal_complement", lookup.__getitem__)
+    expected = [
+        (i, j)
+        for i in range(len(verts))
+        for j in range(i + 1, len(verts))
+        if (intersect_dim(verts[i], verts[j]) < p.t)
+        != (intersect_dim(images[i], images[j]) < p.dual.t)
+    ]
+    rep = duality_isomorphism(p)
+    assert rep.bijective and expected
+    assert list(rep.mismatches) == expected
+    assert not rep.passed
+
+
+def test_graph_budget_fails_before_enumeration(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerated a graph past the budget")
+
+    monkeypatch.setattr(kneser, "enumerate_k_subspaces", refuse)
+    # [6,3]_3 = 33880 is just past 2^15; [8,4]_2 = 200787 passes the
+    # 2,000,000 enumeration cap but not the adjacency budget
+    assert gauss_binom(6, 3, 3) > GRAPH_MAX_VERTICES == 2**15
+    for params in (KneserParams(3, 6, 3, 1), KneserParams(2, 8, 4, 1)):
+        with pytest.raises(SizeLimitError):
+            build_kneser_graph(params)
+        with pytest.raises(SizeLimitError):
+            duality_isomorphism(params)
+
+
+def test_graph_budget_boundary(monkeypatch):
+    p = KneserParams(2, 4, 2, 1)
+    monkeypatch.setattr(kneser, "GRAPH_MAX_VERTICES", 35)
+    assert build_kneser_graph(p).n == 35
+    monkeypatch.setattr(kneser, "GRAPH_MAX_VERTICES", 34)
+    with pytest.raises(SizeLimitError):
+        build_kneser_graph(p)
 
 
 def test_duality_isomorphism_q3():

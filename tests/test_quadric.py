@@ -1,5 +1,6 @@
 import pytest
 
+from qktw import quadric
 from qktw.errors import BudgetExceededError, NotALineError
 from qktw.gf import make_field
 from qktw.graph import iter_bits
@@ -81,12 +82,40 @@ def test_quadric_graph_regular_of_degree_q4():
             assert not (g.adjacency_mask(v) >> v) & 1
 
 
-@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
 def test_klein_isomorphism(q):
     rep = verify_klein_isomorphism(q)
     assert rep.passed
     assert rep.line_count == rep.point_count == gauss_binom(4, 2, q)
     assert rep.pairs_checked == rep.line_count * (rep.line_count - 1) // 2
+
+
+def test_klein_check_limit():
+    assert quadric.QUADRIC_GRAPH_MAX_Q == 5
+    with pytest.raises(BudgetExceededError):
+        verify_klein_isomorphism(7)
+
+
+def test_klein_mismatches_match_the_pairwise_oracle(monkeypatch):
+    # swap the images of two lines; the per-pair loop over intersect_dim
+    # and the bilinear form says which pairs the broken map fails on
+    model = QuadricModel(2)
+    lines = enumerate_k_subspaces(4, 2, F2)
+    images = [klein_map(line) for line in lines]
+    images[0], images[20] = images[20], images[0]
+    lookup = dict(zip(lines, images))
+    monkeypatch.setattr(quadric, "klein_map", lookup.__getitem__)
+    expected = [
+        (i, j)
+        for i in range(len(lines))
+        for j in range(i + 1, len(lines))
+        if (intersect_dim(lines[i], lines[j]) == 0)
+        != (model.bilinear(images[i], images[j]) != 0)
+    ]
+    rep = verify_klein_isomorphism(2)
+    assert rep.bijective and expected
+    assert list(rep.mismatches) == expected
+    assert not rep.passed
 
 
 def test_grid_search_q2():

@@ -3,12 +3,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qktw.errors import AmbientMismatchError, DimensionMismatchError, SizeLimitError
-from qktw.gf import make_field
+from qktw.gf import make_field, prime_powers_up_to
+from qktw.graph import Graph
+from qktw.kneser import KneserParams
 from qktw.qbinom import gauss_binom
 from qktw.subspace import (
     Subspace,
     enumerate_k_subspaces,
     intersect_dim,
+    meet_masks,
     orthogonal_complement,
     rref_canonical,
     span_dim,
@@ -185,3 +188,83 @@ def test_rank_bounds(args):
         for j, other in enumerate(u.rows):
             if i != j:
                 assert other[pivots[i]] == 0
+
+
+# -- meet_masks against the elimination oracle --------------------------------
+
+
+def oracle_meet_masks(spaces, t):
+    """meet_masks by one intersect_dim per pair."""
+    return [
+        sum(1 << j for j, v in enumerate(spaces) if intersect_dim(u, v) >= t)
+        for u in spaces
+    ]
+
+
+def _small_kneser_ambients(limit=400):
+    """(q, n, k) of every valid K_q(n,k,t) with at most ``limit`` vertices."""
+    out = set()
+    for q in prime_powers_up_to(16):
+        for n in range(2, 9):
+            for k in range(2, n):
+                for t in range(1, k):
+                    if n > 2 * k - t and gauss_binom(n, k, q) <= limit:
+                        KneserParams(q, n, k, t)  # valid by construction
+                        out.add((q, n, k))
+    return sorted(out)
+
+
+def test_small_kneser_ambients_cover_the_edge_cases():
+    ambients = _small_kneser_ambients()
+    assert ambients == [(2, 4, 2), (2, 5, 2), (2, 5, 3), (3, 4, 2), (4, 4, 2)]
+    assert any(n < 2 * k for _, n, k in ambients)  # K_2(5,3,2), reached by duality
+
+
+@pytest.mark.parametrize("q,n,k", _small_kneser_ambients())
+def test_meet_masks_match_intersect_dim(q, n, k):
+    # every t from 0 to k, so t = k - 1 (each Kneser t here) and the
+    # trivial thresholds are all covered
+    verts = enumerate_k_subspaces(n, k, make_field(q))
+    dims = [[intersect_dim(u, v) for v in verts] for u in verts]
+    for t in range(k + 1):
+        expected = [
+            sum(1 << j for j, d in enumerate(row) if d >= t) for row in dims
+        ]
+        assert meet_masks(verts, t) == expected
+
+
+@pytest.mark.parametrize("q,n,k", [(2, 5, 2), (3, 4, 2), (2, 5, 3)])
+def test_meet_masks_on_complement_images(q, n, k):
+    # the duality check's input: complements, listed in source order
+    images = [orthogonal_complement(u) for u in enumerate_k_subspaces(n, k, make_field(q))]
+    for t in range(n - k + 1):
+        assert meet_masks(images, t) == oracle_meet_masks(images, t)
+
+
+@given(
+    st.sampled_from([(2, 4), (2, 5), (3, 3), (3, 4)]).flatmap(
+        lambda qn: st.tuples(
+            st.just(qn),
+            st.integers(0, qn[1] - 1),
+            st.lists(st.integers(0, 10**6), min_size=1, max_size=25),
+        )
+    )
+)
+def test_meet_masks_on_random_subsets(args):
+    (q, n), t, picks = args
+    f = make_field(q)
+    pool = [s for k in range(t, n + 1) for s in enumerate_k_subspaces(n, k, f)]
+    spaces = [pool[i % len(pool)] for i in picks]  # mixed dimensions, repeats
+    masks = meet_masks(spaces, t)
+    assert masks == oracle_meet_masks(spaces, t)
+    for i, m in enumerate(masks):
+        assert (m >> i) & 1  # every space meets itself
+        for j in range(len(spaces)):
+            assert (m >> j) & 1 == (masks[j] >> i) & 1
+    full = (1 << len(spaces)) - 1
+    Graph.from_masks([full & ~m for m in masks])  # rejects loops and stray bits
+
+
+def test_meet_masks_rejects_mixed_ambients():
+    with pytest.raises(AmbientMismatchError):
+        meet_masks([span(F2, unit(4, 0)), span(F2, unit(3, 0))], 1)

@@ -1,6 +1,11 @@
 import json
+import sys
+from decimal import Decimal
 from fractions import Fraction
 
+import pytest
+
+from qktw.kneser import KneserParams, treewidth_verdict
 from qktw.report import CheckCase, SuiteReport, exact_str
 from qktw.suites import (
     bridge_suite,
@@ -8,10 +13,16 @@ from qktw.suites import (
     gauss_bounds_suite,
     grid_suite,
     klein_suite,
+    parabola_suite,
     perp_census_suite,
     verdict_suite,
     worker_count,
 )
+
+
+def decimal_text(x: int) -> str:
+    """Exact decimal text by a path with no int-to-str digit limit."""
+    return str(Decimal(x))
 
 
 def test_exact_str():
@@ -20,6 +31,39 @@ def test_exact_str():
     assert exact_str(Fraction(4, 2)) == "2"
     assert exact_str(None) is None
     assert exact_str(10**30) == str(10**30)
+
+
+def test_exact_str_on_huge_values_keeps_the_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    big = 10**10000 + 7
+    assert exact_str(big) == decimal_text(big)
+    assert exact_str(-big) == decimal_text(-big)
+    assert exact_str(Fraction(big, 3)) == decimal_text(big) + "/3"
+    assert exact_str(Fraction(1, big)) == "1/" + decimal_text(big)
+    case = CheckCase(params={"n": big}, lhs=big, witness={"sides": [big, 2]})
+    js = case.to_json()
+    assert js["params"]["n"] == js["lhs"] == decimal_text(big)
+    assert js["witness"]["sides"] == [decimal_text(big), 2]
+    assert sys.get_int_max_str_digits() == limit
+
+
+def test_parabola_report_keeps_the_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    js = parabola_suite().to_json()
+    assert any(len(c["lhs"]) > 4300 for c in js["cases"])
+    assert sys.get_int_max_str_digits() == limit
+
+
+@pytest.mark.parametrize("n,k,digits", [(240, 120, 4336), (400, 200, 12042)])
+def test_verdict_json_past_the_digit_limit(n, k, digits):
+    limit = sys.get_int_max_str_digits()
+    v = treewidth_verdict(KneserParams(2, n, k, 5))
+    js = v.to_json()
+    assert len(js["formula_value"]) == digits
+    assert js["formula_value"] == decimal_text(v.formula_value)
+    assert js["alpha"] == decimal_text(v.alpha)
+    assert js["upper_bound"] == decimal_text(v.upper_bound)
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_suite_report_json_shape():

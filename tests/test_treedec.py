@@ -9,7 +9,7 @@ from qktw.errors import (
     PaceParseError,
 )
 from qktw.exact import _decomposition_from_order
-from qktw.graph import Graph, path_graph, petersen_graph
+from qktw.graph import GRAPH_MAX_VERTICES, Graph, path_graph, petersen_graph
 from qktw.treedec import (
     TreeDecomposition,
     balanced_separator_check,
@@ -194,3 +194,84 @@ def test_pace_td_errors(tmp_path):
     bad.write_text("s td 1 5 3\nb 1 1 2\n")
     with pytest.raises(PaceParseError):
         pace_read_td(bad)
+
+
+@pytest.mark.parametrize(
+    "header",
+    ["p tw 1_0 0", "p tw \u0663 0", "p tw +3 0", "p tw 3 \uff10", "p tw 0x3 0"],
+)
+def test_pace_gr_rejects_non_ascii_decimal_counts(tmp_path, header):
+    bad = tmp_path / "bad.gr"
+    bad.write_text(header + "\n", encoding="utf-8")
+    with pytest.raises(PaceParseError) as err:
+        pace_read_gr(bad)
+    assert err.value.line == 1
+
+
+@pytest.mark.parametrize("edge", ["1 2_0", "\u0661 2", "+1 2", "1 \u00b2", "1" * 5000 + " 2"])
+def test_pace_gr_rejects_non_ascii_decimal_vertex_ids(tmp_path, edge):
+    bad = tmp_path / "bad.gr"
+    bad.write_text("p tw 30 1\n" + edge + "\n", encoding="utf-8")
+    with pytest.raises(PaceParseError) as err:
+        pace_read_gr(bad)
+    assert err.value.line == 2
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["s td 1_0 1 2\n", "s td 1 1 \u0663\n", "s td 1 1 2\nb +1 1\n",
+     "s td 1 1 2\nb 1 \u0661\n", "s td 2 1 2\nb 1 1\nb 2 2\n1 2_0\n"],
+)
+def test_pace_td_rejects_non_ascii_decimal_numbers(tmp_path, text):
+    bad = tmp_path / "bad.td"
+    bad.write_text(text, encoding="utf-8")
+    with pytest.raises(PaceParseError):
+        pace_read_td(bad)
+
+
+def test_pace_readers_reject_undecodable_bytes(tmp_path):
+    bad = tmp_path / "bad.gr"
+    bad.write_bytes(b"p tw 3 1\n1 2\n\xff\n")
+    with pytest.raises(PaceParseError) as err:
+        pace_read_gr(bad)
+    assert err.value.line == 3
+    bad.write_bytes(b"c \xff\ns td 1 1 1\nb 1 1\n")
+    with pytest.raises(PaceParseError) as err:
+        pace_read_td(bad)
+    assert err.value.line == 1
+
+
+def test_pace_gr_vertex_budget(tmp_path):
+    ok = tmp_path / "ok.gr"
+    ok.write_text(f"p tw {GRAPH_MAX_VERTICES} 1\n1 {GRAPH_MAX_VERTICES}\n")
+    g = pace_read_gr(ok)
+    assert g.n == GRAPH_MAX_VERTICES and g.has_edge(0, GRAPH_MAX_VERTICES - 1)
+    bad = tmp_path / "bad.gr"
+    bad.write_text(f"p tw {GRAPH_MAX_VERTICES + 1} 0\n")
+    with pytest.raises(PaceParseError):
+        pace_read_gr(bad)
+
+
+_PACE_TOKENS = st.sampled_from(
+    ["p", "tw", "s", "td", "b", "c", "0", "1", "2", "3", "7", "01", "40000",
+     "99999999999999999999", "-1", "+1", "1_0", "0x3", "\u0663", "\u00b2", "\uff11", ""]
+)
+_PACE_LINES = st.lists(st.lists(_PACE_TOKENS, max_size=5).map(" ".join), max_size=8)
+_PACE_BYTES = st.one_of(
+    st.binary(max_size=200),
+    _PACE_LINES.map(lambda lines: "\n".join(lines).encode("utf-8")),
+    st.tuples(_PACE_LINES, st.binary(max_size=4)).map(
+        lambda t: "\n".join(t[0]).encode("utf-8") + t[1]
+    ),
+)
+
+
+@given(_PACE_BYTES)
+def test_pace_readers_fuzz_only_parse_errors_escape(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("fuzz") / "input"
+    path.write_bytes(data)
+    for reader in (pace_read_gr, pace_read_td):
+        try:
+            reader(path)
+        except PaceParseError:
+            pass
