@@ -22,6 +22,10 @@ from .treedec import TreeDecomposition
 
 MIS_VERTEX_CAP = 200
 TREEWIDTH_VERTEX_CAP = 18
+# The subset DP keeps two one-byte tables of 2^n entries: 128 MiB at 26
+# vertices, the memory budget of graph.GRAPH_MAX_VERTICES.  No budget
+# admits more.
+TREEWIDTH_TABLE_MAX_VERTICES = 26
 SEPARATOR_VERTEX_CAP = 20
 
 
@@ -188,6 +192,11 @@ def treewidth_exact(
     into a valid decomposition whose width equals the optimum.
     """
     budget = _check_vertex_cap(g, budget, TREEWIDTH_VERTEX_CAP)
+    if g.n > TREEWIDTH_TABLE_MAX_VERTICES:
+        raise BudgetExceededError(
+            f"{g.n} vertices need two subset tables of 2^{g.n} bytes; "
+            f"they are limited to {TREEWIDTH_TABLE_MAX_VERTICES} vertices (128 MiB)"
+        )
     clock = _BudgetClock(budget)
     n = g.n
     adj = g.adjacency

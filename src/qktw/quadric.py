@@ -23,21 +23,20 @@ from itertools import combinations, product
 
 from .errors import BudgetExceededError, NotALineError, SizeLimitError
 from .gf import FieldSpec, make_field
-from .graph import Graph, iter_bits, mask_mismatches
+from .graph import Graph, components, iter_bits, mask_mismatches
 from .kneser import KneserParams
 from .subspace import (
     Subspace,
     enumerate_k_subspaces,
     meet_masks,
     nullspace_rows,
-    rref_canonical,
 )
 
 ProjPoint = tuple[int, ...]
 
 GRID_SEARCH_MAX_Q = 4
 QUADRIC_GRAPH_MAX_Q = 5
-CENSUS_MAX_Q = 3
+CENSUS_MAX_Q = 4
 
 
 def normalize_point(vec, f: FieldSpec) -> ProjPoint:
@@ -118,34 +117,52 @@ class QuadricModel:
         return tuple(full & ~m for m in self.perp_masks)
 
     @cached_property
-    def lines(self) -> tuple[frozenset[int], ...]:
-        """All lines contained in the quadric, as point-index sets."""
+    def lines(self) -> tuple[int, ...]:
+        """All lines contained in the quadric, as point masks."""
         f = self.field
-        found: set[frozenset[int]] = set()
-        n = len(self.points)
-        for i in range(n):
-            mask = self.perp_masks[i] >> (i + 1)
-            for off in iter_bits(mask):
+        covered = [0] * len(self.points)  # per point: its lines found so far
+        found = []
+        for i in range(len(self.points)):
+            for off in iter_bits(self.perp_masks[i] >> (i + 1)):
                 j = i + 1 + off
-                span = _proj_points_of_span(
-                    (self.points[i], self.points[j]), f
-                )
-                idx = frozenset(self.index[p] for p in span)
-                if len(idx) != self.q + 1:
+                if (covered[i] >> j) & 1:
+                    continue
+                span = _proj_points_of_span((self.points[i], self.points[j]), f)
+                mask = 0
+                for p in span:
+                    mask |= 1 << self.index[p]
+                if mask.bit_count() != self.q + 1:
                     raise ArithmeticError("a quadric line must have q + 1 points")
-                found.add(idx)
-        return tuple(sorted(found, key=sorted))
+                for p in iter_bits(mask):
+                    covered[p] |= mask
+                found.append(mask)
+        return tuple(sorted(found, key=lambda m: list(iter_bits(m))))
+
+    @cached_property
+    def line_set(self) -> frozenset[int]:
+        """The line masks, for membership tests."""
+        return frozenset(self.lines)
 
     @cached_property
     def lines_through(self) -> tuple[tuple[int, ...], ...]:
         through: list[list[int]] = [[] for _ in self.points]
         for li, line in enumerate(self.lines):
-            for p in line:
+            for p in iter_bits(line):
                 through[p].append(li)
         return tuple(tuple(t) for t in through)
 
+    def polar_section(self, point_indices) -> int:
+        """Mask of the quadric points in the polar of the span of the given
+        points: the AND of their perp masks, exact by bilinearity."""
+        mask = (1 << len(self.points)) - 1
+        for i in point_indices:
+            mask &= self.perp_masks[i]
+        return mask
+
     def section(self, space: Subspace) -> list[int]:
-        """Indices of quadric points inside a projective subspace."""
+        """Indices of quadric points inside a projective subspace, by
+        enumerating its points; the census uses :meth:`polar_section`,
+        and the tests compare the two."""
         if space.k == 0:
             return []
         out = []
@@ -398,7 +415,7 @@ def default_census_claims(q: int) -> tuple[str, ...]:
 
 
 def perp_section_census(q: int, claims: tuple[str, ...] | None = None) -> CensusReport:
-    """Exhaustively verify the perpendicular-section facts on Q+(5,q).
+    """Exhaustively verify the perpendicular-section facts on Q+(5,q), q <= 4.
 
     i.   For every triple of pairwise non-perpendicular points, the polar
          plane of their span meets the quadric in exactly q + 1 points.
@@ -409,6 +426,11 @@ def perp_section_census(q: int, claims: tuple[str, ...] | None = None) -> Census
          and the two sections share only z (4q + 1 points in total).
     iv.  (q = 2) The graph induced on those 4q + 1 points is an isolated
          vertex plus two 4-cycles.
+
+    Every section is a point mask: the quadric points of the polar of a
+    point set are the AND of those points' perp masks
+    (:meth:`QuadricModel.polar_section`), and a plane is the polar of its
+    polar.  No section enumerates the points of a subspace.
     """
     if q > CENSUS_MAX_Q:
         raise BudgetExceededError(f"census limited to q <= {CENSUS_MAX_Q}, got q={q}")
@@ -434,6 +456,11 @@ def perp_section_census(q: int, claims: tuple[str, ...] | None = None) -> Census
     return CensusReport(q=q, claims=ordered)
 
 
+def _low(mask: int) -> int:
+    """Index of the lowest set bit (-1 for 0)."""
+    return (mask & -mask).bit_length() - 1
+
+
 def _census_conic_planes(model: QuadricModel) -> ClaimResult:
     q = model.q
     adj = model.adjacency_masks
@@ -447,43 +474,44 @@ def _census_conic_planes(model: QuadricModel) -> ClaimResult:
             for w_off in iter_bits((common >> (v + 1))):
                 w = v + 1 + w_off
                 checked += 1
-                polar = model.perp_space((u, v, w))
-                sect = model.section(polar)
-                if len(sect) != q + 1:
-                    failures.append((u, v, w, len(sect)))
+                size = model.polar_section((u, v, w)).bit_count()
+                if size != q + 1:
+                    failures.append((u, v, w, size))
     return ClaimResult(checked=checked, failures=tuple(failures))
 
 
-def _grid_structure_ok(model: QuadricModel, section: list[int]) -> bool:
+def _grid_structure_ok(model: QuadricModel, section: int) -> bool:
     """A (q+1)^2 section must carry 2(q+1) quadric lines in two parallel
-    classes, every point on exactly one line of each class."""
-    q = model.q
-    pts = set(section)
-    lines = {
-        li
-        for p in section
-        for li in model.lines_through[p]
-        if model.lines[li] <= pts
-    }
-    if len(lines) != 2 * (q + 1):
+    classes, every point on exactly one line of each class.
+
+    ``section`` is the quadric part of a subspace, so the points of it
+    perpendicular to a point x are the lines of the section through x.
+    The lowest point must lie on exactly two lines a and b.  Through each
+    point x of b must run exactly one more line, (perp[x] & section)
+    minus b, and these q + 1 lines must be disjoint, so they partition
+    the (q+1)^2 points; the same from a.  Any other line of the section
+    would meet b in some x and be a second extra line through it, so the
+    two classes hold every line.  A line of one class is not one of the
+    other, so it meets each of those in at most one point, and by the
+    partition in exactly one.
+    """
+    perp = model.perp_masks
+    lines = model.line_set
+    p0 = _low(section)
+    star = perp[p0] & section
+    if star == 1 << p0:
         return False
-    per_point = {p: sum(1 for li in lines if p in model.lines[li]) for p in section}
-    if set(per_point.values()) != {2}:
+    a = perp[_low(star & ~(1 << p0))] & star
+    b = (star & ~a) | (1 << p0)
+    if a not in lines or b not in lines:
         return False
-    line_sets = sorted((model.lines[li] for li in lines), key=sorted)
-    first = line_sets[0]
-    class_a = [l for l in line_sets if l == first or not l & first]
-    class_b = [l for l in line_sets if l != first and l & first]
-    if len(class_a) != q + 1 or len(class_b) != q + 1:
-        return False
-    for cls in (class_a, class_b):
-        for x, y in combinations(cls, 2):
-            if x & y:
+    for transversal in (b, a):
+        cover = 0
+        for x in iter_bits(transversal):
+            line = (perp[x] & section & ~transversal) | (1 << x)
+            if line not in lines or cover & line:
                 return False
-    for x in class_a:
-        for y in class_b:
-            if len(x & y) != 1:
-                return False
+            cover |= line
     return True
 
 
@@ -497,109 +525,89 @@ def _census_secant_grids(model: QuadricModel) -> ClaimResult:
         for v_off in iter_bits(adj[u] >> (u + 1)):
             v = u + 1 + v_off
             checked += 1
-            polar = model.perp_space((u, v))
-            sect = model.section(polar)
-            if len(sect) != (q + 1) ** 2 or not _grid_structure_ok(model, sect):
-                failures.append((u, v, len(sect)))
+            sect = model.polar_section((u, v))
+            size = sect.bit_count()
+            if size != (q + 1) ** 2 or not _grid_structure_ok(model, sect):
+                failures.append((u, v, size))
     return ClaimResult(checked=checked, failures=tuple(failures))
 
 
-def _two_line_split(model: QuadricModel, section: list[int]):
-    """For a (2q+1)-point section: the vertex z perpendicular to the whole
-    section plus its two lines, or None if the section is not of that shape."""
-    pts = set(section)
-    centers = [
-        p
-        for p in section
-        if all(model.bilinear(model.points[p], model.points[x]) == 0 for x in section)
-    ]
-    if len(centers) != 1:
+def _two_line_split(model: QuadricModel, section: int):
+    """For a (2q+1)-point section mask: the point z perpendicular to the
+    whole section plus the masks of its two lines, or None if the section
+    is not of that shape.
+
+    In that shape the points of the section perpendicular to a point x
+    other than z are the line zx, and the rest plus z is the other line;
+    both must be lines of the model.
+    """
+    if section.bit_count() != 2 * model.q + 1:
         return None
-    z = centers[0]
-    through = [li for li in model.lines_through[z] if model.lines[li] <= pts]
-    if len(through) != 2:
+    centre = section & model.polar_section(iter_bits(section))
+    if centre.bit_count() != 1:
         return None
-    l1, l2 = (model.lines[li] for li in through)
-    if l1 | l2 != pts or l1 & l2 != {z}:
+    z = _low(centre)
+    l1 = model.perp_masks[_low(section & ~(1 << z))] & section
+    l2 = (section & ~l1) | (1 << z)
+    if l1 not in model.line_set or l2 not in model.line_set:
         return None
     return z, l1, l2
 
 
+def _two_line_planes(model: QuadricModel):
+    """(z, p1, p2) for every point z and every two lines through it, with
+    p1 and p2 the lowest other points of the two lines."""
+    for z, through in enumerate(model.lines_through):
+        rest = [model.lines[li] & ~(1 << z) for li in through]
+        for m1, m2 in combinations(rest, 2):
+            yield z, _low(m1), _low(m2)
+
+
+def _plane_section(model: QuadricModel, polar_split) -> int:
+    """The section of a plane pi from the two-line split of its polar.
+
+    The centre and one more point on each polar line span pi^perp, and
+    pi = (pi^perp)^perp, so the section is the AND of three perp masks.
+    """
+    z, l1, l2 = polar_split
+    others = ~(1 << z)
+    return model.polar_section((z, _low(l1 & others), _low(l2 & others)))
+
+
 def _census_two_line_planes(model: QuadricModel, want_cycles: bool):
-    q = model.q
-    f = model.field
-    section_size = 2 * q + 1
+    perp = model.perp_masks
     checked = 0
     failures_iii = []
     failures_iv = []
-    for z in range(len(model.points)):
-        zpt = model.points[z]
-        for la, lb in combinations(model.lines_through[z], 2):
-            p1 = min(model.lines[la] - {z})
-            p2 = min(model.lines[lb] - {z})
-            plane = rref_canonical(
-                [zpt, model.points[p1], model.points[p2]], f
-            )
-            sect = model.section(plane)
-            if len(sect) != section_size:
-                continue  # the two lines span a plane fully on the quadric
-            checked += 1
-            split = _two_line_split(model, sect)
-            polar = model.perp_space((z, p1, p2))
-            sect2 = model.section(polar)
-            split2 = _two_line_split(model, sect2) if len(sect2) == section_size else None
-            union = set(sect) | set(sect2)
-            ok = (
-                split is not None
-                and split2 is not None
-                and split2[0] == z
-                and set(sect) & set(sect2) == {z}
-                and len(union) == 4 * q + 1
-            )
-            if not ok:
-                failures_iii.append((z, p1, p2))
-                continue
-            if want_cycles and not _is_point_plus_two_cycles(model, z, union):
-                failures_iv.append((z, p1, p2))
+    for z, p1, p2 in _two_line_planes(model):
+        if (perp[p1] >> p2) & 1:
+            # z, p1, p2 pairwise perpendicular and singular: the plane lies
+            # on the quadric, its section is never two lines
+            continue
+        checked += 1
+        polar = model.polar_section((z, p1, p2))
+        polar_split = _two_line_split(model, polar)
+        ok = polar_split is not None and polar_split[0] == z
+        if ok:
+            plane = _plane_section(model, polar_split)
+            ok = _two_line_split(model, plane) is not None and plane & polar == 1 << z
+        if not ok:
+            failures_iii.append((z, p1, p2))
+            continue
+        if want_cycles and not _is_point_plus_two_cycles(model, z, plane | polar):
+            failures_iv.append((z, p1, p2))
     three = ClaimResult(checked=checked, failures=tuple(failures_iii))
     four = ClaimResult(checked=checked, failures=tuple(failures_iv))
     return three, four
 
 
-def _is_point_plus_two_cycles(model: QuadricModel, z: int, union: set[int]) -> bool:
+def _is_point_plus_two_cycles(model: QuadricModel, z: int, union: int) -> bool:
     """Induced non-perpendicularity graph = singleton z plus two 4-cycles."""
-    rest = sorted(union - {z})
-    if len(rest) != 8:
+    rest = union & ~(1 << z)
+    if rest.bit_count() != 8 or rest & ~model.perp_masks[z]:
         return False
-    if any(
-        model.bilinear(model.points[z], model.points[x]) != 0 for x in rest
-    ):
+    adj = model.adjacency_masks
+    if any((adj[x] & rest).bit_count() != 2 for x in iter_bits(rest)):
         return False
-    neigh = {
-        x: [
-            y
-            for y in rest
-            if y != x and model.bilinear(model.points[x], model.points[y]) != 0
-        ]
-        for x in rest
-    }
-    if any(len(v) != 2 for v in neigh.values()):
-        return False
-    seen: set[int] = set()
-    cycles = 0
-    for start in rest:
-        if start in seen:
-            continue
-        cycles += 1
-        comp = {start}
-        frontier = [start]
-        while frontier:
-            x = frontier.pop()
-            for y in neigh[x]:
-                if y not in comp:
-                    comp.add(y)
-                    frontier.append(y)
-        if len(comp) != 4:
-            return False
-        seen |= comp
-    return cycles == 2
+    comps = components(adj, rest)
+    return len(comps) == 2 and all(c.bit_count() == 4 for c in comps)

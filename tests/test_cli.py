@@ -1,7 +1,7 @@
 import json
 
 from qktw.cli import run
-from qktw.graph import petersen_graph
+from qktw.graph import path_graph, petersen_graph
 from qktw.treedec import pace_write_gr
 
 
@@ -119,6 +119,18 @@ def test_tw_exact_command(tmp_path, capsys):
     assert payload["treewidth"] == 4
     capsys.readouterr()
     assert run(["tw-exact", str(gr), "--max-vertices", "5"]) == 3
+
+
+def test_tw_exact_table_budget(tmp_path, capsys):
+    gr = tmp_path / "path27.gr"
+    pace_write_gr(path_graph(27), gr)
+    assert run(["tw-exact", str(gr), "--max-vertices", "40"]) == 3
+    assert "26 vertices" in capsys.readouterr().err
+
+
+def test_verify_pair_count_budget(capsys):
+    assert run(["verify", "pair-count", "-q", "4"]) == 3
+    assert "budget" in capsys.readouterr().err
 
 
 def test_alpha_command(capsys):

@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qktw.errors import BudgetExceededError
+from qktw import exact
 from qktw.exact import (
     SolveBudget,
     min_balanced_separator,
@@ -93,6 +94,22 @@ def test_treewidth_budget():
     g = random_graph(12, 0.3, seed=2)
     with pytest.raises(BudgetExceededError):
         treewidth_exact(g, SolveBudget(max_vertices=10))
+
+
+def test_treewidth_table_budget_fails_before_allocating(monkeypatch):
+    class Allocated(Exception):
+        pass
+
+    def allocate(size):
+        raise Allocated(size)
+
+    # the subset tables are the first allocation; 26 vertices reach it
+    monkeypatch.setattr(exact, "bytearray", allocate, raising=False)
+    assert exact.TREEWIDTH_TABLE_MAX_VERTICES == 26
+    with pytest.raises(Allocated):
+        treewidth_exact(path_graph(26), SolveBudget(max_vertices=40))
+    with pytest.raises(BudgetExceededError, match="26 vertices"):
+        treewidth_exact(path_graph(27), SolveBudget(max_vertices=40))
 
 
 def test_min_balanced_separator_examples():

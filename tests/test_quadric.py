@@ -37,7 +37,7 @@ def test_points_are_self_perpendicular():
 def test_line_structure():
     m = QuadricModel(2)
     assert len(m.lines) == 105  # one line per pencil of PG(3,2)
-    assert all(len(line) == 3 for line in m.lines)
+    assert all(line.bit_count() == 3 for line in m.lines)
     assert all(len(m.lines_through[p]) == 9 for p in range(35))
     m3 = QuadricModel(3)
     assert len(m3.lines) == 520
@@ -158,6 +158,15 @@ def test_census_q3_defaults():
     rep = perp_section_census(3)
     assert set(rep.claims) == {"ii", "iii"}
     assert rep.claims["ii"].checked == 130 * 81 // 2
+    assert rep.claims["iii"].checked == 9360
+    assert rep.passed
+
+
+def test_census_q4_defaults():
+    rep = perp_section_census(4)
+    assert set(rep.claims) == {"ii", "iii"}
+    assert rep.claims["ii"].checked == 357 * 256 // 2 == 45696
+    assert rep.claims["iii"].checked == 71400
     assert rep.passed
 
 
@@ -166,8 +175,106 @@ def test_census_claim_selection_and_errors():
     assert set(rep.claims) == {"i"}
     with pytest.raises(ValueError):
         perp_section_census(3, claims=("iv",))
+    assert quadric.CENSUS_MAX_Q == 4
     with pytest.raises(BudgetExceededError):
-        perp_section_census(4)
+        perp_section_census(5)
+
+
+# -- mask sections against the enumerated sections ------------------------------
+
+
+def _mask(indices):
+    return sum(1 << i for i in indices)
+
+
+def _census_inputs(model):
+    """The point sets the census sections: the non-perpendicular pairs
+    (claim ii), triples (claim i) and the two-line planes (claim iii)."""
+    adj = model.adjacency_masks
+    pairs = [(u, v) for u in range(len(adj)) for v in iter_bits(adj[u]) if v > u]
+    triples = [
+        (u, v, w) for u, v in pairs for w in iter_bits(adj[u] & adj[v]) if w > v
+    ]
+    return pairs, triples, list(quadric._two_line_planes(model))
+
+
+@pytest.mark.parametrize("q,stride", [(2, 1), (3, 97)])
+def test_mask_sections_match_the_enumerated_sections(q, stride):
+    # q = 2: every census input; q = 3: a fixed stride sample
+    model = QuadricModel(q)
+    pairs, triples, planes = _census_inputs(model)
+    assert (len(pairs), len(triples), len(planes)) == {
+        2: (280, 560, 35 * 36),
+        3: (5265, 84240, 130 * 120),
+    }[q]
+    for pts in pairs[::stride] + triples[::stride]:
+        assert model.polar_section(pts) == _mask(model.section(model.perp_space(pts)))
+    skipped = 0
+    for z, p1, p2 in planes[::stride]:
+        pts = (z, p1, p2)
+        plane = _mask(
+            model.section(rref_canonical([model.points[i] for i in pts], model.field))
+        )
+        polar = model.polar_section(pts)
+        assert polar == _mask(model.section(model.perp_space(pts)))
+        skip = (model.perp_masks[p1] >> p2) & 1 == 1
+        assert skip == (plane.bit_count() != 2 * q + 1)
+        skipped += skip
+        if not skip:
+            split = quadric._two_line_split(model, polar)
+            assert split is not None and split[0] == z
+            assert quadric._plane_section(model, split) == plane
+    assert 0 < skipped < len(planes[::stride])
+
+
+def test_section_shape_checks_reject_other_shapes():
+    m = QuadricModel(3)
+    u, v = 0, next(iter_bits(m.adjacency_masks[0]))
+    grid = m.polar_section((u, v))
+    assert quadric._grid_structure_ok(m, grid)
+    low = grid & -grid
+    off = next(iter_bits(m.perp_masks[low.bit_length() - 1] & ~grid))
+    assert not quadric._grid_structure_ok(m, (grid ^ low) | (1 << off))
+    # the two grid lines through a point: a two-line section, not a grid
+    p0 = low.bit_length() - 1
+    a, b = [m.lines[li] for li in m.lines_through[p0] if not m.lines[li] & ~grid]
+    assert not quadric._grid_structure_ok(m, a | b)
+    assert quadric._two_line_split(m, a | b) in ((p0, a, b), (p0, b, a))
+    # every line the checks build must be a line of the model
+    fewer = QuadricModel(3)
+    other_class = next(l for l in m.lines if l & ~(a | b) and not l & ~grid)
+    fewer.line_set = m.line_set - {other_class}
+    assert not quadric._grid_structure_ok(fewer, grid)
+    fewer.line_set = m.line_set - {b}
+    assert quadric._two_line_split(fewer, a | b) is None
+    # one point of b traded for another grid point: no centre
+    y = next(iter_bits(b & ~low))
+    w = next(iter_bits(grid & ~a & ~b))
+    assert quadric._two_line_split(m, (a | b) ^ (1 << y) ^ (1 << w)) is None
+    # a conic, a single line, a plane on the quadric
+    x = next(iter_bits(m.adjacency_masks[u] & m.adjacency_masks[v]))
+    assert quadric._two_line_split(m, m.polar_section((u, v, x))) is None
+    assert quadric._two_line_split(m, m.lines[0]) is None
+    z, p1, p2 = next(
+        pts for pts in quadric._two_line_planes(m) if (m.perp_masks[pts[1]] >> pts[2]) & 1
+    )
+    on_quadric = m.polar_section((z, p1, p2))
+    assert on_quadric.bit_count() == 13
+    assert quadric._two_line_split(m, on_quadric) is None
+
+
+def test_point_plus_two_cycles_rejects_other_unions():
+    m = QuadricModel(2)
+    z, p1, p2 = next(
+        pts for pts in quadric._two_line_planes(m) if not (m.perp_masks[pts[1]] >> pts[2]) & 1
+    )
+    polar = m.polar_section((z, p1, p2))
+    union = quadric._plane_section(m, quadric._two_line_split(m, polar)) | polar
+    assert quadric._is_point_plus_two_cycles(m, z, union)
+    assert not quadric._is_point_plus_two_cycles(m, z, union ^ (1 << p1))
+    assert not quadric._is_point_plus_two_cycles(m, p1, union)
+    other = next(iter_bits(~union & ((1 << 35) - 1)))
+    assert not quadric._is_point_plus_two_cycles(m, z, union ^ (1 << p1) | (1 << other))
 
 
 def test_conic_plane_sections_by_hand():

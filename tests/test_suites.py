@@ -1,18 +1,28 @@
 import json
 import sys
+from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qktw import suites
+from qktw.errors import BudgetExceededError
+from qktw.gf import make_field
 from qktw.kneser import KneserParams, treewidth_verdict
 from qktw.report import CheckCase, SuiteReport, exact_str
+from qktw.subspace import enumerate_k_subspaces, intersect_dim, subspaces_of
 from qktw.suites import (
     bridge_suite,
     counting_suite,
     gauss_bounds_suite,
     grid_suite,
     klein_suite,
+    pair_censuses,
+    pair_count_suite,
+    pair_count_work,
     parabola_suite,
     perp_census_suite,
     verdict_suite,
@@ -119,3 +129,69 @@ def test_worker_count_env(monkeypatch):
     assert worker_count() >= 1
     monkeypatch.setenv("QKTW_THREADS", "3")
     assert worker_count() == 3
+
+
+# -- the pair-count census against the per-pair elimination oracle ---------------
+
+
+def oracle_pair_censuses(verts):
+    """pair_censuses by one intersect_dim per pair of t-subspaces."""
+    k = verts[0].k
+    subs = [[subspaces_of(v, t) for t in range(1, k + 1)] for v in verts]
+    for a, u in enumerate(verts):
+        for b in range(a, len(verts)):
+            s = intersect_dim(u, verts[b])
+            counts = []
+            for xs, ys in zip(subs[a], subs[b]):
+                census = Counter(intersect_dim(x, y) for x in xs for y in ys)
+                t = xs[0].k
+                assert max(census) <= min(s, t)
+                counts.append([census.get(i, 0) for i in range(min(s, t) + 1)])
+            yield a, b, s, counts
+
+
+@pytest.mark.parametrize(
+    "q,n,k",
+    [(2, n, k) for n in range(2, 5) for k in range(1, n + 1)] + [(3, 4, 2)],
+)
+def test_pair_censuses_match_the_pairwise_oracle(q, n, k):
+    verts = enumerate_k_subspaces(n, k, make_field(q))
+    assert list(pair_censuses(verts)) == list(oracle_pair_censuses(verts))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.data())
+def test_pair_censuses_on_random_vertex_subsets(data):
+    q, n = data.draw(st.sampled_from([(2, 4), (2, 5), (3, 3), (3, 4)]))
+    k = data.draw(st.integers(1, n - 1))
+    every = enumerate_k_subspaces(n, k, make_field(q))
+    picked = data.draw(
+        st.lists(st.integers(0, len(every) - 1), min_size=1, max_size=12, unique=True)
+    )
+    verts = [every[i] for i in picked]
+    assert list(pair_censuses(verts)) == list(oracle_pair_censuses(verts))
+
+
+def test_pair_count_budget_admits_q2_and_q3_only():
+    assert pair_count_work(2, 5, 3) == 234161
+    assert pair_count_work(3, 5, 3) == 23510162
+    assert pair_count_work(3, 5, 3) <= suites.PAIR_COUNT_MAX_WORK
+    assert pair_count_work(4, 5, 3) > suites.PAIR_COUNT_MAX_WORK
+
+
+def test_pair_count_budget_fails_before_enumeration(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerated past the budget")
+
+    monkeypatch.setattr(suites, "enumerate_k_subspaces", refuse)
+    with pytest.raises(BudgetExceededError, match="824011665"):
+        pair_count_suite(q=4)
+
+
+def test_pair_count_budget_boundary(monkeypatch):
+    work = pair_count_work(2, 3, 2)
+    monkeypatch.setattr(suites, "PAIR_COUNT_MAX_WORK", work)
+    assert pair_count_suite(q=2, max_n=3, max_k=2).passed
+    monkeypatch.setattr(suites, "PAIR_COUNT_MAX_WORK", work - 1)
+    with pytest.raises(BudgetExceededError):
+        pair_count_suite(q=2, max_n=3, max_k=2)
