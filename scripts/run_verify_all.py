@@ -14,6 +14,7 @@ import time
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
+from qktw.report import verify_all_json  # noqa: E402
 from qktw.suites import verify_all  # noqa: E402
 
 
@@ -22,24 +23,16 @@ def main() -> int:
     start = time.perf_counter()
     reports = verify_all()
     elapsed = time.perf_counter() - start
-    failed = 0
     for rep in reports:
         status = "ok" if rep.passed else "FAILED"
         print(f"{rep.suite:<14} {rep.total:>4} cases  {status}")
-        failed += rep.failed
-    print(f"total: {sum(r.total for r in reports)} cases, {failed} failed, {elapsed:.1f}s")
+    payload = verify_all_json(reports)
+    summary = payload["summary"]
+    print(f"total: {summary['cases']} cases, {summary['failed']} failed, {elapsed:.1f}s")
     if out_path:
-        payload = {
-            "suites": [r.to_json() for r in reports],
-            "summary": {
-                "suites": len(reports),
-                "cases": sum(r.total for r in reports),
-                "failed": failed,
-            },
-        }
         out_path.write_text(json.dumps(payload, indent=2) + "\n")
         print(f"report written to {out_path}")
-    return 0 if failed == 0 else 1
+    return 0 if summary["failed"] == 0 else 1
 
 
 if __name__ == "__main__":

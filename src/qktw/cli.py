@@ -32,7 +32,7 @@ from .kneser import (
     treewidth_verdict,
 )
 from .quadric import build_quadric_graph
-from .report import exact_str
+from .report import exact_str, verify_all_json
 from .suites import SUITE_NAMES, run_suite, verify_all
 from .treedec import (
     pace_read_gr,
@@ -227,18 +227,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_verify_all(args) -> int:
-    reports = verify_all()
-    failed = sum(r.failed for r in reports)
-    payload = {
-        "suites": [r.to_json() for r in reports],
-        "summary": {
-            "suites": len(reports),
-            "cases": sum(r.total for r in reports),
-            "failed": failed,
-        },
-    }
+    payload = verify_all_json(verify_all())
     _emit(payload, args.output)
-    return EXIT_OK if failed == 0 else EXIT_CHECK_FAILED
+    return EXIT_OK if payload["summary"]["failed"] == 0 else EXIT_CHECK_FAILED
 
 
 _DISPATCH = {

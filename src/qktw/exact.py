@@ -43,6 +43,7 @@ class _BudgetClock:
 
     def __init__(self, budget: SolveBudget):
         self.node_limit = budget.node_limit
+        self.time_limit = budget.time_limit
         self.deadline = (
             time.monotonic() + budget.time_limit if budget.time_limit else None
         )
@@ -51,10 +52,16 @@ class _BudgetClock:
     def tick(self) -> None:
         self.nodes += 1
         if self.node_limit is not None and self.nodes > self.node_limit:
-            raise BudgetExceededError(f"search-node limit {self.node_limit} exceeded")
+            self._exceeded(f"search-node limit {self.node_limit}")
         if self.deadline is not None and self.nodes % 1024 == 0:
             if time.monotonic() > self.deadline:
-                raise BudgetExceededError("time limit exceeded")
+                self._exceeded(f"time limit of {self.time_limit} s")
+
+    def _exceeded(self, limit: str) -> None:
+        # the node being ticked is not explored
+        raise BudgetExceededError(
+            f"{limit} exceeded after {self.nodes - 1} search nodes explored"
+        )
 
 
 def _check_vertex_cap(g: Graph, budget: SolveBudget | None, default_cap: int) -> SolveBudget:
@@ -132,22 +139,6 @@ def min_vertex_cover_bruteforce(g: Graph) -> int:
 # -- exact treewidth ---------------------------------------------------------------
 
 
-def _reach_degree(adj: list[int], eliminated: int, v: int) -> int:
-    """Number of vertices outside ``eliminated`` ∪ {v} connected to v through
-    eliminated vertices (v's fill-in degree when eliminated after them)."""
-    outside = adj[v] & ~eliminated
-    frontier = adj[v] & eliminated
-    reach = 0
-    while frontier:
-        reach |= frontier
-        nxt = 0
-        for u in iter_bits(frontier):
-            nxt |= adj[u]
-        outside |= nxt & ~eliminated
-        frontier = nxt & eliminated & ~reach
-    return (outside & ~(1 << v)).bit_count()
-
-
 def _decomposition_from_order(g: Graph, order: list[int]) -> TreeDecomposition:
     """Fill-in simulation along an elimination order, then the standard
     bag-attachment construction."""
@@ -185,11 +176,18 @@ def treewidth_exact(
 ) -> tuple[int, TreeDecomposition]:
     """Exact treewidth with an optimal decomposition.
 
-    Dynamic programming over subsets S of already-eliminated vertices:
-    the best width of eliminating S first is min over v in S of
-    max(best(S - v), fill-degree of v after S - v).  One byte per subset;
+    Dynamic programming over subsets S of already-eliminated vertices
+    (Bodlaender, Fomin, Koster, Kratsch and Thilikos): the best width of
+    eliminating S first is min over v in S of max(best(S - v), the fill
+    degree of v after S - v).  That fill degree counts the vertices
+    outside S reached from v through S - v, which are exactly the outside
+    neighbours of v's component K in G[S]; so one component pass per
+    subset gives |N(K) - S| for every v in K at once.  The stored choice
+    is the lowest v reaching the minimum, as in a plain ascending scan
+    that keeps only strict improvements.  One byte per subset per table;
     the elimination order is recovered from the stored choices and turned
-    into a valid decomposition whose width equals the optimum.
+    into a valid decomposition whose width equals the optimum.  One
+    budget node per nonempty subset.
     """
     budget = _check_vertex_cap(g, budget, TREEWIDTH_VERTEX_CAP)
     if g.n > TREEWIDTH_TABLE_MAX_VERTICES:
@@ -206,17 +204,38 @@ def treewidth_exact(
     for s in range(1, size):
         clock.tick()
         best_width = 255
-        best_v = 0
+        best_v = n
         rest = s
         while rest:
-            bit = rest & -rest
-            rest ^= bit
-            v = bit.bit_length() - 1
-            prev = s ^ bit
-            d = _reach_degree(adj, prev, v)
-            cand = best[prev] if best[prev] > d else d
-            if cand < best_width:
-                best_width, best_v = cand, v
+            # grow the component K of rest's lowest vertex inside S
+            comp = frontier = rest & -rest
+            reach = 0
+            while frontier:
+                nxt = 0
+                while frontier:
+                    bit = frontier & -frontier
+                    frontier ^= bit
+                    nxt |= adj[bit.bit_length() - 1]
+                reach |= nxt
+                frontier = nxt & s & ~comp
+                comp |= frontier
+            rest &= ~comp
+            d = (reach & ~s).bit_count()
+            if d > best_width:
+                continue
+            # K's candidates in ascending order; none is below d, so the
+            # first v with best(S - v) <= d is K's best
+            while comp:
+                bit = comp & -comp
+                comp ^= bit
+                prev = best[s ^ bit]
+                cand = prev if prev > d else d
+                if cand <= best_width:
+                    v = bit.bit_length() - 1
+                    if cand < best_width or v < best_v:
+                        best_width, best_v = cand, v
+                if prev <= d:
+                    break
         best[s] = best_width
         choice[s] = best_v
 
@@ -274,12 +293,40 @@ class SeparatorSearchResult:
         return self.size - 1
 
 
+def _balanced(adj: list[int], ymask: int, ycount: int) -> bool:
+    """Whether every component of the graph induced on ``ymask`` (which has
+    ``ycount`` vertices) has at most ycount / 2 vertices.
+
+    Stops growing a component once it passes the half, and stops looking
+    once the unexplored rest is no larger than the half."""
+    half = ycount // 2
+    rest = ymask
+    while rest.bit_count() > half:
+        comp = frontier = rest & -rest
+        while frontier:
+            nxt = 0
+            while frontier:
+                bit = frontier & -frontier
+                frontier ^= bit
+                nxt |= adj[bit.bit_length() - 1]
+            frontier = nxt & ymask & ~comp
+            comp |= frontier
+            if comp.bit_count() > half:
+                return False
+        rest &= ~comp
+    return True
+
+
 def min_balanced_separator(
     g: Graph, budget: SolveBudget | None = None
 ) -> SeparatorSearchResult:
     """Smallest P such that every component of G - P has at most |V - P| / 2
-    vertices.  Exhaustive over subsets by increasing size; the first hit in
-    lexicographic order is returned."""
+    vertices.
+
+    Exhaustive over subsets by increasing size; the first hit in
+    lexicographic order is returned.  Each candidate costs one budget node
+    and one early-exit balance test (`_balanced`); the components of
+    G - P are listed only for the returned witness."""
     budget = _check_vertex_cap(g, budget, SEPARATOR_VERTEX_CAP)
     clock = _BudgetClock(budget)
     full = (1 << g.n) - 1
@@ -291,9 +338,8 @@ def min_balanced_separator(
             for v in p:
                 pmask |= 1 << v
             ymask = full & ~pmask
-            ycount = g.n - size
-            sizes = [c.bit_count() for c in components(adj, ymask)]
-            if all(2 * s <= ycount for s in sizes):
+            if _balanced(adj, ymask, g.n - size):
+                sizes = [c.bit_count() for c in components(adj, ymask)]
                 return SeparatorSearchResult(
                     size=size,
                     witness=p,

@@ -14,9 +14,10 @@ rejected.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
-from .errors import NotAPrimePowerError, UnsupportedFieldError
+from .errors import NotAPrimePowerError, SizeLimitError, UnsupportedFieldError
 
 MAX_TABLE_ORDER = 64
 
@@ -35,25 +36,81 @@ _MODULI: dict[int, tuple[int, ...]] = {
 }
 
 
+# Miller-Rabin to the first thirteen prime bases decides primality exactly
+# below this bound (Sorenson and Webster 2015, OEIS A014233).  Above it a
+# "prime" verdict would only be probable, so larger candidates without a
+# small factor are refused.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MILLER_RABIN_EXACT_BELOW = 3317044064679887385961981
+
+
+def _is_prime(r: int) -> bool:
+    """Exact primality of r >= 2; SizeLimitError where it cannot be exact."""
+    for b in _MR_BASES:
+        if r % b == 0:
+            return r == b
+    if r >= MILLER_RABIN_EXACT_BELOW:
+        raise SizeLimitError(
+            f"{r} has no prime factor up to 41, and primality is decided "
+            f"exactly only below {MILLER_RABIN_EXACT_BELOW}"
+        )
+    s = ((r - 1) & (1 - r)).bit_length() - 1
+    d = (r - 1) >> s
+    for b in _MR_BASES:
+        x = pow(b, d, r)
+        if x == 1 or x == r - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % r
+            if x == r - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _exact_root(q: int, e: int) -> int | None:
+    """The integer r with r**e == q, if there is one (q >= 2, e >= 1)."""
+    if e == 1:
+        return q
+    x = math.log2(q) / e
+    if x < 40:
+        # the float is within 0.01 of a root below 2^40; the low 64 bits
+        # reject almost every wrong guess before the full power is taken
+        r = round(2**x)
+        if pow(r, e, 1 << 64) != q & ((1 << 64) - 1):
+            return None
+    else:
+        # integer Newton from just above the root, which the float gives
+        # to about 30 bits
+        k = max(int(x) - 50, 0)
+        r = (int(2 ** (x - k) * (1 + 1e-9)) + 1) << k
+        while True:
+            s = ((e - 1) * r + q // r ** (e - 1)) // e
+            if s >= r:
+                break
+            r = s
+    return r if r**e == q else None
+
+
 def prime_power(q: int) -> tuple[int, int]:
-    """Decompose q = p**e with p prime; raise NotAPrimePowerError otherwise."""
+    """Decompose q = p**e with p prime; raise NotAPrimePowerError otherwise.
+
+    Takes the exact integer e-th root of q for e from log2(q) down to 1;
+    the first exact root r is the only candidate for p, since a composite
+    r makes q have two prime divisors.  Its primality is decided exactly
+    (`_is_prime`); a prime candidate too large for that raises
+    SizeLimitError instead of a probable verdict.
+    """
     if q < 2:
         raise NotAPrimePowerError(f"field order must be at least 2, got {q}")
-    p = q
-    d = 2
-    while d * d <= q:
-        if q % d == 0:
-            p = d
+    for e in range(q.bit_length() - 1, 0, -1):
+        r = _exact_root(q, e)
+        if r is not None:
             break
-        d += 1
-    e = 0
-    m = q
-    while m % p == 0:
-        m //= p
-        e += 1
-    if m != 1:
+    if not _is_prime(r):
         raise NotAPrimePowerError(f"{q} is not a prime power")
-    return p, e
+    return r, e
 
 
 def is_prime_power(q: int) -> bool:

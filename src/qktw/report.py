@@ -103,3 +103,15 @@ class SuiteReport:
                 "failed": self.failed,
             },
         }
+
+
+def verify_all_json(reports: list[SuiteReport]) -> dict:
+    """The verify-all report: every suite's JSON and a matrix summary."""
+    return {
+        "suites": [r.to_json() for r in reports],
+        "summary": {
+            "suites": len(reports),
+            "cases": sum(r.total for r in reports),
+            "failed": sum(r.failed for r in reports),
+        },
+    }

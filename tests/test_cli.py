@@ -1,6 +1,13 @@
+import importlib.util
 import json
+import sys
+import time
+from pathlib import Path
 
+from qktw import cli
 from qktw.cli import run
+from qktw.exact import SolveBudget
+from qktw.report import CheckCase, SuiteReport, verify_all_json
 from qktw.graph import path_graph, petersen_graph
 from qktw.treedec import pace_write_gr
 
@@ -30,6 +37,18 @@ def test_verdict_past_the_digit_limit(capsys):
 def test_verdict_bad_params(capsys):
     assert run(["verdict", "-q", "6", "-n", "4", "-k", "2", "-t", "1"]) == 2
     assert run(["verdict", "-q", "2", "-n", "4", "-k", "2", "-t", "2"]) == 2
+
+
+def test_verdict_on_large_orders(capsys):
+    start = time.perf_counter()
+    code, payload = run_json(capsys, ["verdict", "-q", "1000000000000000003", "-n", "4", "-k", "2", "-t", "1"])
+    assert time.perf_counter() - start < 1
+    assert code == 0 and payload["params"]["q"] == 1000000000000000003
+    start = time.perf_counter()
+    assert run(["verdict", "-q", "1000000000000000004", "-n", "4", "-k", "2", "-t", "1"]) == 2
+    assert run(["verdict", "-q", str(2**89 - 1), "-n", "4", "-k", "2", "-t", "1"]) == 3
+    assert time.perf_counter() - start < 1
+    assert "decided exactly only below" in capsys.readouterr().err
 
 
 def test_gen_and_files(tmp_path, capsys):
@@ -121,6 +140,18 @@ def test_tw_exact_command(tmp_path, capsys):
     assert run(["tw-exact", str(gr), "--max-vertices", "5"]) == 3
 
 
+def test_tw_exact_budget_failure_reaches_stderr(tmp_path, capsys, monkeypatch):
+    gr = tmp_path / "pet.gr"
+    pace_write_gr(petersen_graph(), gr)
+    monkeypatch.setattr(
+        cli, "SolveBudget", lambda max_vertices: SolveBudget(max_vertices, node_limit=100)
+    )
+    assert run(["tw-exact", str(gr)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: search-node limit 100 exceeded after 100 search nodes explored\n"
+
+
 def test_tw_exact_table_budget(tmp_path, capsys):
     gr = tmp_path / "path27.gr"
     pace_write_gr(path_graph(27), gr)
@@ -188,3 +219,34 @@ def test_threads_env_is_honored(capsys, monkeypatch):
     assert code == 0 and payload["summary"]["failed"] == 0
     monkeypatch.setenv("QKTW_THREADS", "0")
     assert run(["verify", "bridge"]) == 2
+
+
+def stub_reports():
+    return [
+        SuiteReport("first", [CheckCase({"q": 2}, 3, 3), CheckCase({"q": 3}, 2**60, 1, False)]),
+        SuiteReport("second", [CheckCase({"graph": "p"}, 1, 1)]),
+    ]
+
+
+def test_verify_all_json_on_stub_reports():
+    reports = stub_reports()
+    assert verify_all_json(reports) == {
+        "suites": [r.to_json() for r in reports],
+        "summary": {"suites": 2, "cases": 3, "failed": 1},
+    }
+    assert verify_all_json([])["summary"] == {"suites": 0, "cases": 0, "failed": 0}
+
+
+def test_verify_all_script_writes_the_cli_report(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "verify_all", stub_reports)
+    assert run(["verify-all", "-o", str(tmp_path / "cli.json")]) == 1
+    script = Path(__file__).resolve().parents[1] / "scripts" / "run_verify_all.py"
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the script prepends src/
+    spec = importlib.util.spec_from_file_location("run_verify_all", script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    monkeypatch.setattr(module, "verify_all", stub_reports)
+    monkeypatch.setattr(sys, "argv", ["run_verify_all.py", str(tmp_path / "script.json")])
+    assert module.main() == 1
+    assert "total: 3 cases, 1 failed" in capsys.readouterr().out
+    assert (tmp_path / "script.json").read_bytes() == (tmp_path / "cli.json").read_bytes()

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given
@@ -14,7 +15,15 @@ from qktw.exact import (
     treewidth_all_orderings,
     treewidth_exact,
 )
-from qktw.graph import Graph, complete_graph, cycle_graph, path_graph, petersen_graph
+from qktw.graph import (
+    Graph,
+    complete_graph,
+    components,
+    cycle_graph,
+    iter_bits,
+    path_graph,
+    petersen_graph,
+)
 from qktw.kneser import KneserParams, alpha_value, build_kneser_graph
 from qktw.treedec import balanced_separator_check, star_decomposition, validate_td
 
@@ -127,8 +136,6 @@ def test_min_balanced_separator_witness_is_balanced():
     assert balanced_separator_check(g, sep.witness).balanced
     if sep.size:
         # nothing smaller is balanced: spot-check by re-running capped search
-        from itertools import combinations
-
         for smaller in combinations(range(g.n), sep.size - 1):
             assert not balanced_separator_check(g, smaller).balanced
 
@@ -157,3 +164,127 @@ def test_star_bound_dominates_treewidth():
 def test_dp_vs_bruteforce_property(n, seed):
     g = random_graph(n, 0.5, seed)
     assert treewidth_exact(g)[0] == treewidth_all_orderings(g)
+
+
+# -- slow oracles for the two kernels --------------------------------------------
+
+
+def _reach_degree(adj, eliminated, v):
+    """Vertices outside ``eliminated`` + {v} connected to v through
+    eliminated vertices: v's fill degree when eliminated after them."""
+    outside = adj[v] & ~eliminated
+    frontier = adj[v] & eliminated
+    reach = 0
+    while frontier:
+        reach |= frontier
+        nxt = 0
+        for u in iter_bits(frontier):
+            nxt |= adj[u]
+        outside |= nxt & ~eliminated
+        frontier = nxt & eliminated & ~reach
+    return (outside & ~(1 << v)).bit_count()
+
+
+def reference_treewidth(g):
+    """The subset DP with one reachability search per (subset, vertex)."""
+    n = g.n
+    size = 1 << n
+    best = bytearray(size)
+    choice = bytearray(size)
+    for s in range(1, size):
+        best_width, best_v = 255, 0
+        for v in iter_bits(s):
+            prev = s ^ (1 << v)
+            cand = max(best[prev], _reach_degree(g.adjacency, prev, v))
+            if cand < best_width:
+                best_width, best_v = cand, v
+        best[s], choice[s] = best_width, best_v
+    order = []
+    s = size - 1
+    while s:
+        order.append(choice[s])
+        s ^= 1 << choice[s]
+    return best[size - 1], exact._decomposition_from_order(g, order[::-1])
+
+
+def reference_balanced(g, ymask):
+    return all(2 * c.bit_count() <= ymask.bit_count() for c in components(g.adjacency, ymask))
+
+
+def reference_separator(g):
+    full = (1 << g.n) - 1
+    for size in range(g.n + 1):
+        for p in combinations(range(g.n), size):
+            ymask = full & ~sum(1 << v for v in p)
+            if reference_balanced(g, ymask):
+                sizes = sorted((c.bit_count() for c in components(g.adjacency, ymask)), reverse=True)
+                return size, p, tuple(sizes)
+
+
+@st.composite
+def graphs(draw, max_n):
+    n = draw(st.integers(1, max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph.from_edges(n, [e for e, k in zip(pairs, keep) if k])
+
+
+NAMED_GRAPHS = [
+    Graph(1),
+    Graph(6),
+    path_graph(8),
+    cycle_graph(9),
+    complete_graph(7),
+    petersen_graph(),
+]
+
+
+@pytest.mark.parametrize("g", NAMED_GRAPHS, ids=lambda g: f"n{g.n}-m{g.edge_count}")
+def test_treewidth_matches_the_reference_dp_on_named_graphs(g):
+    assert treewidth_exact(g) == reference_treewidth(g)
+
+
+@given(g=graphs(max_n=10))
+def test_treewidth_matches_the_reference_dp(g):
+    assert treewidth_exact(g) == reference_treewidth(g)
+
+
+@given(g=graphs(max_n=11))
+def test_separator_matches_the_reference_search(g):
+    sep = min_balanced_separator(g)
+    assert (sep.size, sep.witness, sep.component_sizes) == reference_separator(g)
+
+
+@given(g=graphs(max_n=12), data=st.data())
+def test_balanced_matches_the_component_predicate(g, data):
+    ymask = data.draw(st.integers(0, (1 << g.n) - 1))
+    for y in (ymask, 0, ymask & -ymask):
+        assert exact._balanced(g.adjacency, y, y.bit_count()) == reference_balanced(g, y)
+
+
+def test_treewidth_node_limit_is_one_node_per_nonempty_subset():
+    g = random_graph(9, 0.4, seed=5)
+    full = 2**g.n - 1
+    assert treewidth_exact(g, SolveBudget(node_limit=full)) == treewidth_exact(g)
+    with pytest.raises(BudgetExceededError) as info:
+        treewidth_exact(g, SolveBudget(node_limit=full - 1))
+    assert str(info.value) == "search-node limit 510 exceeded after 510 search nodes explored"
+
+
+def test_separator_node_limit_is_one_node_per_candidate():
+    g = random_graph(10, 0.5, seed=8)
+    sep = min_balanced_separator(g)
+    assert sep.size > 0
+    order = [p for size in range(g.n + 1) for p in combinations(range(g.n), size)]
+    at_witness = order.index(sep.witness) + 1
+    assert min_balanced_separator(g, SolveBudget(node_limit=at_witness)) == sep
+    with pytest.raises(BudgetExceededError, match="search-node limit"):
+        min_balanced_separator(g, SolveBudget(node_limit=at_witness - 1))
+
+
+def test_time_limit_trips_inside_the_dp():
+    # the clock is polled every 1024 nodes, far inside the 65,535 subsets
+    g = random_graph(16, 0.5, seed=16)
+    with pytest.raises(BudgetExceededError) as info:
+        treewidth_exact(g, SolveBudget(time_limit=1e-9))
+    assert str(info.value) == "time limit of 1e-09 s exceeded after 1023 search nodes explored"

@@ -2,8 +2,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qktw.errors import NotAPrimePowerError, UnsupportedFieldError
-from qktw.gf import make_field, prime_power, prime_powers_up_to
+from qktw.errors import NotAPrimePowerError, SizeLimitError, UnsupportedFieldError
+from qktw.gf import MILLER_RABIN_EXACT_BELOW, make_field, prime_power, prime_powers_up_to
 
 SMALL_FIELDS = [2, 3, 4, 5, 7, 8, 9, 16]
 ALL_TABLE_FIELDS = prime_powers_up_to(64)
@@ -18,6 +18,66 @@ def test_prime_power_decomposition():
         prime_power(6)
     with pytest.raises(NotAPrimePowerError):
         prime_power(1)
+
+
+def trial_division_prime_power(q, spf):
+    """(p, e) from the smallest prime factor, or None: the trial-division
+    decomposition, with the factors read from a sieve."""
+    p, e = spf[q], 0
+    while q % p == 0:
+        q //= p
+        e += 1
+    return (p, e) if q == 1 else None
+
+
+def test_prime_power_agrees_with_trial_division():
+    limit = 10**5
+    spf = list(range(limit + 1))
+    for d in range(2, int(limit**0.5) + 1):
+        if spf[d] == d:
+            for m in range(d * d, limit + 1, d):
+                if spf[m] == m:
+                    spf[m] = d
+    for q in range(2, limit + 1):
+        expected = trial_division_prime_power(q, spf)
+        if expected is None:
+            with pytest.raises(NotAPrimePowerError):
+                prime_power(q)
+        else:
+            assert prime_power(q) == expected
+
+
+def test_prime_power_on_large_orders():
+    assert prime_power(10**18 + 3) == (10**18 + 3, 1)
+    assert prime_power((10**9 + 7) ** 2) == (10**9 + 7, 2)
+    assert prime_power(2**61) == (2, 61)
+    assert prime_power((2**61 - 1) ** 3) == (2**61 - 1, 3)
+    assert prime_power(3**9000) == (3, 9000)
+    for q in (
+        10**18 + 4,
+        6**20,
+        (10**9 + 7) * (10**9 + 9),
+        (2**61 - 1) ** 2 * 3,
+        # strong pseudoprimes to the first 3, 4, 9 and 12 prime bases
+        25326001,
+        3215031751,
+        3825123056546413051,
+        318665857834031151167461,
+    ):
+        with pytest.raises(NotAPrimePowerError):
+            prime_power(q)
+
+
+def test_prime_power_refuses_what_it_cannot_decide_exactly():
+    # 2^89 - 1 is prime but past the exact Miller-Rabin range, as is the
+    # strong pseudoprime to the first 13 prime bases
+    for q in (2**89 - 1, (2**89 - 1) ** 2, MILLER_RABIN_EXACT_BELOW):
+        with pytest.raises(SizeLimitError):
+            prime_power(q)
+    # a factor up to 41 still decides a large order at once
+    with pytest.raises(NotAPrimePowerError):
+        prime_power(41 * (2**89 - 1))
+    assert prime_power(41**30) == (41, 30)
 
 
 def test_make_field_basic():
