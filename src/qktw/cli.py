@@ -23,7 +23,13 @@ import sys
 from pathlib import Path
 
 from .errors import BudgetExceededError, PaceParseError, SizeLimitError
-from .exact import SolveBudget, mis_exact, treewidth_exact
+from .exact import (
+    TREEWIDTH_NODE_BUDGET,
+    TREEWIDTH_TABLE_MAX_VERTICES,
+    SolveBudget,
+    mis_exact,
+    treewidth_exact,
+)
 from .kneser import (
     KneserParams,
     alpha_value,
@@ -199,6 +205,15 @@ def _cmd_td_validate(args) -> int:
 
 def _cmd_tw_exact(args) -> int:
     g = pace_read_gr(args.graph)
+    # Larger graphs are refused by treewidth_exact's table limit before it
+    # allocates anything.
+    subsets = (1 << g.n) - 1
+    if g.n <= TREEWIDTH_TABLE_MAX_VERTICES and subsets > TREEWIDTH_NODE_BUDGET:
+        raise SizeLimitError(
+            f"{g.n} vertices give 2^{g.n} - 1 = {subsets} subset-DP nodes, over the "
+            f"tw-exact budget of {TREEWIDTH_NODE_BUDGET} "
+            f"(at most {TREEWIDTH_NODE_BUDGET.bit_length()} vertices)"
+        )
     tw, td = treewidth_exact(g, SolveBudget(max_vertices=args.max_vertices))
     if args.output:
         pace_write_td(td, g.n, args.output)
@@ -244,10 +259,21 @@ _DISPATCH = {
 }
 
 
+# Built by the first ``run`` call and reused by later ones in the process;
+# importing the module builds nothing.
+_PARSER: argparse.ArgumentParser | None = None
+
+
+def _parser() -> argparse.ArgumentParser:
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    return _PARSER
+
+
 def run(argv: list[str]) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:

@@ -26,6 +26,9 @@ TREEWIDTH_VERTEX_CAP = 18
 # vertices, the memory budget of graph.GRAPH_MAX_VERTICES.  No budget
 # admits more.
 TREEWIDTH_TABLE_MAX_VERTICES = 26
+# tw-exact refuses, before solving, a graph whose subset DP would tick more
+# nodes (one per nonempty subset) than this: G(22, 1/2) takes about 21 s.
+TREEWIDTH_NODE_BUDGET = 2**22 - 1
 SEPARATOR_VERTEX_CAP = 20
 
 

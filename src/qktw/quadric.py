@@ -101,14 +101,38 @@ class QuadricModel:
     @cached_property
     def perp_masks(self) -> tuple[int, ...]:
         """perp_masks[i] has bit j set iff point i is perpendicular to point j.
-        Every point is self-perpendicular."""
-        n = len(self.points)
-        masks = [1 << i for i in range(n)]
-        for i in range(n):
-            for j in range(i + 1, n):
-                if self.bilinear(self.points[i], self.points[j]) == 0:
-                    masks[i] |= 1 << j
-                    masks[j] |= 1 << i
+        Every point is self-perpendicular.
+
+        Built from coordinate masks, with no loop over point pairs:
+        coord[j][a] holds the points whose coordinate j equals a.  For a
+        point p, b(p, x) = sum of c_j x_j with c = _polar_vector(p) is
+        linear in x, so the coordinates are folded in one at a time,
+        keeping per partial-sum value s the mask of the points whose terms
+        so far sum to s; after the last one, the mask at s = 0 is p's perp.
+        That is at most q^2 ANDs per coordinate.  ``bilinear`` is the
+        tests' pairwise oracle.
+        """
+        f = self.field
+        coord = [[0] * self.q for _ in range(6)]
+        for i, x in enumerate(self.points):
+            for j, a in enumerate(x):
+                coord[j][a] |= 1 << i
+        full = (1 << len(self.points)) - 1
+        masks = []
+        for p in self.points:
+            sums = {0: full}
+            for c, by_value in zip(_polar_vector(p), coord):
+                if not c:
+                    continue
+                nxt: dict[int, int] = {}
+                for s, m in sums.items():
+                    for a, points in enumerate(by_value):
+                        hit = m & points
+                        if hit:
+                            key = f.add(s, f.mul(c, a))
+                            nxt[key] = nxt.get(key, 0) | hit
+                sums = nxt
+            masks.append(sums.get(0, 0))
         return tuple(masks)
 
     @cached_property

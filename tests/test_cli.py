@@ -1,15 +1,17 @@
 import importlib.util
 import json
+import os
+import subprocess
 import sys
 import time
 from pathlib import Path
 
 from qktw import cli
 from qktw.cli import run
-from qktw.exact import SolveBudget
+from qktw.exact import TREEWIDTH_NODE_BUDGET, SolveBudget
 from qktw.report import CheckCase, SuiteReport, verify_all_json
 from qktw.graph import path_graph, petersen_graph
-from qktw.treedec import pace_write_gr
+from qktw.treedec import TreeDecomposition, pace_write_gr
 
 
 def run_json(capsys, argv):
@@ -159,6 +161,25 @@ def test_tw_exact_table_budget(tmp_path, capsys):
     assert "26 vertices" in capsys.readouterr().err
 
 
+def test_tw_exact_node_budget_fails_fast(tmp_path, capsys, monkeypatch):
+    gr = tmp_path / "path23.gr"
+    pace_write_gr(path_graph(23), gr)
+    start = time.monotonic()
+    assert run(["tw-exact", str(gr), "--max-vertices", "26"]) == 3
+    assert time.monotonic() - start < 1
+    err = capsys.readouterr().err
+    assert "23 vertices" in err and str(TREEWIDTH_NODE_BUDGET) in err
+    # 22 vertices are within the budget and reach the solver
+    solved = []
+    monkeypatch.setattr(
+        cli, "treewidth_exact",
+        lambda g, budget: solved.append(g.n) or (1, TreeDecomposition((tuple(range(g.n)),), ())),
+    )
+    pace_write_gr(path_graph(22), gr)
+    assert run(["tw-exact", str(gr), "--max-vertices", "26"]) == 0
+    assert solved == [22]
+
+
 def test_verify_pair_count_budget(capsys):
     assert run(["verify", "pair-count", "-q", "4"]) == 3
     assert "budget" in capsys.readouterr().err
@@ -219,6 +240,44 @@ def test_threads_env_is_honored(capsys, monkeypatch):
     assert code == 0 and payload["summary"]["failed"] == 0
     monkeypatch.setenv("QKTW_THREADS", "0")
     assert run(["verify", "bridge"]) == 2
+
+
+_SESSION = [
+    ["verdict", "-q", "2", "-n", "4", "-k", "2", "-t", "1"],
+    ["verdict", "-q", "2", "-n", "4"],  # -k and -t missing: usage error
+    ["alpha", "-q", "2", "-n", "4", "-k", "2", "-t", "1"],
+]
+
+
+def test_reused_parser_gives_the_results_of_fresh_ones(capsys, monkeypatch):
+    fresh = []
+    for argv in _SESSION:
+        monkeypatch.setattr(cli, "_PARSER", None)
+        code = run(argv)
+        captured = capsys.readouterr()
+        fresh.append((code, captured.out, captured.err))
+    assert [code for code, _, _ in fresh] == [0, 2, 0]
+    reused = []
+    for argv in _SESSION + _SESSION:
+        code = run(argv)
+        captured = capsys.readouterr()
+        reused.append((code, captured.out, captured.err))
+    assert reused == fresh + fresh
+
+
+def test_parser_is_built_once_per_process(capsys, monkeypatch):
+    calls = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "_PARSER", None)
+    monkeypatch.setattr(cli, "build_parser", lambda: calls.append(1) or build())
+    assert [run(argv) for argv in _SESSION] == [0, 2, 0]
+    assert len(calls) == 1
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    probe = subprocess.run(
+        [sys.executable, "-c", "import qktw.cli as c; print(c._PARSER)"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, check=True,
+    )
+    assert probe.stdout == "None\n"  # importing builds nothing
 
 
 def stub_reports():

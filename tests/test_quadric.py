@@ -34,6 +34,27 @@ def test_points_are_self_perpendicular():
         assert (m.perp_masks[i] >> i) & 1
 
 
+def _perp_masks_reference(m):
+    """Pairwise ``bilinear`` tests, one per pair of points."""
+    n = len(m.points)
+    masks = [1 << i for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if m.bilinear(m.points[i], m.points[j]) == 0:
+                masks[i] |= 1 << j
+                masks[j] |= 1 << i
+    return tuple(masks)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_perp_masks_match_the_pairwise_bilinear_form(q):
+    m = QuadricModel(q)
+    assert m.perp_masks == _perp_masks_reference(m)
+    # p's polar hyperplane meets Q+(5,q) in a cone with vertex p over a
+    # Q+(3,q) grid of (q+1)^2 points: 1 + q(q+1)^2 points
+    assert {mask.bit_count() for mask in m.perp_masks} == {1 + q * (q + 1) ** 2}
+
+
 def test_line_structure():
     m = QuadricModel(2)
     assert len(m.lines) == 105  # one line per pencil of PG(3,2)

@@ -9,7 +9,15 @@ from qktw.errors import (
     PaceParseError,
 )
 from qktw.exact import _decomposition_from_order
-from qktw.graph import GRAPH_MAX_VERTICES, Graph, path_graph, petersen_graph
+from qktw.graph import (
+    GRAPH_MAX_VERTICES,
+    Graph,
+    complete_graph,
+    path_graph,
+    petersen_graph,
+)
+from qktw.kneser import KneserParams, build_kneser_graph, star_independent_set
+from qktw.quadric import build_quadric_graph
 from qktw.treedec import (
     TreeDecomposition,
     balanced_separator_check,
@@ -52,6 +60,79 @@ def test_broken_vertex_occurrence_is_reported():
     rep = validate_td(g, td)
     assert 0 in rep.broken_vertices or 2 in rep.broken_vertices
     assert not rep.passed
+
+
+def _coverage_reference(g, td):
+    """(foreign, uncovered, missing) by the per-edge loop: an edge is
+    covered when some bag holds both of its ends."""
+    foreign = []
+    occurrence = [0] * g.n
+    for node, bag in enumerate(td.bags):
+        for v in bag:
+            if 0 <= v < g.n:
+                occurrence[v] |= 1 << node
+            else:
+                foreign.append((node, v))
+    uncovered = tuple((u, v) for u, v in g.edges() if not occurrence[u] & occurrence[v])
+    missing = tuple(v for v in range(g.n) if not occurrence[v])
+    return tuple(foreign), uncovered, missing
+
+
+def _assert_coverage_matches_the_reference(g, td):
+    rep = validate_td(g, td)
+    assert (rep.foreign_vertices, rep.uncovered_edges, rep.missing_vertices) == (
+        _coverage_reference(g, td)
+    )
+    return rep
+
+
+def _damaged(td, n, damage, rng):
+    bags = [list(b) for b in td.bags]
+    if "truncate" in damage:
+        bags = [b[: rng.randint(0, len(b))] for b in bags]
+    if "foreign" in damage:
+        for v in (-1, n, n + 5, 10**6):
+            rng.choice(bags).append(v)
+    if "duplicate" in damage:
+        bags = [b + b[:2] for b in bags]
+        rng.choice(bags).extend(rng.sample(range(n), min(n, 3)))
+    if "drop" in damage:
+        gone = rng.randrange(n)
+        bags = [[v for v in b if v != gone] for b in bags]
+    return TreeDecomposition(tuple(tuple(b) for b in bags), td.tree_edges)
+
+
+@given(
+    n=st.integers(1, 40),
+    density=st.floats(0, 1),
+    seed=st.integers(0, 10_000),
+    damage=st.sets(st.sampled_from(["truncate", "foreign", "duplicate", "drop"])),
+)
+def test_validate_td_coverage_matches_the_per_edge_loop(n, density, seed, damage):
+    import random
+
+    rng = random.Random(seed)
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < density]
+    g = Graph.from_edges(n, edges)
+    order = list(range(n))
+    rng.shuffle(order)
+    td = _decomposition_from_order(g, order)
+    rep = _assert_coverage_matches_the_reference(g, _damaged(td, n, damage, rng))
+    if not damage:
+        assert rep.passed
+
+
+@pytest.mark.parametrize("damage", [(), ("truncate",), ("foreign", "drop"), ("duplicate",)])
+def test_validate_td_coverage_on_a_kneser_star(damage):
+    import random
+
+    p = KneserParams(2, 5, 2, 1)
+    g = build_kneser_graph(p)
+    index = {s: i for i, s in enumerate(g.labels)}
+    td = star_decomposition(g, [index[s] for s in star_independent_set(p)])
+    rep = _assert_coverage_matches_the_reference(g, _damaged(td, g.n, damage, random.Random(5)))
+    assert rep.passed == (not damage) or damage == ("duplicate",)
+    assert bool(rep.uncovered_edges) == ("truncate" in damage or "drop" in damage)
 
 
 def test_non_tree_structures_are_reported():
@@ -151,6 +232,53 @@ def test_pace_gr_roundtrip(tmp_path):
     pace_write_gr(g2, p2, comments=("made for a round-trip check",))
     assert p1.read_bytes() == p2.read_bytes()
     assert p1.read_text().splitlines()[1] == "p tw 10 15"
+
+
+def _write_gr_reference(g, path, comments=()):
+    """The per-edge writer: one formatted line per ``g.edges()`` pair."""
+    lines = [f"c {c}" for c in comments]
+    lines.append(f"p tw {g.n} {g.edge_count}")
+    lines.extend(f"{u + 1} {v + 1}" for u, v in g.edges())
+    with open(path, "w", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def _assert_gr_bytes_match_the_reference(g, tmp_path, comments=()):
+    fast, slow = tmp_path / "fast.gr", tmp_path / "slow.gr"
+    pace_write_gr(g, fast, comments)
+    _write_gr_reference(g, slow, comments)
+    assert fast.read_bytes() == slow.read_bytes()
+    assert pace_read_gr(fast) == g
+
+
+_NAMED_GRAPHS = {
+    "edgeless": lambda: Graph(7),
+    "n1": lambda: Graph(1),
+    "K12": lambda: complete_graph(12),
+    "petersen": petersen_graph,
+    "path130": lambda: path_graph(130),
+    "K2(5,2,1)": lambda: build_kneser_graph(KneserParams(2, 5, 2, 1)),
+    "K3(4,2,1)": lambda: build_kneser_graph(KneserParams(3, 4, 2, 1)),
+    "quadric3": lambda: build_quadric_graph(3),
+}
+
+
+@pytest.mark.parametrize("name", _NAMED_GRAPHS)
+@pytest.mark.parametrize("comments", [(), ("made by a test", "", "two  spaces")])
+def test_pace_write_gr_matches_the_per_edge_writer(tmp_path, name, comments):
+    _assert_gr_bytes_match_the_reference(_NAMED_GRAPHS[name](), tmp_path, comments)
+
+
+@given(n=st.integers(1, 80), density=st.floats(0, 1), seed=st.integers(0, 10_000))
+def test_pace_write_gr_matches_the_per_edge_writer_on_random_graphs(
+    tmp_path_factory, n, density, seed
+):
+    import random
+
+    rng = random.Random(seed)
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < density]
+    g = Graph.from_edges(n, edges)
+    _assert_gr_bytes_match_the_reference(g, tmp_path_factory.mktemp("gr"))
 
 
 def test_pace_gr_errors(tmp_path):
