@@ -13,12 +13,11 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from qktw.kneser import (  # noqa: E402
     KneserParams,
-    build_kneser_graph,
-    star_independent_set,
+    kneser_star_decomposition,
     treewidth_verdict,
 )
 from qktw.quadric import build_quadric_graph  # noqa: E402
-from qktw.treedec import pace_write_gr, pace_write_td, star_decomposition  # noqa: E402
+from qktw.treedec import pace_write_gr, pace_write_td  # noqa: E402
 
 INSTANCES = [(2, 4, 2, 1), (2, 5, 2, 1), (3, 4, 2, 1), (2, 5, 3, 2)]
 QUADRIC_ORDERS = [2, 3]
@@ -30,12 +29,10 @@ def main() -> int:
     for q, n, k, t in INSTANCES:
         p = KneserParams(q, n, k, t)
         name = f"kneser-q{q}-n{n}-k{k}-t{t}"
-        g = build_kneser_graph(p)
+        g, td = kneser_star_decomposition(p)
         pace_write_gr(g, out / f"{name}.gr")
         labels = [f"{i + 1} {s.text()}" for i, s in enumerate(g.labels)]
         (out / f"{name}.labels").write_text("\n".join(labels) + "\n")
-        index = {s: i for i, s in enumerate(g.labels)}
-        td = star_decomposition(g, [index[s] for s in star_independent_set(p)])
         pace_write_td(td, g.n, out / f"{name}.td")
         verdict = treewidth_verdict(p)
         print(

@@ -4,7 +4,7 @@
 Usage:  python scripts/run_verify_all.py [report.json]
 
 Prints one summary line per suite; the exit code is 0 only when every
-case passes.  QKTW_THREADS caps the sweep workers.
+case passes.
 """
 
 import json

@@ -11,8 +11,7 @@ Subcommands:
   verify-all   the full verification matrix
 
 Exit codes: 0 all checks passed, 1 a check failed, 2 usage or parse error,
-3 budget or size limit exceeded.  The QKTW_THREADS environment variable
-caps the worker count of the sweeps (default: hardware parallelism).
+3 budget or size limit exceeded.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from .kneser import (
     KneserParams,
     alpha_value,
     build_kneser_graph,
-    star_independent_set,
+    kneser_star_decomposition,
     treewidth_verdict,
 )
 from .quadric import build_quadric_graph
@@ -45,7 +44,6 @@ from .treedec import (
     pace_read_td,
     pace_write_gr,
     pace_write_td,
-    star_decomposition,
     validate_td,
 )
 
@@ -173,10 +171,7 @@ def _cmd_alpha(args) -> int:
 
 
 def _cmd_td_build(args) -> int:
-    p = KneserParams(args.q, args.n, args.k, args.t)
-    g = build_kneser_graph(p)
-    index = {s: i for i, s in enumerate(g.labels)}
-    td = star_decomposition(g, [index[s] for s in star_independent_set(p)])
+    g, td = kneser_star_decomposition(KneserParams(args.q, args.n, args.k, args.t))
     pace_write_td(td, g.n, args.output)
     if args.gr:
         pace_write_gr(g, args.gr)

@@ -4,7 +4,9 @@ Maximum independent set (branch and bound on the complement's clique
 problem with a greedy coloring bound), exact treewidth (dynamic
 programming over vertex subsets with decomposition reconstruction),
 minimum balanced separator (exhaustive over subsets by increasing size),
-and the brute-force cross-checks that keep those three honest.
+and the all-orderings treewidth oracle (depth-first over elimination
+orderings with the width cut) that ``verify-all`` checks the subset DP
+against.  The slower brute-force oracles live in the tests.
 
 All solvers are deterministic: fixed vertex order, lowest-index
 tie-breaking.  Exceeded budgets raise, they never return a wrong answer.
@@ -14,7 +16,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import combinations
 
 from .errors import BudgetExceededError
 from .graph import Graph, components, iter_bits
@@ -124,19 +126,6 @@ def mis_exact(g: Graph, budget: SolveBudget | None = None) -> tuple[int, tuple[i
         if g.adjacency_mask(v) & best_mask:
             raise AssertionError("witness is not independent")
     return best_size, witness
-
-
-def min_vertex_cover_bruteforce(g: Graph) -> int:
-    """Smallest vertex cover by exhaustive search (cross-check oracle)."""
-    edges = list(g.edges())
-    for size in range(g.n + 1):
-        for cover in combinations(range(g.n), size):
-            cmask = 0
-            for v in cover:
-                cmask |= 1 << v
-            if all((cmask >> u) & 1 or (cmask >> v) & 1 for u, v in edges):
-                return size
-    raise AssertionError("unreachable: V itself covers all edges")
 
 
 # -- exact treewidth ---------------------------------------------------------------
@@ -256,27 +245,37 @@ def treewidth_exact(
 
 
 def treewidth_all_orderings(g: Graph) -> int:
-    """Treewidth by evaluating every elimination ordering (oracle; n <= ~9)."""
+    """Treewidth as the minimum over every elimination ordering of its
+    largest fill degree (oracle for :func:`treewidth_exact`).
+
+    Orderings are enumerated depth first: each prefix's fill-in is
+    simulated once and shared by all its extensions.  A prefix whose width
+    already reaches the best complete ordering is dropped with its whole
+    subtree; width never falls as a prefix grows, so no dropped ordering
+    could have won.  No subset memo and no component argument, so the
+    oracle shares nothing with the subset DP it checks.  Seeded random
+    graphs take milliseconds up to 12 vertices and up to a few seconds at
+    13 or 14 (sparse ones are the slowest); the worst case is still n!.
+    """
     n = g.n
-    base = g.adjacency
     best = n - 1
-    for perm in permutations(range(n)):
-        adj = list(base)
-        alive = (1 << n) - 1
-        width = 0
-        for v in perm:
+
+    def extend(adj: list[int], alive: int, width: int) -> None:
+        nonlocal best
+        if not alive:
+            best = min(best, width)
+            return
+        for v in iter_bits(alive):
             nb = adj[v] & alive & ~(1 << v)
-            d = nb.bit_count()
-            if d > width:
-                width = d
-                if width >= best:
-                    break
+            w = max(width, nb.bit_count())
+            if w >= best:
+                continue
+            filled = list(adj)
             for u in iter_bits(nb):
-                adj[u] |= nb
-            alive ^= 1 << v
-        else:
-            if width < best:
-                best = width
+                filled[u] |= nb
+            extend(filled, alive ^ (1 << v), w)
+
+    extend(list(g.adjacency), (1 << n) - 1, 0)
     return best
 
 

@@ -29,6 +29,7 @@ from .subspace import (
     orthogonal_complement,
     subspaces_of,
 )
+from .treedec import TreeDecomposition, star_decomposition
 
 
 @dataclass(frozen=True)
@@ -213,6 +214,14 @@ def star_independent_set(p: KneserParams) -> list[Subspace]:
             )
     out.sort(key=lambda s: s.rows)
     return out
+
+
+def kneser_star_decomposition(p: KneserParams) -> tuple[Graph, TreeDecomposition]:
+    """K_q(n,k,t) together with its star decomposition on the canonical
+    maximum independent set, the construction behind the upper bound."""
+    g = build_kneser_graph(p)
+    index = {s: i for i, s in enumerate(g.labels)}
+    return g, star_decomposition(g, [index[s] for s in star_independent_set(p)])
 
 
 # -- duality ------------------------------------------------------------------

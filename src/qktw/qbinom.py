@@ -130,6 +130,18 @@ def _qf(q: int, e) -> Fraction:
     return Fraction(q) ** e
 
 
+def _qsum(q: int, exponents) -> Fraction:
+    """The sum of q**e over integer exponents e, as one exact Fraction.
+
+    The powers are summed as integers scaled by q**-min(e) and divided
+    out once at the end; summing Fractions would reduce after every term.
+    """
+    es = list(exponents)
+    low = min(es)
+    total = sum(q ** (e - low) for e in es)
+    return Fraction(total * q**low) if low >= 0 else Fraction(total, q**-low)
+
+
 # -- Gaussian bounds ------------------------------------------------------
 
 
@@ -269,12 +281,12 @@ def parabola_tail_check(
         if mode == "above":
             if not v <= a:
                 raise ValueError(f"mode 'above' needs vertex {v} <= anchor {a}")
-            s = sum(_qf(q, f.value(i)) for i in range(a, a + window + 1))
+            s = _qsum(q, map(f.value, range(a, a + window + 1)))
             lhs = s + _qf(q, f.value(a + window)) * geo
         else:
             if not v >= a:
                 raise ValueError(f"mode 'below' needs vertex {v} >= anchor {a}")
-            s = sum(_qf(q, f.value(i)) for i in range(a - window, a + 1))
+            s = _qsum(q, map(f.value, range(a - window, a + 1)))
             lhs = s + _qf(q, f.value(a - window)) * geo
         rhs = _qf(q, f.value(a)) * (1 + Fraction(1, q) + Fraction(1, q**3))
         return TailBoundReport(
@@ -286,7 +298,7 @@ def parabola_tail_check(
     factor = 1 + Fraction(2, q) + Fraction(2, q**3)
     if f.b % 2 == 0:
         x0 = f.b // 2
-        s = sum(_qf(q, f.value(i)) for i in range(x0 - window, x0 + window + 1))
+        s = _qsum(q, map(f.value, range(x0 - window, x0 + window + 1)))
         lhs = s + (_qf(q, f.value(x0 - window)) + _qf(q, f.value(x0 + window))) * geo
         rhs = _qf(q, f.value(x0)) * factor
         return TailBoundReport(
@@ -295,7 +307,7 @@ def parabola_tail_check(
         )
     lo = (f.b - 1) // 2 - window
     hi = (f.b + 1) // 2 + window
-    s = sum(_qf(q, f.value(i)) for i in range(lo, hi + 1))
+    s = _qsum(q, map(f.value, range(lo, hi + 1)))
     lhs = s + (_qf(q, f.value(lo)) + _qf(q, f.value(hi))) * geo
     # rhs = q^(c + b^2/4) * factor has a quarter-integer exponent
     lhs4 = lhs**4

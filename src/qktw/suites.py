@@ -1,17 +1,13 @@
 """Named verification sweeps shared by the CLI and the acceptance tests.
 
 Each suite returns a SuiteReport of individually-verifiable cases with
-exact sides.  Sweeps over independent pure checks go through ``_map``,
-which honors the QKTW_THREADS environment variable (worker cap; results
-are collected in submission order, so output is deterministic either way).
+exact sides, computed in one thread in a fixed order.
 """
 
 from __future__ import annotations
 
-import os
 import random
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Sequence
 
@@ -26,7 +22,7 @@ from .kneser import (
     counting_inequality_check,
     counting_sweep_params,
     duality_isomorphism,
-    star_independent_set,
+    kneser_star_decomposition,
     treewidth_verdict,
 )
 from .qbinom import (
@@ -48,7 +44,6 @@ from .treedec import (
     pace_read_td,
     pace_write_gr,
     pace_write_td,
-    star_decomposition,
     validate_td,
 )
 
@@ -71,70 +66,53 @@ ORACLE_SEED = 271828
 ORACLE_GRAPH_COUNT = 200
 
 
-def worker_count() -> int:
-    raw = os.environ.get("QKTW_THREADS", "").strip()
-    if raw:
-        value = int(raw)
-        if value < 1:
-            raise ValueError("QKTW_THREADS must be a positive integer")
-        return value
-    return os.cpu_count() or 1
-
-
-def _map(fn, items) -> list:
-    items = list(items)
-    workers = min(worker_count(), max(len(items), 1))
-    if workers == 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 # -- inequality suites -----------------------------------------------------------
 
 
 def gauss_bounds_suite(max_n: int = 8, qs: tuple[int, ...] = (2, 3, 4, 5, 7, 8, 9)) -> SuiteReport:
-    grid = [(n, k, q) for q in qs for n in range(max_n + 1) for k in range(n + 1)]
-
-    def one(args):
-        n, k, q = args
-        rep = check_gauss_bounds(n, k, q)
-        return CheckCase(
-            params={"n": n, "k": k, "q": q},
-            lhs=rep.value,
-            rhs=rep.upper_bound,
-            passed=rep.passed,
-            witness={
-                "lower_bound": rep.lower_bound,
-                "lower_holds": rep.lower_holds,
-                "upper_holds": rep.upper_holds,
-            },
-        )
-
-    return SuiteReport("gauss-bounds", _map(one, grid))
+    cases = []
+    for q in qs:
+        for n in range(max_n + 1):
+            for k in range(n + 1):
+                rep = check_gauss_bounds(n, k, q)
+                cases.append(
+                    CheckCase(
+                        params={"n": n, "k": k, "q": q},
+                        lhs=rep.value,
+                        rhs=rep.upper_bound,
+                        passed=rep.passed,
+                        witness={
+                            "lower_bound": rep.lower_bound,
+                            "lower_holds": rep.lower_holds,
+                            "upper_holds": rep.upper_holds,
+                        },
+                    )
+                )
+    return SuiteReport("gauss-bounds", cases)
 
 
 def parabola_suite(window: int = 40) -> SuiteReport:
-    def one(args):
-        quad, anchor, q, mode = args
+    cases = []
+    for quad, anchor, q, mode in parabola_case_grid():
         rep = parabola_tail_check(quad, anchor, q, mode, window=window)
-        return CheckCase(
-            params={"q": q, "mode": mode, "b": quad.b, "c": quad.c, "anchor": anchor},
-            lhs=rep.lhs,
-            rhs=rep.rhs,
-            passed=rep.passed,
-            witness={"fourth_power": rep.fourth_power, "window": rep.window},
+        cases.append(
+            CheckCase(
+                params={"q": q, "mode": mode, "b": quad.b, "c": quad.c, "anchor": anchor},
+                lhs=rep.lhs,
+                rhs=rep.rhs,
+                passed=rep.passed,
+                witness={"fourth_power": rep.fourth_power, "window": rep.window},
+            )
         )
-
-    return SuiteReport("parabola", _map(one, parabola_case_grid()))
+    return SuiteReport("parabola", cases)
 
 
 def bridge_suite(max_q: int = 64) -> SuiteReport:
-    def one(q):
+    cases = []
+    for q in prime_powers_up_to(max_q):
         rep = bridge_inequality_check(q)
-        return CheckCase(params={"q": q}, lhs=rep.lhs, rhs=rep.rhs, passed=rep.passed)
-
-    return SuiteReport("bridge", _map(one, prime_powers_up_to(max_q)))
+        cases.append(CheckCase(params={"q": q}, lhs=rep.lhs, rhs=rep.rhs, passed=rep.passed))
+    return SuiteReport("bridge", cases)
 
 
 def pair_count_work(q: int, max_n: int, max_k: int) -> int:
@@ -339,10 +317,7 @@ def verdict_suite() -> SuiteReport:
 def construction_suite() -> SuiteReport:
     cases = []
     for (q, n, k, t), expected_width in (((2, 4, 2, 1), 27), ((2, 5, 2, 1), 139)):
-        p = KneserParams(q, n, k, t)
-        g = build_kneser_graph(p)
-        index = {s: i for i, s in enumerate(g.labels)}
-        td = star_decomposition(g, [index[s] for s in star_independent_set(p)])
+        g, td = kneser_star_decomposition(KneserParams(q, n, k, t))
         rep = validate_td(g, td)
         cases.append(
             CheckCase(
@@ -451,10 +426,7 @@ def oracle_suite(count: int = ORACLE_GRAPH_COUNT, seed: int = ORACLE_SEED) -> Su
 def format_suite() -> SuiteReport:
     """Byte-identical .gr/.td round-trips over a small generated corpus."""
     cases = []
-    p421 = KneserParams(2, 4, 2, 1)
-    g421 = build_kneser_graph(p421)
-    index = {s: i for i, s in enumerate(g421.labels)}
-    td421 = star_decomposition(g421, [index[s] for s in star_independent_set(p421)])
+    g421, td421 = kneser_star_decomposition(KneserParams(2, 4, 2, 1))
     corpus: list[tuple[str, Graph]] = [
         ("kneser-2-4-2-1", g421),
         ("petersen", petersen_graph()),

@@ -234,14 +234,6 @@ def test_verify_unknown_suite_is_usage_error(capsys):
     assert run(["verify", "nonsense"]) == 2
 
 
-def test_threads_env_is_honored(capsys, monkeypatch):
-    monkeypatch.setenv("QKTW_THREADS", "2")
-    code, payload = run_json(capsys, ["verify", "bridge"])
-    assert code == 0 and payload["summary"]["failed"] == 0
-    monkeypatch.setenv("QKTW_THREADS", "0")
-    assert run(["verify", "bridge"]) == 2
-
-
 _SESSION = [
     ["verdict", "-q", "2", "-n", "4", "-k", "2", "-t", "1"],
     ["verdict", "-q", "2", "-n", "4"],  # -k and -t missing: usage error

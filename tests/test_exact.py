@@ -1,5 +1,5 @@
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given
@@ -10,7 +10,6 @@ from qktw import exact
 from qktw.exact import (
     SolveBudget,
     min_balanced_separator,
-    min_vertex_cover_bruteforce,
     mis_exact,
     treewidth_all_orderings,
     treewidth_exact,
@@ -33,6 +32,17 @@ def random_graph(n, p, seed):
     return Graph.from_edges(
         n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
     )
+
+
+def min_vertex_cover_bruteforce(g):
+    """Smallest vertex cover by exhaustive search (oracle for mis_exact)."""
+    edges = list(g.edges())
+    for size in range(g.n + 1):
+        for cover in combinations(range(g.n), size):
+            cmask = sum(1 << v for v in cover)
+            if all((cmask >> u) & 1 or (cmask >> v) & 1 for u, v in edges):
+                return size
+    raise AssertionError("unreachable: V itself covers all edges")
 
 
 def test_mis_small_graphs():
@@ -166,7 +176,31 @@ def test_dp_vs_bruteforce_property(n, seed):
     assert treewidth_exact(g)[0] == treewidth_all_orderings(g)
 
 
-# -- slow oracles for the two kernels --------------------------------------------
+# -- slow oracles for the kernels ------------------------------------------------
+
+
+def reference_all_orderings(g):
+    """Every elimination ordering as its own permutation, each fill-in
+    simulated from scratch; the width cut ends only that permutation."""
+    n = g.n
+    best = n - 1
+    for perm in permutations(range(n)):
+        adj = list(g.adjacency)
+        alive = (1 << n) - 1
+        width = 0
+        for v in perm:
+            nb = adj[v] & alive & ~(1 << v)
+            d = nb.bit_count()
+            if d > width:
+                width = d
+                if width >= best:
+                    break
+            for u in iter_bits(nb):
+                adj[u] |= nb
+            alive ^= 1 << v
+        else:
+            best = min(best, width)
+    return best
 
 
 def _reach_degree(adj, eliminated, v):
@@ -247,6 +281,28 @@ def test_treewidth_matches_the_reference_dp_on_named_graphs(g):
 @given(g=graphs(max_n=10))
 def test_treewidth_matches_the_reference_dp(g):
     assert treewidth_exact(g) == reference_treewidth(g)
+
+
+TREE = Graph.from_edges(8, [(0, 1), (0, 2), (1, 3), (1, 4), (2, 5), (2, 6), (6, 7)])
+
+
+@pytest.mark.parametrize(
+    "g, tw",
+    [(Graph(1), 0), (Graph(7), 0), (complete_graph(8), 7), (path_graph(8), 1), (TREE, 1)],
+    ids=["n1", "edgeless", "complete", "path", "tree"],
+)
+def test_all_orderings_on_named_graphs(g, tw):
+    assert treewidth_all_orderings(g) == reference_all_orderings(g) == tw
+
+
+@given(
+    n=st.integers(1, 8),
+    p=st.sampled_from((0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0)),
+    seed=st.integers(0, 10_000),
+)
+def test_all_orderings_matches_the_permutation_loop(n, p, seed):
+    g = random_graph(n, p, seed)
+    assert treewidth_all_orderings(g) == reference_all_orderings(g)
 
 
 @given(g=graphs(max_n=11))

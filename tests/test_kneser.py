@@ -17,6 +17,7 @@ from qktw.kneser import (
     intersection_census,
     intersection_counts,
     intersection_profile,
+    kneser_star_decomposition,
     pair_count_check,
     star_independent_set,
     treewidth_verdict,
@@ -28,6 +29,7 @@ from qktw.subspace import (
     orthogonal_complement,
     rref_canonical,
 )
+from qktw.treedec import validate_td
 
 F2 = make_field(2)
 
@@ -85,6 +87,17 @@ def test_star_independent_set_is_maximum_and_independent(q, n, k, t):
             [[1 if j == i else 0 for j in range(n)] for i in range(t)], make_field(q)
         )
         assert all(u.contains(fixed) for u in family)
+
+
+@pytest.mark.parametrize("q,n,k,t", [(2, 4, 2, 1), (2, 5, 3, 2)])
+def test_kneser_star_decomposition_realizes_the_formula(q, n, k, t):
+    p = KneserParams(q, n, k, t)
+    g, td = kneser_star_decomposition(p)
+    assert g == build_kneser_graph(p)
+    assert validate_td(g, td).passed
+    assert td.width() == treewidth_verdict(p).formula_value
+    star = {g.labels.index(s) for s in star_independent_set(p)}
+    assert td.bags[0] == tuple(v for v in range(g.n) if v not in star)
 
 
 def test_star_set_inside_fixed_subspace_when_n_small():

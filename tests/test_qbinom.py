@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from qktw import qbinom
 from qktw.errors import NotAPrimePowerError
 from qktw.gf import prime_powers_up_to
 from qktw.qbinom import (
@@ -144,6 +145,31 @@ def test_parabola_grid_is_fixed_and_passes():
     assert len(grid) == 200
     for quad, anchor, q, mode in grid:
         assert parabola_tail_check(quad, anchor, q, mode).passed
+
+
+def fraction_sum(q, exponents):
+    """The window sum term by term in Fraction arithmetic (oracle for
+    ``qbinom._qsum``)."""
+    return sum(qbinom._qf(q, e) for e in exponents)
+
+
+@given(
+    q=st.sampled_from([2, 3, 4, 5, 7, 8, 9, 11, 251]),
+    exponents=st.lists(st.integers(-2000, 300), min_size=1, max_size=90),
+)
+def test_integer_window_sum_matches_the_fraction_sum(q, exponents):
+    got = qbinom._qsum(q, exponents)
+    assert isinstance(got, Fraction)
+    assert got == fraction_sum(q, exponents)
+
+
+@pytest.mark.parametrize("window", [1, 40])
+def test_parabola_grid_matches_the_fraction_sum(monkeypatch, window):
+    grid = parabola_case_grid()
+    fast = [parabola_tail_check(quad, a, q, mode, window=window) for quad, a, q, mode in grid]
+    monkeypatch.setattr(qbinom, "_qsum", fraction_sum)
+    slow = [parabola_tail_check(quad, a, q, mode, window=window) for quad, a, q, mode in grid]
+    assert fast == slow
 
 
 @given(

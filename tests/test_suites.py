@@ -26,7 +26,6 @@ from qktw.suites import (
     parabola_suite,
     perp_census_suite,
     verdict_suite,
-    worker_count,
 )
 
 
@@ -122,13 +121,6 @@ def test_counting_suite_small():
 
 def test_verdict_suite():
     assert verdict_suite().passed
-
-
-def test_worker_count_env(monkeypatch):
-    monkeypatch.delenv("QKTW_THREADS", raising=False)
-    assert worker_count() >= 1
-    monkeypatch.setenv("QKTW_THREADS", "3")
-    assert worker_count() == 3
 
 
 # -- the pair-count census against the per-pair elimination oracle ---------------
