@@ -15,7 +15,9 @@ edges in sorted order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
+from functools import reduce
+from itertools import compress, groupby, islice, repeat
+from operator import eq, lshift, or_
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -217,45 +219,6 @@ def star_decomposition(g: Graph, independent: Iterable[int]) -> TreeDecompositio
     return TreeDecomposition(tuple(bags), edges)
 
 
-def normalize_td(td: TreeDecomposition) -> TreeDecomposition:
-    """Contract tree edges whose bags are nested, keeping the superset bag.
-
-    The result has no adjacent nested bags; width and validity are
-    unchanged for valid input.  Node indices are re-packed densely in
-    ascending surviving order.
-    """
-    bags = {i: frozenset(b) for i, b in enumerate(td.bags)}
-    adj: dict[int, set[int]] = {i: set() for i in bags}
-    for x, y in td.tree_edges:
-        adj[x].add(y)
-        adj[y].add(x)
-    changed = True
-    while changed:
-        changed = False
-        for x in sorted(bags):
-            for y in sorted(adj[x]):
-                if bags[x] <= bags[y]:
-                    for z in adj[x] - {y}:
-                        adj[z].discard(x)
-                        adj[z].add(y)
-                        adj[y].add(z)
-                    adj[y].discard(x)
-                    del adj[x]
-                    del bags[x]
-                    changed = True
-                    break
-            if changed:
-                break
-    order = sorted(bags)
-    remap = {old: new for new, old in enumerate(order)}
-    new_bags = tuple(tuple(sorted(bags[old])) for old in order)
-    new_edges = set()
-    for x in order:
-        for y in adj[x]:
-            new_edges.add((min(remap[x], remap[y]), max(remap[x], remap[y])))
-    return TreeDecomposition(new_bags, tuple(sorted(new_edges)))
-
-
 # -- balanced separators ---------------------------------------------------------
 
 
@@ -343,60 +306,134 @@ def _nat(token: str) -> int:
     raise ValueError(f"not a decimal number: {token!r}")
 
 
+class _GrLines:
+    """The line-by-line .gr parser: the problem line, its counts, the masks."""
+
+    def __init__(self):
+        self.n = self.m = None
+        self.header_line = 0
+        self.adj: list[int] = []
+
+    def feed(self, text: str, lineno: int) -> None:
+        """Parse the lines of ``text``, the first of which is line ``lineno``."""
+        n, adj = self.n, self.adj
+        for lineno, raw in enumerate(text.split("\n"), start=lineno):
+            parts = raw.split()
+            if not parts or parts[0].startswith("c"):
+                continue
+            if parts[0] == "p":
+                if n is not None:
+                    raise PaceParseError("duplicate problem line", lineno)
+                if len(parts) != 4 or parts[1] != "tw":
+                    raise PaceParseError("problem line must read 'p tw <n> <m>'", lineno)
+                try:
+                    n, m = _nat(parts[2]), _nat(parts[3])
+                except ValueError:
+                    raise PaceParseError("non-integer counts in problem line", lineno)
+                if not 1 <= n <= GRAPH_MAX_VERTICES:
+                    raise PaceParseError(
+                        f"vertex count must be in 1..{GRAPH_MAX_VERTICES}", lineno
+                    )
+                adj = [0] * n
+                self.n, self.m, self.header_line, self.adj = n, m, lineno, adj
+                continue
+            if n is None:
+                raise PaceParseError("edge data before the problem line", lineno)
+            if len(parts) != 2:
+                raise PaceParseError("edge lines must have exactly two endpoints", lineno)
+            a, b = parts
+            try:  # _nat inlined: this loop runs once per edge
+                if not (a.isascii() and a.isdigit() and b.isascii() and b.isdigit()):
+                    raise ValueError
+                u, v = int(a) - 1, int(b) - 1
+            except ValueError:
+                raise PaceParseError("non-integer vertex id", lineno)
+            if not (0 <= u < n and 0 <= v < n):
+                raise PaceParseError(f"vertex out of range 1..{n}", lineno)
+            if u == v:
+                raise PaceParseError("loops are not allowed", lineno)
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+
+
+# Characters per chunk of edge lines tried on the bulk path; a chunk runs
+# on to the end of its last line.  Reads took the same time with chunks of
+# 8 to 256 KiB.  A chunk's names take about 15 bytes per character, so with
+# 16 KiB and more a 15-50 KB file peaked higher than under the line reader.
+_GR_CHUNK = 1 << 13
+_NO_DIGITS = str.maketrans("", "", "0123456789")
+
+
+def _gr_bulk(chunk: str, lines: int, index: dict[str, int], adj: list[int]) -> bool:
+    """OR the edges of ``chunk`` into ``adj`` if it has the writer's shape.
+
+    The shape is ``lines`` lines "u v\\n" of two names from ``index`` (the
+    vertex names "1".."n", so no "0", no leading zero, no other digits),
+    u != v.  Any other chunk is left untouched and False is returned.
+    A chunk must end in a newline: the digits of an unterminated last line
+    vanish from the shape test and could stand in for a missing name.
+    """
+    if not chunk.endswith("\n") or chunk.translate(_NO_DIGITS) != " \n" * lines:
+        return False
+    names = chunk.split()
+    if len(names) != 2 * lines:  # an empty name
+        return False
+    try:
+        ids = list(map(index.__getitem__, names))
+    except KeyError:
+        return False
+    us, vs = ids[0::2], ids[1::2]
+    if any(map(eq, us, vs)):
+        return False
+    rest = iter(vs)
+    for u, run in groupby(us):
+        adj[u] |= reduce(or_, map(lshift, repeat(1), islice(rest, len(list(run)))))
+    for v, bit in zip(vs, map(lshift, repeat(1), us)):
+        adj[v] |= bit
+    return True
+
+
 def pace_read_gr(path) -> Graph:
     """Read a .gr file; every number must be an ASCII ``[0-9]+`` token.
 
     The problem line may declare at most GRAPH_MAX_VERTICES vertices, the
     budget of the bitmask adjacency.
+
+    The lines up to the problem line are parsed one by one.  The rest is
+    taken in line-aligned chunks of about 8 KiB.  A chunk made only of
+    "u v" lines with canonical names 1..n, u != v, as ``pace_write_gr``
+    writes them, is converted in bulk: one ``split``, one dict lookup per
+    name, and one OR per run of equal u and per edge for the v side.  Any
+    other chunk (comments, blank lines, CR or tab, leading zeros, a last
+    line without a newline, every error) goes through the line parser, so
+    every error has the message and line number of a line-by-line read.
     """
     text = _read_text(path)
-    n = m = None
-    header_line = 0
-    adj: list[int] = []
-    for lineno, raw in enumerate(text.split("\n"), start=1):
-        parts = raw.split()
-        if not parts or parts[0].startswith("c"):
-            continue
-        if parts[0] == "p":
-            if n is not None:
-                raise PaceParseError("duplicate problem line", lineno)
-            if len(parts) != 4 or parts[1] != "tw":
-                raise PaceParseError("problem line must read 'p tw <n> <m>'", lineno)
-            try:
-                n, m = _nat(parts[2]), _nat(parts[3])
-            except ValueError:
-                raise PaceParseError("non-integer counts in problem line", lineno)
-            header_line = lineno
-            if not 1 <= n <= GRAPH_MAX_VERTICES:
-                raise PaceParseError(
-                    f"vertex count must be in 1..{GRAPH_MAX_VERTICES}", lineno
-                )
-            adj = [0] * n
-            continue
-        if n is None:
-            raise PaceParseError("edge data before the problem line", lineno)
-        if len(parts) != 2:
-            raise PaceParseError("edge lines must have exactly two endpoints", lineno)
-        a, b = parts
-        try:  # _nat inlined: this loop runs once per edge
-            if not (a.isascii() and a.isdigit() and b.isascii() and b.isdigit()):
-                raise ValueError
-            u, v = int(a) - 1, int(b) - 1
-        except ValueError:
-            raise PaceParseError("non-integer vertex id", lineno)
-        if not (0 <= u < n and 0 <= v < n):
-            raise PaceParseError(f"vertex out of range 1..{n}", lineno)
-        if u == v:
-            raise PaceParseError("loops are not allowed", lineno)
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-    if n is None:
+    parser = _GrLines()
+    pos, lineno = 0, 1
+    while parser.n is None and pos <= len(text):
+        end = text.find("\n", pos)
+        if end < 0:
+            end = len(text)
+        parser.feed(text[pos:end], lineno)
+        pos, lineno = end + 1, lineno + 1
+    if parser.n is None:
         raise PaceParseError("missing problem line", 1)
-    g = Graph.from_masks(adj)
-    if g.edge_count != m:
+    index = {str(i + 1): i for i in range(parser.n)}
+    while pos < len(text):
+        end = text.find("\n", pos + _GR_CHUNK - 1) + 1
+        if end == 0:
+            end = len(text)
+        chunk = text[pos:end]
+        lines = chunk.count("\n")
+        if not _gr_bulk(chunk, lines, index, parser.adj):
+            parser.feed(chunk, lineno)
+        pos, lineno = end, lineno + lines
+    g = Graph.from_masks(parser.adj)
+    if g.edge_count != parser.m:
         raise PaceParseError(
-            f"problem line declares {m} edges but {g.edge_count} distinct edges found",
-            header_line,
+            f"problem line declares {parser.m} edges but {g.edge_count} distinct edges found",
+            parser.header_line,
         )
     return g
 

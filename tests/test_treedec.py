@@ -1,7 +1,12 @@
+import random
+import time
+import tracemalloc
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from qktw import treedec
 from qktw.errors import (
     DegenerateInputError,
     EmptyTreeError,
@@ -20,8 +25,9 @@ from qktw.kneser import KneserParams, build_kneser_graph, star_independent_set
 from qktw.quadric import build_quadric_graph
 from qktw.treedec import (
     TreeDecomposition,
+    _nat,
+    _read_text,
     balanced_separator_check,
-    normalize_td,
     pace_read_gr,
     pace_read_td,
     pace_write_gr,
@@ -171,47 +177,6 @@ def test_star_decomposition_errors():
         star_decomposition(g, [0, 1, 2])
 
 
-def test_normalize_contracts_nested_bags():
-    td = TreeDecomposition(((0, 1), (0, 1, 2)), ((0, 1),))
-    norm = normalize_td(td)
-    assert norm.bags == ((0, 1, 2),)
-    assert norm.tree_edges == ()
-
-
-def test_normalize_is_a_fixpoint_on_normalized_input():
-    td = TreeDecomposition(((0, 1), (1, 2)), ((0, 1),))
-    assert normalize_td(td) == td
-
-
-def test_normalize_chain_of_nested_bags():
-    td = TreeDecomposition(((0,), (0, 1), (0, 1, 2)), ((0, 1), (1, 2)))
-    norm = normalize_td(td)
-    assert norm.bags == ((0, 1, 2),)
-
-
-@given(
-    n=st.integers(2, 9),
-    seed=st.integers(0, 10_000),
-)
-def test_normalize_preserves_validity_and_width(n, seed):
-    import random
-
-    rng = random.Random(seed)
-    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.45]
-    g = Graph.from_edges(n, edges)
-    order = list(range(n))
-    rng.shuffle(order)
-    td = _decomposition_from_order(g, order)  # valid by construction
-    assert validate_td(g, td).passed
-    norm = normalize_td(td)
-    assert validate_td(g, norm).passed
-    assert norm.width() == td.width()
-    bags = norm.bags
-    for x, y in norm.tree_edges:
-        assert not set(bags[x]) <= set(bags[y])
-        assert not set(bags[y]) <= set(bags[x])
-
-
 def test_balanced_separator_check_examples():
     g = path_graph(3)
     rep = balanced_separator_check(g, [1])
@@ -298,6 +263,201 @@ def test_pace_gr_errors(tmp_path):
         pace_read_gr(bad)
 
 
+def _read_gr_reference(path) -> Graph:
+    """The line-by-line .gr reader, the oracle for ``pace_read_gr``."""
+    text = _read_text(path)
+    n = m = None
+    header_line = 0
+    adj: list[int] = []
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        parts = raw.split()
+        if not parts or parts[0].startswith("c"):
+            continue
+        if parts[0] == "p":
+            if n is not None:
+                raise PaceParseError("duplicate problem line", lineno)
+            if len(parts) != 4 or parts[1] != "tw":
+                raise PaceParseError("problem line must read 'p tw <n> <m>'", lineno)
+            try:
+                n, m = _nat(parts[2]), _nat(parts[3])
+            except ValueError:
+                raise PaceParseError("non-integer counts in problem line", lineno)
+            header_line = lineno
+            if not 1 <= n <= GRAPH_MAX_VERTICES:
+                raise PaceParseError(
+                    f"vertex count must be in 1..{GRAPH_MAX_VERTICES}", lineno
+                )
+            adj = [0] * n
+            continue
+        if n is None:
+            raise PaceParseError("edge data before the problem line", lineno)
+        if len(parts) != 2:
+            raise PaceParseError("edge lines must have exactly two endpoints", lineno)
+        a, b = parts
+        try:  # _nat inlined: this loop runs once per edge
+            if not (a.isascii() and a.isdigit() and b.isascii() and b.isdigit()):
+                raise ValueError
+            u, v = int(a) - 1, int(b) - 1
+        except ValueError:
+            raise PaceParseError("non-integer vertex id", lineno)
+        if not (0 <= u < n and 0 <= v < n):
+            raise PaceParseError(f"vertex out of range 1..{n}", lineno)
+        if u == v:
+            raise PaceParseError("loops are not allowed", lineno)
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    if n is None:
+        raise PaceParseError("missing problem line", 1)
+    g = Graph.from_masks(adj)
+    if g.edge_count != m:
+        raise PaceParseError(
+            f"problem line declares {m} edges but {g.edge_count} distinct edges found",
+            header_line,
+        )
+    return g
+
+
+def _gr_outcome(reader, path):
+    """The graph read, or the (message, line) of the parse error."""
+    try:
+        return reader(path)
+    except PaceParseError as exc:
+        return str(exc), exc.line
+
+
+# chunk sizes for the bulk reader: the default, and sizes that put chunk
+# borders inside runs and errors into later chunks
+_CHUNKS = [None, 1, 7, 64]
+
+
+def _assert_reader_matches_the_reference(path, chunk):
+    with pytest.MonkeyPatch.context() as mp:
+        if chunk is not None:
+            mp.setattr(treedec, "_GR_CHUNK", chunk)
+        got = _gr_outcome(pace_read_gr, path)
+    assert got == _gr_outcome(_read_gr_reference, path)
+    return got
+
+
+# edits applied at random offsets of a .gr file: tokens the bulk path must
+# refuse, whitespace of every kind the line parser splits on, whole lines
+_GR_EDITS = [
+    b"0", b"00", b"01", b"007", b"-1", b"+1", b"1_0", "\u0663".encode(), "\uff11".encode(),
+    b"1" * 6000, b"9" * 20, b"\xff", b" ", b"  ", b"\t", b"\r", b"\r\n", b"\n", b"\n\n",
+    b"\x0b", b"\x0c", b"\x1c", "\x85".encode(), "\u2028".encode(), "\u3000".encode(),
+    b"c a comment\n", b"c\n", b"p tw 3 1\n", b"2 2\n", b"1 2 3\n", b"4\n",
+]
+
+
+@st.composite
+def _gr_files(draw):
+    n = draw(st.integers(1, 40))
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    density = draw(st.floats(0, 1))
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < density]
+    order = draw(st.sampled_from(["canonical", "shuffled", "reversed"]))
+    if order == "shuffled":
+        rng.shuffle(edges)
+    elif order == "reversed":
+        edges.reverse()
+    if draw(st.booleans()):  # flip some lines to "v u"
+        edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in edges]
+    if edges and draw(st.booleans()):  # repeat some lines
+        edges += rng.choices(edges, k=rng.randint(1, len(edges)))
+        rng.shuffle(edges)
+    m = len(set(map(frozenset, edges))) + draw(st.sampled_from([0, 0, 0, 1, -1]))
+    comments = draw(st.lists(st.sampled_from(["c x", "c", "", "c 1 2"]), max_size=2))
+    lines = comments + [f"p tw {n} {m}"] + [f"{u + 1} {v + 1}" for u, v in edges]
+    data = ("\n".join(lines) + "\n").encode()
+    for kind, at, edit in draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["insert", "replace", "delete", "truncate"]),
+                st.integers(0, 10**6),
+                st.sampled_from(_GR_EDITS),
+            ),
+            max_size=3,
+        )
+    ):
+        i = at % (len(data) + 1)
+        if kind == "insert":
+            data = data[:i] + edit + data[i:]
+        elif kind == "replace":
+            data = data[:i] + edit + data[i + 1:]
+        elif kind == "delete":
+            data = data[:i] + data[i + 1:]
+        else:
+            data = data[:i]
+    return data
+
+
+@pytest.mark.parametrize("chunk", _CHUNKS)
+@given(data=_gr_files())
+def test_pace_read_gr_matches_the_line_reader(tmp_path_factory, chunk, data):
+    path = tmp_path_factory.mktemp("gr") / "input.gr"
+    path.write_bytes(data)
+    _assert_reader_matches_the_reference(path, chunk)
+
+
+@pytest.mark.parametrize("chunk", _CHUNKS)
+@pytest.mark.parametrize(
+    "text",
+    [
+        "p tw 5 3\n1 2\n2 3\n3 4\n",
+        "p tw 5 3\n1 2\n2 3\n3 4",  # no newline at the end
+        "c x\n\np tw 5 3\n1 2\r\n2\t3\n  3 4  \n\n",
+        "p tw 5 4\n1 2\n1 3\n1 4\n1 5\n2 1\n3 1\n",
+        "p tw 5 2\n1 2\n1 3\n1 4\n1 5\n",  # wrong edge count
+        "p tw 5 4\n1 2\n1 3\n1 4\n1 5\n5 6\n",
+        "p tw 5 4\n1 2\n1 3\n1 4\n1 5\n01 2\n",
+        "p tw 5 4\n1 2\n1 3\n1 4\n1 5\n0 3\n",
+        "p tw 5 4\n1 2\n1 3\n1 4\n1 5\n3 3\n",
+        "p tw 5 4\n1 2\n1 3\n1 4\n1 5\np tw 5 4\n",
+        "p tw 5 4\n1 2\n1 3\n1 4\n1 5\n1 2 3\n4\n",  # two names per line on average
+        "p tw 5 4\n1 2\n1 3\n 4\n1 5\n2",  # unterminated last name fills a short line
+        "p tw 5 4\n1 2\n1 3\n1 4\n1 5\n\u0663 1\n",
+        "p tw 5 4\n1 2\n1 3\n1 4\n1 5\n" + "1" * 6000 + " 2\n",
+        "p tw 5 4\n1 2\n1 3\n1 4\n1 5\n2 3\n",
+        "1 2\np tw 5 1\n",
+    ],
+)
+def test_pace_read_gr_matches_the_line_reader_on_edge_cases(tmp_path, chunk, text):
+    path = tmp_path / "input.gr"
+    path.write_text(text, encoding="utf-8")
+    _assert_reader_matches_the_reference(path, chunk)
+
+
+@pytest.mark.parametrize("chunk", _CHUNKS)
+@pytest.mark.parametrize("name", ["K2(5,2,1)", "K3(4,2,1)", "quadric3", "petersen"])
+def test_pace_read_gr_reads_the_writer_output(tmp_path, chunk, name):
+    g = _NAMED_GRAPHS[name]()
+    path = tmp_path / "input.gr"
+    pace_write_gr(g, path, comments=("before the problem line",))
+    assert _assert_reader_matches_the_reference(path, chunk) == g
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_pace_read_gr_peak_memory_is_below_half_the_line_reader(tmp_path):
+    rng = random.Random(7)
+    n = 600
+    g = Graph.from_edges(
+        n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.9]
+    )
+    path = tmp_path / "dense.gr"
+    pace_write_gr(g, path)
+    assert path.stat().st_size >= 10**6
+    assert pace_read_gr(path) == g
+    assert 2 * _traced_peak(pace_read_gr, path) < _traced_peak(_read_gr_reference, path)
+
+
 def test_pace_td_roundtrip(tmp_path):
     td = TreeDecomposition(((0, 1), (1, 2), ()), ((0, 1), (1, 2)))
     p1 = tmp_path / "a.td"
@@ -372,8 +532,11 @@ def test_pace_readers_reject_undecodable_bytes(tmp_path):
 def test_pace_gr_vertex_budget(tmp_path):
     ok = tmp_path / "ok.gr"
     ok.write_text(f"p tw {GRAPH_MAX_VERTICES} 1\n1 {GRAPH_MAX_VERTICES}\n")
+    start = time.perf_counter()
     g = pace_read_gr(ok)
+    assert time.perf_counter() - start < 0.5
     assert g.n == GRAPH_MAX_VERTICES and g.has_edge(0, GRAPH_MAX_VERTICES - 1)
+    assert _traced_peak(pace_read_gr, ok) < 16 * 2**20  # no n-sized table of big ints
     bad = tmp_path / "bad.gr"
     bad.write_text(f"p tw {GRAPH_MAX_VERTICES + 1} 0\n")
     with pytest.raises(PaceParseError):
