@@ -29,6 +29,7 @@ from .exact import (
     mis_exact,
     treewidth_exact,
 )
+from .gf import is_prime_power
 from .kneser import (
     KneserParams,
     alpha_value,
@@ -103,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver = sub.add_parser("verify", help="run one verification suite")
     ver.add_argument("suite", choices=SUITE_NAMES)
     ver.add_argument("-q", type=int, default=None, help="restrict to one field order")
-    ver.add_argument("--tuples", type=int, default=50, help="counting sweep size")
+    ver.add_argument("--tuples", type=int, default=None, help="counting sweep size (default 50)")
     ver.add_argument(
         "--claims", default=None, help="comma-separated census claims (i,ii,iii,iv)"
     )
@@ -216,9 +217,34 @@ def _cmd_tw_exact(args) -> int:
     return EXIT_OK
 
 
+# The suites each optional ``verify`` argument applies to; every other
+# suite refuses it rather than ignore it.
+_VERIFY_OPTIONS = {
+    "q": ("-q", ("gauss-bounds", "pair-count", "grid", "klein", "perp-census")),
+    "claims": ("--claims", ("perp-census",)),
+    "tuples": ("--tuples", ("counting",)),
+}
+
+
+def _verify_usage_error(args) -> str | None:
+    """Why the optional arguments do not fit ``args.suite``, or None."""
+    for dest, (flag, suites) in _VERIFY_OPTIONS.items():
+        if getattr(args, dest) is not None and args.suite not in suites:
+            return f"{flag} does not apply to the {args.suite} suite"
+    if args.tuples is not None and args.tuples < 1:
+        return f"--tuples must be at least 1, got {args.tuples}"
+    if args.q is not None and not is_prime_power(args.q):
+        return f"-q must be a prime power, got {args.q}"
+    return None
+
+
 def _cmd_verify(args) -> int:
+    problem = _verify_usage_error(args)
+    if problem:
+        print(f"verify: {problem}", file=sys.stderr)
+        return EXIT_USAGE
     kwargs: dict = {}
-    if args.suite in ("grid", "klein"):
+    if args.suite in ("gauss-bounds", "grid", "klein"):
         if args.q is not None:
             kwargs["qs"] = (args.q,)
     elif args.suite == "perp-census":
@@ -227,7 +253,7 @@ def _cmd_verify(args) -> int:
             kwargs["plan"] = ((args.q, claims),)
         elif claims is not None:
             kwargs["plan"] = tuple((q, claims) for q in (2, 3))
-    elif args.suite == "counting":
+    elif args.suite == "counting" and args.tuples is not None:
         kwargs["tuple_count"] = args.tuples
     elif args.suite == "pair-count" and args.q is not None:
         kwargs["q"] = args.q

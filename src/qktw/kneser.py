@@ -10,7 +10,6 @@ that says which certified range (if any) pins an instance's treewidth.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -18,16 +17,14 @@ from fractions import Fraction
 from .errors import InvalidDualParamsError, OutOfCertifiedRangeError, SizeLimitError
 from .gf import make_field, prime_power, prime_powers_up_to
 from .graph import GRAPH_MAX_VERTICES, Graph, mask_mismatches
-from .qbinom import CountingExponent, constants, gauss_binom
+from .qbinom import gauss_binom, range_slack_for
 from .report import exact_str
 from .subspace import (
     DEFAULT_ENUMERATION_CAP,
     Subspace,
     enumerate_k_subspaces,
-    intersect_dim,
     meet_masks,
     orthogonal_complement,
-    subspaces_of,
 )
 from .treedec import TreeDecomposition, star_decomposition
 
@@ -108,37 +105,6 @@ def intersection_counts(q: int, n: int, k: int) -> dict[int, int]:
             f"intersection counts for (q={q}, n={n}, k={k}) do not sum to [n,k]_q"
         )
     return out
-
-
-def intersection_profile(p: KneserParams) -> dict[int, int]:
-    """Intersection counts for p, with the degree bound asserted.
-
-    The graph degree is sum_{j < t} m_j; it must stay at most
-    |V| - alpha - 1, which is what makes the star construction width-optimal.
-    """
-    counts = intersection_counts(p.q, p.n, p.k)
-    degree = sum(m for j, m in counts.items() if j < p.t)
-    bound = gauss_binom(p.n, p.k, p.q) - alpha_value(p) - 1
-    if degree > bound:
-        raise ArithmeticError(
-            f"degree {degree} exceeds |V| - alpha - 1 = {bound} for {p}"
-        )
-    return counts
-
-
-def intersection_census(vertices: list[Subspace]) -> dict[int, int]:
-    """Brute-force profile: per-vertex counts of intersection dimensions,
-    verified identical for every base vertex."""
-    base: Counter | None = None
-    for u in vertices:
-        c = Counter(intersect_dim(u, v) for v in vertices)
-        if base is None:
-            base = c
-        elif c != base:
-            raise ArithmeticError("intersection census is not vertex-uniform")
-    assert base is not None
-    k = vertices[0].k
-    return {j: base.get(j, 0) for j in range(k + 1)}
 
 
 # -- graph construction ------------------------------------------------------
@@ -235,7 +201,6 @@ class DualityReport:
     pairs_checked: int
     bijective: bool
     mismatches: tuple[tuple[int, int], ...]
-    mapping: tuple[tuple[Subspace, Subspace], ...]
 
     @property
     def passed(self) -> bool:
@@ -246,7 +211,7 @@ def duality_isomorphism(
     p: KneserParams, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> DualityReport:
     """Check exhaustively that orthogonal complementation is an isomorphism
-    from K_q(n,k,t) onto K_q(n,n-k,n-2k+t), and return the vertex bijection.
+    from K_q(n,k,t) onto K_q(n,n-k,n-2k+t).
 
     The meet masks of the vertices (threshold t) and of their complements
     (threshold n-2k+t) are both in source order, so their XOR marks
@@ -268,7 +233,6 @@ def duality_isomorphism(
         pairs_checked=n * (n - 1) // 2,
         bijective=bijective,
         mismatches=tuple(mismatches),
-        mapping=tuple(zip(verts, images)),
     )
 
 
@@ -294,7 +258,7 @@ class CountingReport:
 
 
 def _main_range_tags(q: int, n: int, k: int, t: int) -> set[ResultTag]:
-    eps = constants(q).range_slack
+    eps = range_slack_for(q)
     tags: set[ResultTag] = set()
     if t <= eps and n > 3 * k - 2 * t + eps:
         tags.add(ResultTag.SMALL_T_RANGE)
@@ -325,7 +289,7 @@ def counting_inequality_check(p: KneserParams) -> CountingReport:
         )
     alpha = gauss_binom(n - t, k - t, q)
     rhs = Fraction(alpha, 2)
-    i_lo = CountingExponent(t, k, n).min_overlap
+    i_lo = max(0, 2 * t - k)  # least dim(T1 ∩ T2) of two t-spaces in a k-space
     cases = []
     for s in range(max(0, 2 * k - n), t):
         total = 0
@@ -356,51 +320,6 @@ def counting_sweep_params(
                         candidates.append((gauss_binom(n, k, q), q, n, k, t))
     candidates.sort()
     return [KneserParams(q, n, k, t) for _, q, n, k, t in candidates[:count]]
-
-
-# -- pair counting ------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PairCountReport:
-    k: int
-    s: int
-    t: int
-    i: int
-    count: int
-    bound: int
-    passed: bool
-
-
-def pair_intersection_census(
-    k1: Subspace, k2: Subspace, t: int
-) -> dict[int, int]:
-    """Brute-force census: for the t-subspace pairs (T1 <= k1, T2 <= k2),
-    count each intersection dimension dim(T1 ∩ T2)."""
-    if k1.k != k2.k:
-        raise ValueError("the two subspaces must have equal dimension")
-    if not 1 <= t <= k1.k:
-        raise ValueError(f"need 1 <= t <= {k1.k}, got t={t}")
-    t1s = subspaces_of(k1, t)
-    t2s = subspaces_of(k2, t)
-    return dict(Counter(intersect_dim(a, b) for a in t1s for b in t2s))
-
-
-def pair_count_check(k1: Subspace, k2: Subspace, t: int, i: int) -> PairCountReport:
-    """Check the pair bound: at most [s,i] [k-i,t-i]^2 pairs of t-subspaces
-    (one in each k-space) meet in dimension exactly i, where s = dim(k1 ∩ k2)."""
-    s = intersect_dim(k1, k2)
-    if not 0 <= i <= s:
-        raise ValueError(f"need 0 <= i <= s = {s}, got i={i}")
-    if not 1 <= t <= k1.k:
-        raise ValueError(f"need 1 <= t <= k = {k1.k}, got t={t}")
-    q = k1.field.q
-    census = pair_intersection_census(k1, k2, t)
-    count = census.get(i, 0)
-    bound = gauss_binom(s, i, q) * gauss_binom(k1.k - i, t - i, q) ** 2
-    return PairCountReport(
-        k=k1.k, s=s, t=t, i=i, count=count, bound=bound, passed=count <= bound
-    )
 
 
 # -- verdicts -----------------------------------------------------------------

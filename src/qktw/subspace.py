@@ -50,16 +50,6 @@ class Subspace:
         """Rows packed into ints, bit j = coordinate j.  Only for q = 2."""
         return tuple(sum(v << j for j, v in enumerate(row)) for row in self.rows)
 
-    def pivot_columns(self) -> tuple[int, ...]:
-        return tuple(next(j for j, x in enumerate(row) if x) for row in self.rows)
-
-    def contains(self, other: "Subspace") -> bool:
-        if other.field != self.field or other.n != self.n:
-            raise AmbientMismatchError("subspaces live in different ambient spaces")
-        if other.k > self.k:
-            return False
-        return intersect_dim(self, other) == other.k
-
     def text(self) -> str:
         """Stable text form: one digit string per row, rows joined by '|'."""
         if self.field.q <= 16:
@@ -279,11 +269,6 @@ def intersect_dim(u: Subspace, v: Subspace) -> int:
     else:
         rank = _rank_rows(u.rows + v.rows, u.field)
     return u.k + v.k - rank
-
-
-def span_dim(u: Subspace, v: Subspace) -> int:
-    """dim(u + v)."""
-    return u.k + v.k - intersect_dim(u, v)
 
 
 def orthogonal_complement(u: Subspace) -> Subspace:

@@ -47,17 +47,6 @@ from .treedec import (
     validate_td,
 )
 
-SUITE_NAMES = (
-    "gauss-bounds",
-    "parabola",
-    "bridge",
-    "pair-count",
-    "counting",
-    "grid",
-    "klein",
-    "perp-census",
-)
-
 # Admits the default pair-count sweep (n <= 5, k <= 3) at q = 2 (work
 # 234,161) and q = 3 (23,510,162); q = 4 would be 824,011,665.
 PAIR_COUNT_MAX_WORK = 50_000_000
@@ -70,49 +59,24 @@ ORACLE_GRAPH_COUNT = 200
 
 
 def gauss_bounds_suite(max_n: int = 8, qs: tuple[int, ...] = (2, 3, 4, 5, 7, 8, 9)) -> SuiteReport:
-    cases = []
-    for q in qs:
-        for n in range(max_n + 1):
-            for k in range(n + 1):
-                rep = check_gauss_bounds(n, k, q)
-                cases.append(
-                    CheckCase(
-                        params={"n": n, "k": k, "q": q},
-                        lhs=rep.value,
-                        rhs=rep.upper_bound,
-                        passed=rep.passed,
-                        witness={
-                            "lower_bound": rep.lower_bound,
-                            "lower_holds": rep.lower_holds,
-                            "upper_holds": rep.upper_holds,
-                        },
-                    )
-                )
-    return SuiteReport("gauss-bounds", cases)
+    return SuiteReport(
+        "gauss-bounds",
+        [check_gauss_bounds(n, k, q) for q in qs for n in range(max_n + 1) for k in range(n + 1)],
+    )
 
 
 def parabola_suite(window: int = 40) -> SuiteReport:
-    cases = []
-    for quad, anchor, q, mode in parabola_case_grid():
-        rep = parabola_tail_check(quad, anchor, q, mode, window=window)
-        cases.append(
-            CheckCase(
-                params={"q": q, "mode": mode, "b": quad.b, "c": quad.c, "anchor": anchor},
-                lhs=rep.lhs,
-                rhs=rep.rhs,
-                passed=rep.passed,
-                witness={"fourth_power": rep.fourth_power, "window": rep.window},
-            )
-        )
-    return SuiteReport("parabola", cases)
+    return SuiteReport(
+        "parabola",
+        [
+            parabola_tail_check(quad, anchor, q, mode, window=window)
+            for quad, anchor, q, mode in parabola_case_grid()
+        ],
+    )
 
 
 def bridge_suite(max_q: int = 64) -> SuiteReport:
-    cases = []
-    for q in prime_powers_up_to(max_q):
-        rep = bridge_inequality_check(q)
-        cases.append(CheckCase(params={"q": q}, lhs=rep.lhs, rhs=rep.rhs, passed=rep.passed))
-    return SuiteReport("bridge", cases)
+    return SuiteReport("bridge", [bridge_inequality_check(q) for q in prime_powers_up_to(max_q)])
 
 
 def pair_count_work(q: int, max_n: int, max_k: int) -> int:
@@ -472,21 +436,24 @@ def format_suite() -> SuiteReport:
 # -- the full matrix ------------------------------------------------------------------
 
 
+SUITES = {
+    "gauss-bounds": gauss_bounds_suite,
+    "parabola": parabola_suite,
+    "bridge": bridge_suite,
+    "pair-count": pair_count_suite,
+    "counting": counting_suite,
+    "grid": grid_suite,
+    "klein": klein_suite,
+    "perp-census": perp_census_suite,
+}
+SUITE_NAMES = tuple(SUITES)
+
+
 def run_suite(name: str, **kwargs) -> SuiteReport:
     """Run one named verification suite with its default sweep."""
-    table = {
-        "gauss-bounds": gauss_bounds_suite,
-        "parabola": parabola_suite,
-        "bridge": bridge_suite,
-        "pair-count": pair_count_suite,
-        "counting": counting_suite,
-        "grid": grid_suite,
-        "klein": klein_suite,
-        "perp-census": perp_census_suite,
-    }
-    if name not in table:
+    if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
-    return table[name](**kwargs)
+    return SUITES[name](**kwargs)
 
 
 def verify_all() -> list[SuiteReport]:

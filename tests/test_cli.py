@@ -6,10 +6,13 @@ import sys
 import time
 from pathlib import Path
 
+import pytest
+
 from qktw import cli
 from qktw.cli import run
 from qktw.exact import TREEWIDTH_NODE_BUDGET, SolveBudget
 from qktw.report import CheckCase, SuiteReport, verify_all_json
+from qktw.suites import counting_suite
 from qktw.graph import path_graph, petersen_graph
 from qktw.treedec import TreeDecomposition, pace_write_gr
 
@@ -232,6 +235,39 @@ def test_verify_parabola_renders_huge_exact_values(capsys):
 
 def test_verify_unknown_suite_is_usage_error(capsys):
     assert run(["verify", "nonsense"]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv,option",
+    [
+        (["bridge", "-q", "3"], "-q"),
+        (["parabola", "-q", "3"], "-q"),
+        (["counting", "-q", "3"], "-q"),
+        (["gauss-bounds", "-q", "3", "--claims", "i"], "--claims"),
+        (["grid", "--claims", "i"], "--claims"),
+        (["bridge", "--tuples", "5"], "--tuples"),
+        (["counting", "--tuples", "0"], "--tuples"),
+        (["counting", "--tuples", "-5"], "--tuples"),
+        (["grid", "-q", "6"], "-q"),
+        (["pair-count", "-q", "6"], "-q"),
+    ],
+)
+def test_verify_refuses_options_it_would_ignore(capsys, argv, option):
+    assert run(["verify", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("verify: " + option + " ")
+
+
+def test_verify_options_reach_their_suites(capsys):
+    code, payload = run_json(capsys, ["verify", "gauss-bounds", "-q", "3"])
+    assert code == 0
+    assert {c["params"]["q"] for c in payload["cases"]} == {3}
+    assert payload["summary"]["total"] == sum(n + 1 for n in range(9))
+    code, payload = run_json(capsys, ["verify", "counting", "--tuples", "3"])
+    assert code == 0 and payload == counting_suite(tuple_count=3).to_json()
+    code, payload = run_json(capsys, ["verify", "counting"])
+    assert code == 0 and payload == counting_suite(tuple_count=50).to_json()
 
 
 _SESSION = [

@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -14,11 +15,8 @@ from qktw.kneser import (
     counting_inequality_check,
     counting_sweep_params,
     duality_isomorphism,
-    intersection_census,
     intersection_counts,
-    intersection_profile,
     kneser_star_decomposition,
-    pair_count_check,
     star_independent_set,
     treewidth_verdict,
 )
@@ -29,6 +27,7 @@ from qktw.subspace import (
     orthogonal_complement,
     rref_canonical,
 )
+from qktw.suites import pair_censuses
 from qktw.treedec import validate_td
 
 F2 = make_field(2)
@@ -86,7 +85,7 @@ def test_star_independent_set_is_maximum_and_independent(q, n, k, t):
         fixed = rref_canonical(
             [[1 if j == i else 0 for j in range(n)] for i in range(t)], make_field(q)
         )
-        assert all(u.contains(fixed) for u in family)
+        assert all(intersect_dim(u, fixed) == t for u in family)
 
 
 @pytest.mark.parametrize("q,n,k,t", [(2, 4, 2, 1), (2, 5, 3, 2)])
@@ -106,7 +105,7 @@ def test_star_set_inside_fixed_subspace_when_n_small():
         [[1 if j == i else 0 for j in range(5)] for i in range(4)], F2
     )
     for u in star_independent_set(p):
-        assert hull.contains(u)
+        assert intersect_dim(hull, u) == u.k
 
 
 def test_intersection_counts_examples():
@@ -119,11 +118,30 @@ def test_intersection_counts_examples():
         assert sum(counts.values()) == gauss_binom(n, k, q)
 
 
+def intersection_census(vertices):
+    """Brute-force profile: per-vertex counts of intersection dimensions,
+    verified identical for every base vertex."""
+    base = None
+    for u in vertices:
+        c = Counter(intersect_dim(u, v) for v in vertices)
+        if base is None:
+            base = c
+        elif c != base:
+            raise ArithmeticError("intersection census is not vertex-uniform")
+    assert base is not None
+    k = vertices[0].k
+    return {j: base.get(j, 0) for j in range(k + 1)}
+
+
 def test_profile_matches_bruteforce_census():
     for q, n, k, t in ((2, 4, 2, 1), (3, 4, 2, 1), (2, 5, 3, 2)):
         p = KneserParams(q, n, k, t)
         g = build_kneser_graph(p)
-        assert intersection_census(g.labels) == intersection_profile(p)
+        counts = intersection_counts(q, n, k)
+        assert intersection_census(g.labels) == counts
+        # the degree stays within |V| - alpha - 1: the star construction is width-optimal
+        degree = sum(m for j, m in counts.items() if j < t)
+        assert degree <= gauss_binom(n, k, q) - alpha_value(p) - 1
 
 
 def test_duality_isomorphism_2532():
@@ -223,21 +241,24 @@ def test_counting_sweep_deterministic_and_in_range():
 
 
 def test_pair_count_examples():
+    # line pairs (t = 1) of planes (k = 2) in F_2^4, counted by hand; the
+    # bound is [s,i] [k-i,t-i]^2
     verts = enumerate_k_subspaces(4, 2, F2)
-    k1 = verts[0]
+    censuses = {b: (s, counts[0]) for a, b, s, counts in pair_censuses(verts) if a == 0}
+
+    def bound(s, i):
+        return gauss_binom(s, i, 2) * gauss_binom(2 - i, 1 - i, 2) ** 2
+
     # diagonal: K1 = K2, i = t
-    rep = pair_count_check(k1, k1, 1, 1)
-    assert rep.count == gauss_binom(2, 1, 2) == rep.bound == 3
+    s, lines = censuses[0]
+    assert s == 2 and lines[1] == gauss_binom(2, 1, 2) == bound(s, 1) == 3
     # s = 1, i = 1: both t-subspaces must be the intersection line
-    k2 = next(v for v in verts if intersect_dim(k1, v) == 1)
-    rep = pair_count_check(k1, k2, 1, 1)
-    assert (rep.count, rep.bound) == (1, 1)
-    # s = 0, i = 0: all 3 x 3 line pairs qualify
-    k3 = next(v for v in verts if intersect_dim(k1, v) == 0)
-    rep = pair_count_check(k1, k3, 1, 0)
-    assert (rep.count, rep.bound) == (9, 9)
-    with pytest.raises(ValueError):
-        pair_count_check(k1, k3, 1, 1)  # i > s
+    s, lines = next(c for c in censuses.values() if c[0] == 1)
+    assert (lines[1], bound(s, 1)) == (1, 1)
+    # s = 0, i = 0: all 3 x 3 line pairs qualify, and none meets in i > s
+    s, lines = next(c for c in censuses.values() if c[0] == 0)
+    assert (lines[0], bound(s, 0)) == (9, 9)
+    assert len(lines) == 1
 
 
 def test_verdict_k421():

@@ -8,14 +8,14 @@ from qktw import qbinom
 from qktw.errors import NotAPrimePowerError
 from qktw.gf import prime_powers_up_to
 from qktw.qbinom import (
-    CountingExponent,
     Quadratic,
     bridge_inequality_check,
     check_gauss_bounds,
-    constants,
     gauss_binom,
+    gauss_slack_for,
     parabola_case_grid,
     parabola_tail_check,
+    range_slack_for,
 )
 
 
@@ -70,28 +70,32 @@ def test_gauss_binom_symmetry_and_pascal_identity():
                     ) + q**k * gauss_binom(n - 1, k, q)
 
 
+def slack(q):
+    return range_slack_for(q), gauss_slack_for(q)
+
+
 def test_constants():
-    assert (constants(2).range_slack, constants(2).gauss_slack) == (9, 5)
-    assert (constants(3).range_slack, constants(3).gauss_slack) == (3, 3)
-    assert (constants(4).range_slack, constants(4).gauss_slack) == (2, 2)
+    assert slack(2) == (9, 5)
+    assert slack(3) == (3, 3)
+    assert slack(4) == (2, 2)
     for q in (5, 7, 8):
-        assert (constants(q).range_slack, constants(q).gauss_slack) == (1, 2)
+        assert slack(q) == (1, 2)
     for q in (9, 11, 64):
-        assert (constants(q).range_slack, constants(q).gauss_slack) == (0, 2)
+        assert slack(q) == (0, 2)
     with pytest.raises(NotAPrimePowerError):
-        constants(6)
+        bridge_inequality_check(6)  # the one caller that needs a field order
 
 
 def test_gauss_bounds_examples():
     rep = check_gauss_bounds(4, 2, 2)
-    assert rep.lower_bound == 24 and rep.upper_bound == 56
-    assert rep.lower_holds and rep.upper_holds
+    assert rep.witness["lower_bound"] == 24 and rep.rhs == 56
+    assert rep.witness["lower_holds"] and rep.witness["upper_holds"]
     edge = check_gauss_bounds(5, 0, 3)
-    assert edge.lower_holds is None
-    assert edge.upper_holds  # 1 <= (q + beta)/q
+    assert edge.witness["lower_holds"] is None
+    assert edge.witness["upper_holds"]  # 1 <= (q + beta)/q
     big = check_gauss_bounds(6, 3, 3)
-    assert big.value == 33880
-    assert big.lower_bound == 4 * 3**8 and big.upper_bound == 6 * 3**8
+    assert big.lhs == 33880
+    assert big.witness["lower_bound"] == 4 * 3**8 and big.rhs == 6 * 3**8
     assert big.passed
 
 
@@ -119,14 +123,14 @@ def test_parabola_below_mirror():
 
 def test_parabola_full_half_integer_vertex():
     rep = parabola_tail_check(Quadratic(1, 0), None, 2, "full")  # vertex 1/2
-    assert rep.passed and rep.fourth_power
+    assert rep.passed and rep.witness["fourth_power"]
     # both sides were raised to the 4th power: rhs = 2^(0 + 1) * (1 + 1 + 1/4)^4
     assert rep.rhs == 2 * Fraction(9, 4) ** 4
 
 
 def test_parabola_full_integer_vertex():
     rep = parabola_tail_check(Quadratic(4, -1), None, 3, "full")  # vertex 2
-    assert rep.passed and not rep.fourth_power
+    assert rep.passed and not rep.witness["fourth_power"]
 
 
 def test_parabola_preconditions():
@@ -197,18 +201,16 @@ def test_bridge_inequality_selected_and_swept():
 
 
 def test_counting_exponent_identities():
+    # the pair-counting exponent f(i) = (t-i)(i + 3k - 2t - n) - i, expanded
     for t in range(1, 5):
         for k in range(t + 1, 8):
             for n in range(2 * k, 3 * k + 6):
-                ce = CountingExponent(t, k, n)
-                quad = ce.quadratic()
+                quad = Quadratic(n - 3 * k + 3 * t - 1, t * (3 * k - 2 * t - n))
                 # expanded form agrees with the product form at several points
                 for i in range(-2, 6):
                     assert quad.value(i) == (t - i) * (i + 3 * k - 2 * t - n) - i
-                assert quad.vertex() == ce.vertex()
-                assert quad.vertex_value() == ce.vertex_value()
-                assert 4 * ce.vertex_value() == (3 * k + 1 - t - n) ** 2 - 4 * t
-                assert ce.min_overlap == max(0, 2 * t - k)
+                assert quad.vertex() == Fraction(n - 3 * k + 3 * t - 1, 2)
+                assert 4 * quad.vertex_value() == (3 * k + 1 - t - n) ** 2 - 4 * t
 
 
 def test_upper_bound_product_stays_under_seven_halves():
@@ -222,15 +224,15 @@ def test_upper_bound_product_stays_under_seven_halves():
 def test_single_check_json_shape():
     js = check_gauss_bounds(4, 2, 2).to_json()
     assert js == {
-        "lemma": "gauss-bounds",
         "params": {"n": 4, "k": 2, "q": 2},
         "lhs": "35",
         "rhs": "56",
         "pass": True,
-        "lower_bound": "24",
+        "witness": {"lower_bound": "24", "lower_holds": True, "upper_holds": True},
     }
     js = bridge_inequality_check(2).to_json()
-    assert js["lemma"] == "bridge" and js["pass"]
+    assert js["params"] == {"q": 2} and js["pass"]
     assert "/" in js["lhs"]  # exact rational as num/den
     js = parabola_tail_check(Quadratic(0, 0), 0, 2, "above").to_json()
-    assert js["lemma"] == "parabola" and js["pass"] and not js["fourth_power"]
+    assert js["params"] == {"q": 2, "mode": "above", "b": 0, "c": 0, "anchor": 0}
+    assert js["pass"] and not js["witness"]["fourth_power"]
