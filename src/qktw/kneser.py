@@ -290,16 +290,15 @@ def counting_inequality_check(p: KneserParams) -> CountingReport:
     alpha = gauss_binom(n - t, k - t, q)
     rhs = Fraction(alpha, 2)
     i_lo = max(0, 2 * t - k)  # least dim(T1 ∩ T2) of two t-spaces in a k-space
+    # the factor of each term that does not depend on s, once per i
+    weights = [
+        gauss_binom(k - i, t - i, q) ** 2 * gauss_binom(n - 2 * t + i, k - 2 * t + i, q)
+        for i in range(i_lo, t)
+    ]
     cases = []
     for s in range(max(0, 2 * k - n), t):
-        total = 0
-        for i in range(i_lo, s + 1):
-            total += (
-                gauss_binom(s, i, q)
-                * gauss_binom(k - i, t - i, q) ** 2
-                * gauss_binom(n - 2 * t + i, k - 2 * t + i, q)
-            )
-        cases.append(CountingCase(s=s, lhs=total, rhs=rhs, passed=total <= rhs))
+        total = sum(gauss_binom(s, i, q) * weights[i - i_lo] for i in range(i_lo, s + 1))
+        cases.append(CountingCase(s=s, lhs=total, rhs=rhs, passed=2 * total <= alpha))
     return CountingReport(params=reduced, cases=tuple(cases))
 
 
@@ -311,6 +310,8 @@ def counting_sweep_params(
     Candidates are ordered by vertex count [n,k]_q so the sweep stays at
     desk scale; only tuples inside the certified ranges qualify.
     """
+    if count < 1:
+        raise ValueError(f"need count >= 1, got {count}")
     candidates = []
     for q in prime_powers_up_to(q_limit):
         for k in range(2, k_limit + 1):

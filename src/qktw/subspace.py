@@ -204,7 +204,8 @@ def enumerate_k_subspaces(
                 rows[i][j] = v
             out.append(Subspace(f, n, tuple(tuple(r) for r in rows)))
     out.sort(key=lambda s: s.rows)
-    assert len(out) == total
+    if len(out) != total:
+        raise ArithmeticError(f"enumerated {len(out)} subspaces, [{n},{k}]_{f.q} = {total}")
     return out
 
 

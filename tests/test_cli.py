@@ -39,6 +39,16 @@ def test_verdict_past_the_digit_limit(capsys):
     assert len(payload["formula"]) > 4300
 
 
+def test_verdict_past_the_size_limit(capsys):
+    start = time.perf_counter()
+    assert run(["verdict", "-q", "2", "-n", "4000", "-k", "2000", "-t", "1"]) == 3
+    assert run(["alpha", "-q", "2", "-n", "4000", "-k", "2000", "-t", "1"]) == 3
+    assert time.perf_counter() - start < 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("over the limit") == 2
+
+
 def test_verdict_bad_params(capsys):
     assert run(["verdict", "-q", "6", "-n", "4", "-k", "2", "-t", "1"]) == 2
     assert run(["verdict", "-q", "2", "-n", "4", "-k", "2", "-t", "2"]) == 2

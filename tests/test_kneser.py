@@ -229,6 +229,71 @@ def test_counting_inequality_range_gate():
     assert rep.passed
 
 
+def counting_oracle(p):
+    """The pair-counting sums (s, lhs, rhs, passed) as one double loop over
+    (s, i), every Gaussian binomial evaluated in place."""
+    reduced = p if p.is_reduced else p.dual
+    q, n, k, t = reduced.q, reduced.n, reduced.k, reduced.t
+    rhs = Fraction(gauss_binom(n - t, k - t, q), 2)
+    out = []
+    for s in range(max(0, 2 * k - n), t):
+        total = 0
+        for i in range(max(0, 2 * t - k), s + 1):
+            total += (
+                gauss_binom(s, i, q)
+                * gauss_binom(k - i, t - i, q) ** 2
+                * gauss_binom(n - 2 * t + i, k - 2 * t + i, q)
+            )
+        out.append((s, total, rhs, total <= rhs))
+    return out
+
+
+# in-range tuples with larger fields and dimensions than the default sweep,
+# dual (n < 2k) ones among them
+COUNTING_ORACLE_EXTRA = [
+    KneserParams(251, 25, 8, 7),
+    KneserParams(251, 40, 12, 3),
+    KneserParams(251, 61, 30, 26),
+    KneserParams(127, 70, 30, 20),
+    KneserParams(49, 16, 6, 5),
+    KneserParams(32, 19, 7, 4),
+    KneserParams(9, 30, 10, 8),
+    KneserParams(2, 40, 8, 6),
+    KneserParams(3, 23, 7, 5),
+    KneserParams(2, 60, 12, 9),
+    KneserParams(251, 25, 17, 16),
+    KneserParams(9, 30, 20, 18),
+]
+
+
+@pytest.mark.parametrize("p", counting_sweep_params(50) + COUNTING_ORACLE_EXTRA, ids=str)
+def test_counting_check_matches_the_double_loop(p):
+    rep = counting_inequality_check(p)
+    got = [(c.s, c.lhs, c.rhs, c.passed) for c in rep.cases]
+    assert got == counting_oracle(p)
+    assert all(type(c.rhs) is Fraction for c in rep.cases)
+
+
+def test_counting_check_passes_on_a_tie(monkeypatch):
+    # Gaussian binomials stubbed so that the one sum (s = 0) is exactly
+    # alpha/2: [13,1] plays alpha = 2, every other factor is 1
+    p = KneserParams(2, 14, 2, 1)
+    monkeypatch.setattr(kneser, "gauss_binom", lambda n, k, q: 2 if (n, k) == (13, 1) else 1)
+    (case,) = counting_inequality_check(p).cases
+    assert case.lhs == case.rhs == 1
+    assert case.passed
+    monkeypatch.setattr(kneser, "gauss_binom", lambda n, k, q: 2 if (n, k) == (13, 1) else 3)
+    (case,) = counting_inequality_check(p).cases
+    assert case.lhs == 81 and not case.passed
+
+
+def test_counting_sweep_rejects_counts_below_one():
+    for count in (0, -5):
+        with pytest.raises(ValueError, match="count"):
+            counting_sweep_params(count)
+    assert len(counting_sweep_params(1)) == 1
+
+
 def test_counting_sweep_deterministic_and_in_range():
     sweep = counting_sweep_params(50)
     assert len(sweep) == 50

@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qktw import qbinom
-from qktw.errors import NotAPrimePowerError
+from qktw.errors import NotAPrimePowerError, SizeLimitError
 from qktw.gf import prime_powers_up_to
 from qktw.qbinom import (
     Quadratic,
@@ -57,6 +57,47 @@ def test_gauss_binom_against_pascal_oracle():
         for n in range(13):
             for k in range(n + 1):
                 assert gauss_binom(n, k, q) == pascal_oracle(n, k, q)
+
+
+def fraction_products(n, k_max, q):
+    """The Fraction product formula prod_{i<k} (q^(n-i)-1)/(q^(i+1)-1); its
+    running products are [n,0]_q, [n,1]_q, ..., [n,k_max]_q."""
+    acc = Fraction(1)
+    yield acc
+    for i in range(k_max):
+        acc *= Fraction(q ** (n - i) - 1, q ** (i + 1) - 1)
+        yield acc
+
+
+def test_gauss_binom_against_the_fraction_product():
+    # the sweep's scale: k <= 30 and n <= 2k + 60, q up to 251; the kernel
+    # is called uncached so the grid leaves nothing in the shared cache
+    kernel = gauss_binom.__wrapped__
+    checked = 0
+    for q in (2, 3, 4, 5, 7, 9, 251):
+        for n in range(121):
+            for k, value in enumerate(fraction_products(n, min(n, 30), q)):
+                if n > 2 * k + 60:
+                    continue
+                assert value.denominator == 1
+                assert kernel(n, k, q) == value.numerator == kernel(n, n - k, q), (n, k, q)
+                checked += 1
+    assert checked == 7 * sum(k + 61 for k in range(31))
+
+
+def test_gauss_binom_size_limit():
+    # k = 1 gives the bound (n-1)(bit_length(q)-1) exactly
+    n = qbinom.GAUSS_MAX_BITS + 1
+    assert gauss_binom.__wrapped__(n, 1, 2) == 2**n - 1
+    with pytest.raises(SizeLimitError, match="over the limit"):
+        gauss_binom(n + 1, 1, 2)
+    with pytest.raises(SizeLimitError):
+        gauss_binom(n + 1, n, 2)
+    with pytest.raises(SizeLimitError):
+        gauss_binom(10**6, 10**6 - 1, 2)
+    with pytest.raises(SizeLimitError):
+        gauss_binom(4000, 2000, 2)
+    assert gauss_binom(10**6, 0, 3) == gauss_binom(10**6, 10**6, 3) == 1
 
 
 def test_gauss_binom_symmetry_and_pascal_identity():

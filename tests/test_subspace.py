@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from qktw import subspace
 from qktw.errors import AmbientMismatchError, DimensionMismatchError, SizeLimitError
 from qktw.gf import make_field, prime_powers_up_to
 from qktw.graph import Graph
@@ -74,6 +75,13 @@ def test_enumeration_is_sorted_and_capped():
     assert subs == sorted(subs, key=lambda s: s.rows)
     with pytest.raises(SizeLimitError):
         enumerate_k_subspaces(4, 2, F2, cap=10)
+
+
+def test_enumeration_count_mismatch_raises(monkeypatch):
+    # the count check is explicit, not an assert that ``python -O`` strips
+    monkeypatch.setattr(subspace, "gauss_binom", lambda n, k, q: 36)
+    with pytest.raises(ArithmeticError, match="enumerated 35 subspaces"):
+        enumerate_k_subspaces(4, 2, F2)
 
 
 def test_intersect_dim_examples():

@@ -119,6 +119,12 @@ def test_counting_suite_small():
     assert {c.params["q"] for c in rep.cases} <= {3, 4, 5, 9, 11, 13}
 
 
+def test_counting_suite_rejects_counts_below_one():
+    for count in (0, -5):
+        with pytest.raises(ValueError, match="count >= 1"):
+            counting_suite(tuple_count=count)
+
+
 def test_verdict_suite():
     assert verdict_suite().passed
 
