@@ -77,7 +77,6 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--quadric", action="store_true", help="build the quadric model instead")
     gen.add_argument("-o", "--output", required=True, help="output .gr path")
     gen.add_argument("--labels", help="label file path (default: <output>.labels)")
-    gen.add_argument("--cap", type=int, default=None, help="vertex enumeration cap")
 
     verdict = sub.add_parser("verdict", help="treewidth verdict for (q,n,k,t)")
     _add_params(verdict)
@@ -124,15 +123,18 @@ def _emit(payload: dict, output: str | None) -> None:
 
 
 def _cmd_gen(args) -> int:
+    nkt = (args.n, args.k, args.t)
     if args.quadric:
+        if nkt != (None, None, None):
+            print("gen: -n, -k, -t do not apply to --quadric", file=sys.stderr)
+            return EXIT_USAGE
         g = build_quadric_graph(args.q)
         label_of = lambda lab: ",".join(str(x) for x in lab)
     else:
-        if args.n is None or args.k is None or args.t is None:
+        if None in nkt:
             print("gen: -n, -k, -t are required unless --quadric is given", file=sys.stderr)
             return EXIT_USAGE
-        kwargs = {} if args.cap is None else {"cap": args.cap}
-        g = build_kneser_graph(KneserParams(args.q, args.n, args.k, args.t), **kwargs)
+        g = build_kneser_graph(KneserParams(args.q, *nkt))
         label_of = lambda lab: lab.text()
     pace_write_gr(g, args.output)
     label_path = args.labels or f"{args.output}.labels"

@@ -20,11 +20,11 @@ from .graph import GRAPH_MAX_VERTICES, Graph, mask_mismatches
 from .qbinom import gauss_binom, range_slack_for
 from .report import exact_str
 from .subspace import (
-    DEFAULT_ENUMERATION_CAP,
     Subspace,
     enumerate_k_subspaces,
     meet_masks,
     orthogonal_complement,
+    subspaces_of,
 )
 from .treedec import TreeDecomposition, star_decomposition
 
@@ -120,7 +120,7 @@ def _check_graph_size(p: KneserParams) -> None:
         )
 
 
-def build_kneser_graph(p: KneserParams, cap: int = DEFAULT_ENUMERATION_CAP) -> Graph:
+def build_kneser_graph(p: KneserParams) -> Graph:
     """Materialize K_q(n,k,t) with subspace labels.
 
     Vertices follow the lexicographic RREF order.  Non-adjacency is
@@ -132,7 +132,7 @@ def build_kneser_graph(p: KneserParams, cap: int = DEFAULT_ENUMERATION_CAP) -> G
     """
     _check_graph_size(p)
     f = make_field(p.q)
-    verts = enumerate_k_subspaces(p.n, p.k, f, cap=cap)
+    verts = enumerate_k_subspaces(p.n, p.k, f)
     full = (1 << len(verts)) - 1
     g = Graph.from_masks([full & ~m for m in meet_masks(verts, p.t)], labels=verts)
     expected = sum(m for j, m in intersection_counts(p.q, p.n, p.k).items() if j < p.t)
@@ -160,26 +160,23 @@ def star_independent_set(p: KneserParams) -> list[Subspace]:
 
     For n >= 2k: every k-subspace containing the fixed t-subspace
     span{e_1..e_t}.  Otherwise: every k-subspace inside the fixed
-    (2k-t)-subspace span{e_1..e_{2k-t}}.  Either family is independent and
-    has size alpha_value(p).
+    (2k-t)-subspace span{e_1..e_{2k-t}}.  Either family is independent,
+    has size alpha_value(p) and comes sorted lexicographically by RREF.
     """
     f = make_field(p.q)
-    out: list[Subspace] = []
-    if p.n >= 2 * p.k:
-        head = tuple(
-            tuple(1 if j == i else 0 for j in range(p.n)) for i in range(p.t)
-        )
-        for w in enumerate_k_subspaces(p.n - p.t, p.k - p.t, f):
-            tail = tuple((0,) * p.t + row for row in w.rows)
-            out.append(Subspace(f, p.n, head + tail))
-    else:
-        m = 2 * p.k - p.t
-        for w in enumerate_k_subspaces(m, p.k, f):
-            out.append(
-                Subspace(f, p.n, tuple(row + (0,) * (p.n - m) for row in w.rows))
-            )
-    out.sort(key=lambda s: s.rows)
-    return out
+
+    def coordinate_rows(m: int) -> tuple[tuple[int, ...], ...]:
+        return tuple(tuple(1 if j == i else 0 for j in range(p.n)) for i in range(m))
+
+    if p.n < 2 * p.k:
+        return subspaces_of(Subspace(f, p.n, coordinate_rows(2 * p.k - p.t)), p.k)
+    # e_1..e_t over a (k-t)-subspace of the other coordinates is RREF, and
+    # the subspaces come in the order of those (k-t)-subspaces
+    head = coordinate_rows(p.t)
+    return [
+        Subspace(f, p.n, head + tuple((0,) * p.t + row for row in w.rows))
+        for w in enumerate_k_subspaces(p.n - p.t, p.k - p.t, f)
+    ]
 
 
 def kneser_star_decomposition(p: KneserParams) -> tuple[Graph, TreeDecomposition]:
@@ -207,9 +204,7 @@ class DualityReport:
         return self.bijective and not self.mismatches
 
 
-def duality_isomorphism(
-    p: KneserParams, cap: int = DEFAULT_ENUMERATION_CAP
-) -> DualityReport:
+def duality_isomorphism(p: KneserParams) -> DualityReport:
     """Check exhaustively that orthogonal complementation is an isomorphism
     from K_q(n,k,t) onto K_q(n,n-k,n-2k+t).
 
@@ -220,8 +215,8 @@ def duality_isomorphism(
     d = p.dual
     _check_graph_size(p)
     f = make_field(p.q)
-    verts = enumerate_k_subspaces(p.n, p.k, f, cap=cap)
-    dual_verts = enumerate_k_subspaces(p.n, d.k, f, cap=cap)
+    verts = enumerate_k_subspaces(p.n, p.k, f)
+    dual_verts = enumerate_k_subspaces(p.n, d.k, f)
     images = [orthogonal_complement(u) for u in verts]
     bijective = len(set(images)) == len(verts) and set(images) == set(dual_verts)
     mismatches = mask_mismatches(meet_masks(verts, p.t), meet_masks(images, d.t))

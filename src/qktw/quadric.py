@@ -8,6 +8,13 @@ p03, p12) is fixed once so that the Plucker relation lands exactly on the
 form above; the choice is validated by the isomorphism check rather than
 trusted.
 
+Projective points are 1-subspaces and have no code of their own: the
+model's points are the 1-subspaces of F_q^6 from
+:func:`subspace.enumerate_k_subspaces` that lie on the form, a quadric
+line's points and a subspace's section come from
+:func:`subspace.subspaces_of`, and a Klein image is scaled to a leading 1
+by :func:`subspace.rref_canonical`.
+
 Besides the model itself, this module verifies the geometric facts the
 K_q(4,2,1) treewidth argument rests on: the grid classification of large
 collinearity-closed point sets in Q+(3,q), and a census of perpendicular
@@ -19,10 +26,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, product
+from itertools import combinations
 
 from .errors import BudgetExceededError, NotALineError, SizeLimitError
-from .gf import FieldSpec, make_field
+from .gf import make_field
 from .graph import Graph, components, iter_bits, mask_mismatches
 from .kneser import KneserParams
 from .subspace import (
@@ -30,6 +37,8 @@ from .subspace import (
     enumerate_k_subspaces,
     meet_masks,
     nullspace_rows,
+    rref_canonical,
+    subspaces_of,
 )
 
 ProjPoint = tuple[int, ...]
@@ -39,45 +48,19 @@ QUADRIC_GRAPH_MAX_Q = 5
 CENSUS_MAX_Q = 4
 
 
-def normalize_point(vec, f: FieldSpec) -> ProjPoint:
-    """Scale so the first nonzero coordinate is 1; raises on the zero vector."""
-    lead = next((j for j, x in enumerate(vec) if x), None)
-    if lead is None:
-        raise ValueError("the zero vector is not a projective point")
-    c = f.inv(vec[lead])
-    if c == 1:
-        return tuple(vec)
-    return tuple(f.mul(c, x) for x in vec)
-
-
-def _proj_points_of_span(rows: tuple[tuple[int, ...], ...], f: FieldSpec) -> list[ProjPoint]:
-    """Projective points of the row span, each exactly once (rows independent)."""
-    d = len(rows)
-    n = len(rows[0]) if rows else 0
-    out = []
-    for lead in range(d):
-        for tail in product(range(f.q), repeat=d - lead - 1):
-            coeffs = (0,) * lead + (1,) + tail
-            vec = [0] * n
-            for c, row in zip(coeffs, rows):
-                if c:
-                    vec = [f.add(x, f.mul(c, y)) for x, y in zip(vec, row)]
-            out.append(normalize_point(vec, f))
-    return out
-
-
 class QuadricModel:
     """Points and polarity of Q+(5,q) under the form x0x1 + x2x3 + x4x5."""
 
     def __init__(self, q: int):
         self.q = q
         self.field = make_field(q)
-        f = self.field
-        pts = []
-        for p in _proj_points_of_span(_identity_rows(6), f):
-            if self.form_value(p) == 0:
-                pts.append(p)
-        self.points: tuple[ProjPoint, ...] = tuple(sorted(pts))
+        # the 1-subspaces of F_q^6 come in lexicographic RREF order, so the
+        # points are sorted and each is scaled to a leading 1
+        self.points: tuple[ProjPoint, ...] = tuple(
+            s.rows[0]
+            for s in enumerate_k_subspaces(6, 1, self.field)
+            if self.form_value(s.rows[0]) == 0
+        )
         self.index: dict[ProjPoint, int] = {p: i for i, p in enumerate(self.points)}
         expected = (q * q + 1) * (q * q + q + 1)
         if len(self.points) != expected:
@@ -151,10 +134,10 @@ class QuadricModel:
                 j = i + 1 + off
                 if (covered[i] >> j) & 1:
                     continue
-                span = _proj_points_of_span((self.points[i], self.points[j]), f)
+                line = rref_canonical((self.points[i], self.points[j]), f)
                 mask = 0
-                for p in span:
-                    mask |= 1 << self.index[p]
+                for p in subspaces_of(line, 1):
+                    mask |= 1 << self.index[p.rows[0]]
                 if mask.bit_count() != self.q + 1:
                     raise ArithmeticError("a quadric line must have q + 1 points")
                 for p in iter_bits(mask):
@@ -184,17 +167,14 @@ class QuadricModel:
         return mask
 
     def section(self, space: Subspace) -> list[int]:
-        """Indices of quadric points inside a projective subspace, by
-        enumerating its points; the census uses :meth:`polar_section`,
-        and the tests compare the two."""
+        """Indices, ascending, of the quadric points inside a projective
+        subspace.  Its points are its 1-subspaces from :func:`subspaces_of`,
+        in the model's order.  The census uses :meth:`polar_section`, and
+        the tests compare the two."""
         if space.k == 0:
             return []
-        out = []
-        for p in _proj_points_of_span(space.rows, self.field):
-            i = self.index.get(p)
-            if i is not None:
-                out.append(i)
-        return sorted(out)
+        found = (self.index.get(p.rows[0]) for p in subspaces_of(space, 1))
+        return [i for i in found if i is not None]
 
     def perp_space(self, point_indices) -> Subspace:
         """The polar subspace of the span of the given points."""
@@ -202,10 +182,6 @@ class QuadricModel:
         rows = [_polar_vector(self.points[i]) for i in point_indices]
         basis = nullspace_rows(rows, f, 6)
         return Subspace(f, 6, tuple(basis))
-
-
-def _identity_rows(n: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(1 if j == i else 0 for j in range(n)) for i in range(n))
 
 
 def _polar_vector(p: ProjPoint) -> tuple[int, ...]:
@@ -217,7 +193,8 @@ def _polar_vector(p: ProjPoint) -> tuple[int, ...]:
 
 
 def klein_map(line: Subspace) -> ProjPoint:
-    """Plucker coordinates (p01, p23, p02, p31, p03, p12) of a line of PG(3,q).
+    """Plucker coordinates (p01, p23, p02, p31, p03, p12) of a line of
+    PG(3,q), scaled to a leading 1.
 
     The ordering and the sign of p31 put the Plucker relation exactly on
     the quadric form, so the image always lies on Q+(5,q).
@@ -240,7 +217,7 @@ def klein_map(line: Subspace) -> ProjPoint:
         minor(0, 3),
         minor(1, 2),
     )
-    return normalize_point(coords, f)
+    return rref_canonical((coords,), f).rows[0]
 
 
 def build_quadric_graph(q: int) -> Graph:

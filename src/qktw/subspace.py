@@ -6,10 +6,13 @@ unique representative, so equality and hashing of Subspace values decide
 equality of subspaces.
 
 Enumeration walks Schubert cells: choose the pivot columns, then fill the
-free entries.  Rank computations get a bit-packed fast path for q = 2,
-where rows are machine ints and elimination is XOR.  Whole incidence
-relations ("meets in dimension >= t") come from shared t-subspaces as
-bitmasks, without a per-pair elimination.
+free entries.  :func:`subspaces_of` is the one lister of the t-subspaces
+(and so of the projective points) inside a given subspace: it lifts the
+enumeration of F_q^k through the subspace's RREF basis, and the lifts are
+RREF and sorted as they come.  Rank computations get a bit-packed fast
+path for q = 2, where rows are machine ints and elimination is XOR.
+Whole incidence relations ("meets in dimension >= t") come from shared
+t-subspaces as bitmasks, without a per-pair elimination.
 """
 
 from __future__ import annotations
@@ -144,8 +147,6 @@ def nullspace_rows(rows: Sequence[Sequence[int]], f: FieldSpec, n: int) -> list[
         for i, pc in enumerate(pivcols):
             vec[pc] = f.neg(reduced[i][free])
         basis.append(vec)
-    if not basis:
-        return []
     return [tuple(r) for r in _row_reduce(basis, f)]
 
 
@@ -210,23 +211,29 @@ def enumerate_k_subspaces(
 
 
 def subspaces_of(u: Subspace, t: int) -> list[Subspace]:
-    """All t-dimensional subspaces of u, as subspaces of the ambient space."""
+    """All t-dimensional subspaces of u, as subspaces of the ambient space,
+    sorted lexicographically by RREF.
+
+    Each t-subspace w of F_q^k (k = dim u), in RREF, lifts to w . u.rows.
+    The rows of u are RREF, so at u's pivot columns the lift repeats w's
+    entries and is zero before the first of them: the lift is already
+    RREF.  Two coefficient rows that first differ at index j give lifts
+    that first differ at u's j-th pivot column, by the same values, so the
+    lifts keep the enumeration's order.  Nothing is re-reduced or sorted.
+    """
     if not 0 <= t <= u.k:
         raise ValueError(f"need 0 <= t <= dim, got t={t}, dim={u.k}")
     f = u.field
-    if t == 0:
-        return [Subspace(f, u.n, ())]
     out = []
     for w in enumerate_k_subspaces(u.k, t, f):
         lifted = []
         for coords in w.rows:
             vec = [0] * u.n
-            for j, c in enumerate(coords):
+            for c, row in zip(coords, u.rows):
                 if c:
-                    vec = [f.add(x, f.mul(c, y)) for x, y in zip(vec, u.rows[j])]
-            lifted.append(vec)
-        out.append(rref_canonical(lifted, f))
-    out.sort(key=lambda s: s.rows)
+                    vec = [f.add(x, f.mul(c, y)) for x, y in zip(vec, row)]
+            lifted.append(tuple(vec))
+        out.append(Subspace(f, u.n, tuple(lifted)))
     return out
 
 
@@ -273,12 +280,6 @@ def intersect_dim(u: Subspace, v: Subspace) -> int:
 
 
 def orthogonal_complement(u: Subspace) -> Subspace:
-    """Null space of the basis under the standard dot form sum_i x_i y_i."""
-    f, n = u.field, u.n
-    if u.k == 0:
-        identity = tuple(
-            tuple(1 if j == i else 0 for j in range(n)) for i in range(n)
-        )
-        return Subspace(f, n, identity)
-    basis = nullspace_rows(u.rows, f, n)
-    return Subspace(f, n, tuple(basis))
+    """Null space of the basis under the standard dot form sum_i x_i y_i;
+    for the zero space, the null space of no rows, F_q^n."""
+    return Subspace(u.field, u.n, tuple(nullspace_rows(u.rows, u.field, u.n)))

@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import json
 import os
@@ -94,12 +95,16 @@ def test_gen_quadric(tmp_path, capsys):
     assert len(labels) == 35 and "," in labels[0]
 
 
-def test_gen_size_limit(tmp_path, capsys):
-    out = tmp_path / "g.gr"
-    code = run(
-        ["gen", "-q", "2", "-n", "4", "-k", "2", "-t", "1", "-o", str(out), "--cap", "10"]
-    )
-    assert code == 3
+@pytest.mark.parametrize(
+    "extra", [["-n", "9"], ["-k", "3"], ["-t", "1"], ["-n", "9", "-k", "3", "-t", "1"]]
+)
+def test_gen_quadric_refuses_kneser_parameters(tmp_path, capsys, extra):
+    out = tmp_path / "q.gr"
+    assert run(["gen", "--quadric", "-q", "2", *extra, "-o", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "gen: -n, -k, -t do not apply to --quadric\n"
+    assert not out.exists()
 
 
 def test_gen_past_the_graph_budget(tmp_path, capsys):
@@ -107,6 +112,69 @@ def test_gen_past_the_graph_budget(tmp_path, capsys):
     out = tmp_path / "g.gr"
     assert run(["gen", "-q", "2", "-n", "8", "-k", "4", "-t", "1", "-o", str(out)]) == 3
     assert not out.exists()
+
+
+# SHA-256 of the bytes each command writes: the output file, then (for
+# gen) its label file.  Any change of these bytes is a change of format or
+# of vertex order and fails here, not only in a by-hand comparison.
+_PINNED_OUTPUTS = [
+    (
+        ["gen", "-q", "2", "-n", "4", "-k", "2", "-t", "1"],
+        "560f3b3c95caade87130420bfb6a0f3e7699fc0b018a0074f1670a5e373ee387",
+        "207c300c76460947fee7f5549d632a2bbc1f6e7934dbf87ee3589b291c958877",
+    ),
+    (
+        ["gen", "-q", "3", "-n", "4", "-k", "2", "-t", "1"],
+        "3cdb4d77e2201bc27b09a105308060b83a20f6962822588aaf3a230784ef2b48",
+        "0a7a2882b8aa78191668377302cbd6c3ff89b722e0024a59d9cc60abddce9a54",
+    ),
+    (
+        ["gen", "-q", "2", "-n", "5", "-k", "3", "-t", "2"],
+        "37aae4d550e71542e85538bab66fcfd167fd9abfa317d30ed2311966cf0f828a",
+        "9608192804727c55af2c93b807bdf344cfaba40b734dae9aadd8780bb389ea7e",
+    ),
+    (
+        ["gen", "--quadric", "-q", "2"],
+        "a15832b753e46c13493179cf8c4038298848f6550c188ce64845b6479e3f23f7",
+        "ff23244dab917cc27b3370e066235857d570db097f62ae99347f73acdffba24d",
+    ),
+    (
+        ["gen", "--quadric", "-q", "3"],
+        "f182dd94821c394410cb2b39222115d5c9071393f7192ca45bd05a369c4b9e1e",
+        "79ed57d6d8da4ee66e5b117c58fcca361d3ecd384955c7da49a66033a24bd831",
+    ),
+    (
+        ["gen", "--quadric", "-q", "4"],
+        "2c9fb404cd55fdac2900f6359b32805515d997892f1bbb888a6ef265a3b5d8e9",
+        "b19ba40639de21a2976542666b72197db65c331e2acfaf5685386def3d2e186b",
+    ),
+    (
+        ["gen", "--quadric", "-q", "5"],
+        "50ed0ce81f4e69ef9348df0fc6abe58f0c6695acea680386306f8c8348a73a45",
+        "a51bbe33502116c69f7eeb16c556f66c021355f4802d68df874236358e507e80",
+    ),
+    (
+        ["td-build", "-q", "2", "-n", "4", "-k", "2", "-t", "1"],
+        "3a7a7cbf81919ddaf31c63062691c00c31ff4651555e16f7c458d305174c8392",
+        None,
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,digest,labels_digest",
+    _PINNED_OUTPUTS,
+    ids=["K2-4-2-1", "K3-4-2-1", "K2-5-3-2", "Q2", "Q3", "Q4", "Q5", "td-K2-4-2-1"],
+)
+def test_outputs_match_pinned_digests(tmp_path, capsys, argv, digest, labels_digest):
+    out = tmp_path / "out"
+    assert run([*argv, "-o", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+    labels = tmp_path / "out.labels"
+    if labels_digest is None:
+        assert not labels.exists()
+    else:
+        assert hashlib.sha256(labels.read_bytes()).hexdigest() == labels_digest
 
 
 def test_td_build_and_validate(tmp_path, capsys):

@@ -1,3 +1,6 @@
+import random
+from itertools import product
+
 import pytest
 
 from qktw import quadric
@@ -14,7 +17,7 @@ from qktw.quadric import (
     perp_section_census,
     verify_klein_isomorphism,
 )
-from qktw.subspace import enumerate_k_subspaces, intersect_dim, rref_canonical
+from qktw.subspace import Subspace, enumerate_k_subspaces, intersect_dim, rref_canonical
 
 F2 = make_field(2)
 
@@ -199,6 +202,99 @@ def test_census_claim_selection_and_errors():
     assert quadric.CENSUS_MAX_Q == 4
     with pytest.raises(BudgetExceededError):
         perp_section_census(5)
+
+
+# -- the span-and-normalize oracle -------------------------------------------------
+
+
+def normalize_point(vec, f):
+    """Scale so the first nonzero coordinate is 1."""
+    lead = next(j for j, x in enumerate(vec) if x)
+    c = f.inv(vec[lead])
+    return tuple(f.mul(c, x) for x in vec)
+
+
+def proj_points_of_span(rows, f):
+    """Projective points of the span of independent rows, each once: every
+    coefficient vector with a leading 1, its combination normalized."""
+    n = len(rows[0])
+    out = []
+    for lead in range(len(rows)):
+        for tail in product(range(f.q), repeat=len(rows) - lead - 1):
+            vec = [0] * n
+            for c, row in zip((0,) * lead + (1,) + tail, rows):
+                vec = [f.add(x, f.mul(c, y)) for x, y in zip(vec, row)]
+            out.append(normalize_point(vec, f))
+    return out
+
+
+def oracle_points(model):
+    identity = [tuple(int(i == j) for j in range(6)) for i in range(6)]
+    pts = proj_points_of_span(identity, model.field)
+    return tuple(sorted(p for p in pts if model.form_value(p) == 0))
+
+
+def oracle_lines(model):
+    """The span of every two perpendicular points not yet on a common line,
+    as a point mask; sorted by point lists."""
+    covered = [0] * len(model.points)
+    found = []
+    for i in range(len(model.points)):
+        for j in iter_bits(model.perp_masks[i] & ~((2 << i) - 1)):
+            if (covered[i] >> j) & 1:
+                continue
+            span = proj_points_of_span((model.points[i], model.points[j]), model.field)
+            mask = _mask(model.index[p] for p in span)
+            for p in iter_bits(mask):
+                covered[p] |= mask
+            found.append(mask)
+    return tuple(sorted(found, key=lambda m: list(iter_bits(m))))
+
+
+def oracle_section(model, space):
+    if space.k == 0:
+        return []
+    found = (model.index.get(p) for p in proj_points_of_span(space.rows, model.field))
+    return sorted(i for i in found if i is not None)
+
+
+def oracle_klein_map(line):
+    """Plucker coordinates (p01, p23, p02, p31, p03, p12), normalized."""
+    f = line.field
+    a, b = line.rows
+    minor = lambda i, j: f.sub(f.mul(a[i], b[j]), f.mul(a[j], b[i]))
+    coords = (minor(0, 1), minor(2, 3), minor(0, 2), minor(3, 1), minor(0, 3), minor(1, 2))
+    return normalize_point(coords, f)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_points_and_lines_match_the_span_oracle(q):
+    model = QuadricModel(q)
+    assert model.points == oracle_points(model)
+    assert model.lines == oracle_lines(model)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_klein_map_matches_the_span_oracle(q):
+    for line in enumerate_k_subspaces(4, 2, make_field(q)):
+        assert klein_map(line) == oracle_klein_map(line)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_section_matches_the_span_oracle(q):
+    # the zero space, the whole space, and seeded spans of 1 to 5 random
+    # vectors: subspaces of every dimension, most not spanned by quadric points
+    model = QuadricModel(q)
+    f = model.field
+    rng = random.Random(q)
+    spaces = [Subspace(f, 6, ()), model.perp_space(())]
+    for k in range(1, 6):
+        for _ in range(20):
+            rows = [[rng.randrange(q) for _ in range(6)] for _ in range(k)]
+            spaces.append(rref_canonical(rows, f))
+    assert {s.k for s in spaces} == set(range(7))
+    for space in spaces:
+        assert model.section(space) == oracle_section(model, space)
 
 
 # -- mask sections against the enumerated sections ------------------------------

@@ -6,8 +6,9 @@ from qktw import subspace
 from qktw.errors import AmbientMismatchError, DimensionMismatchError, SizeLimitError
 from qktw.gf import make_field, prime_powers_up_to
 from qktw.graph import Graph
-from qktw.kneser import KneserParams
+from qktw.kneser import KneserParams, star_independent_set
 from qktw.qbinom import gauss_binom
+from qktw.quadric import QuadricModel
 from qktw.subspace import (
     Subspace,
     enumerate_k_subspaces,
@@ -150,6 +151,101 @@ def test_subspaces_of_counts():
     for t_sub in subspaces_of(u, 2):
         assert contains(u, t_sub)
         assert t_sub.n == 5
+
+
+def is_rref(s):
+    """Structural RREF check, independent of the elimination code: entries
+    in the field, pivots 1 at strictly increasing columns, and each pivot
+    column zero in every other row."""
+    if any(len(row) != s.n or not all(0 <= v < s.field.q for v in row) for row in s.rows):
+        return False
+    pivots = []
+    for row in s.rows:
+        lead = next((j for j, v in enumerate(row) if v), None)
+        if lead is None or row[lead] != 1:
+            return False
+        pivots.append(lead)
+    if pivots != sorted(set(pivots)):
+        return False
+    return all(
+        other[pc] == 0 for i, pc in enumerate(pivots) for j, other in enumerate(s.rows) if j != i
+    )
+
+
+def oracle_subspaces_of(u, t):
+    """The t-subspaces of u by lifting, re-reducing and sorting: each RREF
+    t-subspace of F_q^k is lifted through u's rows, the lift is put in RREF
+    by rref_canonical, and the list is sorted by rows."""
+    f = u.field
+    if t == 0:
+        return [Subspace(f, u.n, ())]
+    out = []
+    for w in enumerate_k_subspaces(u.k, t, f):
+        lifted = []
+        for coords in w.rows:
+            vec = [0] * u.n
+            for j, c in enumerate(coords):
+                if c:
+                    vec = [f.add(x, f.mul(c, y)) for x, y in zip(vec, u.rows[j])]
+            lifted.append(vec)
+        out.append(rref_canonical(lifted, f))
+    out.sort(key=lambda s: s.rows)
+    return out
+
+
+@pytest.mark.parametrize("q,n", [(2, 5), (3, 4), (4, 4), (5, 3)])
+def test_subspaces_of_matches_the_reducing_oracle(q, n):
+    # every subspace u of F_q^n and every t from 0 to dim u
+    f = make_field(q)
+    for k in range(n + 1):
+        for u in enumerate_k_subspaces(n, k, f):
+            for t in range(k + 1):
+                subs = subspaces_of(u, t)
+                assert subs == oracle_subspaces_of(u, t)
+                assert all(is_rref(w) for w in subs)
+
+
+def test_is_rref_rejects_each_defect():
+    assert is_rref(Subspace(F3, 3, ((1, 0, 2), (0, 1, 1))))
+    assert is_rref(Subspace(F3, 3, ()))
+    assert not is_rref(Subspace(F3, 3, ((0, 1, 1), (1, 0, 2))))  # pivots out of order
+    assert not is_rref(Subspace(F3, 3, ((2, 0, 1),)))  # pivot not 1
+    assert not is_rref(Subspace(F3, 3, ((1, 1, 0), (0, 1, 0))))  # pivot column not cleared
+    assert not is_rref(Subspace(F3, 3, ((1, 0, 0), (0, 0, 0))))  # zero row
+    assert not is_rref(Subspace(F3, 3, ((1, 0, 3),)))  # not a field element
+    assert not is_rref(Subspace(F3, 3, ((1, 0),)))  # wrong length
+
+
+@pytest.mark.parametrize("q,n", [(2, 5), (3, 4), (4, 3), (5, 3)])
+def test_enumeration_and_complement_return_rref_rows(q, n):
+    f = make_field(q)
+    for k in range(n + 1):
+        for u in enumerate_k_subspaces(n, k, f):
+            assert is_rref(u)
+            assert is_rref(orthogonal_complement(u))
+
+
+@pytest.mark.parametrize(
+    "q,n,k,t",
+    [(2, 4, 2, 1), (2, 5, 2, 1), (2, 5, 3, 2), (2, 6, 3, 2), (2, 6, 4, 3), (3, 4, 2, 1),
+     (3, 5, 3, 2), (4, 5, 2, 1)],
+)
+def test_star_set_is_rref_and_sorted(q, n, k, t):
+    family = star_independent_set(KneserParams(q, n, k, t))
+    assert all(is_rref(s) for s in family)
+    assert [s.rows for s in family] == sorted({s.rows for s in family})
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_perp_space_is_rref(q):
+    model = QuadricModel(q)
+    n = len(model.points)
+    for i in range(0, n, 7):
+        for pts in ((), (i,), (i, (5 * i + 1) % n), (i, (3 * i + 2) % n, (11 * i + 5) % n)):
+            space = model.perp_space(pts)
+            assert is_rref(space)
+            rank = rref_canonical([model.points[j] for j in pts], model.field).k if pts else 0
+            assert space.k == 6 - rank
 
 
 def test_text_form():
