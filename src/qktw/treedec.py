@@ -14,12 +14,12 @@ edges in sorted order.
 
 from __future__ import annotations
 
+import codecs
 from dataclasses import dataclass
 from functools import reduce
 from itertools import compress, groupby, islice, repeat
-from operator import eq, lshift, or_
-from pathlib import Path
-from typing import Iterable, Sequence
+from operator import lshift, or_
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     DegenerateInputError,
@@ -286,15 +286,6 @@ def pace_write_gr(g: Graph, path, comments: Sequence[str] = ()) -> None:
                 fh.write(pre + ("\n" + pre).join(picked) + "\n")
 
 
-def _read_text(path) -> str:
-    data = Path(path).read_bytes()
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
-        raise PaceParseError(f"not UTF-8 text ({exc.reason})", line) from None
-
-
 def _nat(token: str) -> int:
     """Value of an ASCII ``[0-9]+`` token; ValueError for anything else.
 
@@ -356,22 +347,104 @@ class _GrLines:
             adj[v] |= 1 << u
 
 
-# Characters per chunk of edge lines tried on the bulk path; a chunk runs
-# on to the end of its last line.  Reads took the same time with chunks of
-# 8 to 256 KiB.  A chunk's names take about 15 bytes per character, so with
-# 16 KiB and more a 15-50 KB file peaked higher than under the line reader.
+# Bytes per read of a PACE file, and so about the characters per block of
+# lines that the .gr reader tries on the bulk path.  Reads took about the
+# same time with blocks of 4 to 64 KiB, but a block's names take about 15
+# bytes per character: the traced peak of reading the 1.9 MB quadric
+# q = 5 file is 364 KiB with 8 KiB blocks and 895 KiB with 32 KiB.
 _GR_CHUNK = 1 << 13
+
+
+def _text_blocks(path) -> Iterator[str]:
+    """The UTF-8 text of ``path`` in line-aligned blocks.
+
+    The file is read ``_GR_CHUNK`` bytes at a time through an incremental
+    decoder, so no copy of the whole file is held.  Every block but the
+    last ends with a newline, and together they are the file's text.  An
+    undecodable byte raises PaceParseError at its line: the decoder holds
+    back only the lead bytes of an unfinished character, never a newline,
+    so the newlines read before, plus those in the failing input up to the
+    byte, count the lines above it.
+    """
+    decode = codecs.getincrementaldecoder("utf-8")().decode
+    newlines = 0
+    pending: list[str] = []  # the text read since the last newline
+    with open(path, "rb") as fh:
+        while True:
+            data = fh.read(_GR_CHUNK)
+            try:
+                text = decode(data, not data)
+            except UnicodeDecodeError as exc:
+                line = newlines + exc.object.count(b"\n", 0, exc.start) + 1
+                raise PaceParseError(f"not UTF-8 text ({exc.reason})", line) from None
+            if not data:
+                break
+            newlines += data.count(b"\n")
+            end = text.rfind("\n") + 1
+            if end:
+                pending.append(text[:end])
+                yield "".join(pending)
+                pending = [text[end:]]
+            else:
+                pending.append(text)
+    if rest := "".join(pending):
+        yield rest
+
+
+def _decoded_before_errors(parse, source: Iterator):
+    """``parse(source)``, but an undecodable byte outranks a parse error.
+
+    When ``parse`` fails, the rest of the source is still decoded, block
+    by block, so a file with a bad byte anywhere reports that byte's line.
+    """
+    try:
+        return parse(source)
+    except PaceParseError:
+        for _ in source:
+            pass
+        raise
+
+
 _NO_DIGITS = str.maketrans("", "", "0123456789")
+# A run of k bulk lines "u v" with equal u is scattered into a row of n
+# digits when k * _RUN_SCATTER >= n, and ORed bit by bit below that.
+# Parsing the row costs about 2 ns per vertex, and a shifted bit about
+# 40 ns more than a scattered one (n = 806 to 8,000).
+_RUN_SCATTER = 16
+# Bulk blocks set only the u side once the bulk lines read reach n times
+# the larger of _SYMMETRIZE_AT and the number of transposition blocks;
+# ``_symmetrize`` then adds the v side of every edge at once.  It reads at
+# most one column per vertex and block, each about as dear as one v-side
+# OR, so it never costs much more than the per-edge ORs already done.  A
+# constant alone would not do: at n = 32,768 (four rows per block) a file
+# of 32n edges read in 4.2 s with the transposition and 1.3 s without.
+# On the graph-build files reads were fastest with constants of 1 to 8.
+_SYMMETRIZE_AT = 8
+# Digits per block of the transposition (one row when n is larger).
+_T_BLOCK = 1 << 17
 
 
-def _gr_bulk(chunk: str, lines: int, index: dict[str, int], adj: list[int]) -> bool:
+def _transpose_rows(n: int) -> int:
+    """Rows per block of ``_symmetrize`` on n vertices."""
+    return max(1, _T_BLOCK // n)
+
+
+def _gr_bulk(chunk: str, lines: int, index: dict[str, int], adj: list[int], directed: bool) -> bool:
     """OR the edges of ``chunk`` into ``adj`` if it has the writer's shape.
 
     The shape is ``lines`` lines "u v\\n" of two names from ``index`` (the
     vertex names "1".."n", so no "0", no leading zero, no other digits),
-    u != v.  Any other chunk is left untouched and False is returned.
-    A chunk must end in a newline: the digits of an unterminated last line
-    vanish from the shape test and could stand in for a missing name.
+    u != v.  Any other chunk returns False, and the caller hands it to the
+    line parser; it is left untouched unless it has a loop "u u", which
+    the line parser then reports.  A chunk must end in a newline: the
+    digits of an unterminated last line vanish from the shape test and
+    could stand in for a missing name.
+
+    The u names are looked up once per run of equal u, and each run gets
+    its mask in one step: a long run scatters its v ids into a row of "0"
+    digits that one ``int(row, 2)`` reads, a short one ORs its ``1 << v``
+    bits.  The v side, one OR per edge, is set only when ``directed`` is
+    false; otherwise ``_symmetrize`` adds it later.
     """
     if not chunk.endswith("\n") or chunk.translate(_NO_DIGITS) != " \n" * lines:
         return False
@@ -379,18 +452,96 @@ def _gr_bulk(chunk: str, lines: int, index: dict[str, int], adj: list[int]) -> b
     if len(names) != 2 * lines:  # an empty name
         return False
     try:
-        ids = list(map(index.__getitem__, names))
+        vs = list(map(index.__getitem__, names[1::2]))
+        runs = [(index[u], len(list(run))) for u, run in groupby(names[0::2])]
     except KeyError:
         return False
-    us, vs = ids[0::2], ids[1::2]
-    if any(map(eq, us, vs)):
-        return False
+    n = len(adj)
     rest = iter(vs)
-    for u, run in groupby(us):
-        adj[u] |= reduce(or_, map(lshift, repeat(1), islice(rest, len(list(run)))))
-    for v, bit in zip(vs, map(lshift, repeat(1), us)):
-        adj[v] |= bit
+    for u, k in runs:
+        if k * _RUN_SCATTER >= n:
+            row = bytearray(b"0") * n
+            any(map(row.__setitem__, islice(rest, k), repeat(ord("1"))))  # any() drains the map
+            mask = int(row[::-1], 2)
+        else:
+            mask = reduce(or_, map(lshift, repeat(1), islice(rest, k)))
+        if mask >> u & 1:
+            return False
+        adj[u] |= mask
+    if not directed:
+        rest = iter(vs)
+        for u, k in runs:
+            bit = 1 << u
+            for v in islice(rest, k):
+                adj[v] |= bit
     return True
+
+
+def _symmetrize(adj: list[int]) -> None:
+    """``adj |= adjᵀ`` in place: bit j joins mask i wherever bit i is in mask j.
+
+    The rows go in blocks of at most ``_T_BLOCK`` digits.  A block's rows
+    j0..j1-1 are written highest first, n binary digits each, into one
+    buffer; the digits of column i then sit at stride n from offset
+    n - 1 - i, lowest row last, so ``int(buf[n - 1 - i::n], 2) << j0`` is
+    the column's part in this block.  Only the columns set in some row of
+    the block are read.  A mask widened by an earlier block adds only bits
+    whose mirror is already set, so the result is the same.
+    """
+    n = len(adj)
+    rows = _transpose_rows(n)
+    digits = f"0{n}b"
+    buf = bytearray(rows * n)
+    for j0 in range(0, n, rows):
+        block = adj[j0:j0 + rows]
+        size = len(block) * n
+        for k, m in enumerate(reversed(block)):
+            buf[k * n:(k + 1) * n] = format(m, digits).encode()
+        cols = format(reduce(or_, block), digits)
+        p = cols.find("1")
+        while p >= 0:
+            adj[n - 1 - p] |= int(buf[p:size:n], 2) << j0
+            p = cols.find("1", p + 1)
+
+
+def _parse_gr(blocks: Iterator[str]) -> Graph:
+    """The graph of the .gr text in ``blocks``; see ``pace_read_gr``."""
+    parser = _GrLines()
+    index: dict[str, int] = {}
+    lineno = 1
+    bulk_lines, transpose = 0, False
+    for block in blocks:
+        pos = 0
+        while parser.n is None and pos < len(block):
+            end = block.find("\n", pos) + 1 or len(block)
+            parser.feed(block[pos:end], lineno)
+            pos, lineno = end, lineno + 1
+        if pos == len(block):
+            continue
+        if not index:
+            n = parser.n
+            index = {str(i + 1): i for i in range(n)}
+            switch = n * max(_SYMMETRIZE_AT, -(-n // _transpose_rows(n)))
+        chunk = block[pos:]
+        lines = chunk.count("\n")
+        directed = bulk_lines >= switch
+        if _gr_bulk(chunk, lines, index, parser.adj, directed):
+            bulk_lines += lines
+            transpose |= directed
+        else:
+            parser.feed(chunk, lineno)
+        lineno += lines
+    if parser.n is None:
+        raise PaceParseError("missing problem line", 1)
+    if transpose:
+        _symmetrize(parser.adj)
+    g = Graph.from_masks(parser.adj)
+    if g.edge_count != parser.m:
+        raise PaceParseError(
+            f"problem line declares {parser.m} edges but {g.edge_count} distinct edges found",
+            parser.header_line,
+        )
+    return g
 
 
 def pace_read_gr(path) -> Graph:
@@ -399,43 +550,25 @@ def pace_read_gr(path) -> Graph:
     The problem line may declare at most GRAPH_MAX_VERTICES vertices, the
     budget of the bitmask adjacency.
 
-    The lines up to the problem line are parsed one by one.  The rest is
-    taken in line-aligned chunks of about 8 KiB.  A chunk made only of
-    "u v" lines with canonical names 1..n, u != v, as ``pace_write_gr``
-    writes them, is converted in bulk: one ``split``, one dict lookup per
-    name, and one OR per run of equal u and per edge for the v side.  Any
-    other chunk (comments, blank lines, CR or tab, leading zeros, a last
-    line without a newline, every error) goes through the line parser, so
-    every error has the message and line number of a line-by-line read.
+    The file is decoded as a stream of line-aligned blocks of about 8 KiB
+    (``_text_blocks``).  The lines up to the problem line are parsed one by
+    one.  A later block made only of "u v" lines with canonical names 1..n,
+    u != v, as ``pace_write_gr`` writes them, is converted in bulk
+    (``_gr_bulk``): one ``split``, one dict lookup per v and per run of
+    equal u, one mask per run.  Any other block (comments, blank lines, CR or tab,
+    leading zeros, a last line without a newline, every error) goes
+    through the line parser, so every error has the message and line
+    number of a line-by-line read, and an undecodable byte anywhere in the
+    file is reported before it.
+
+    The v side of each bulk edge is one OR per edge until the bulk lines
+    read reach n times the larger of ``_SYMMETRIZE_AT`` and the number of
+    transposition blocks; later blocks set the u side only, and one
+    blocked transposition (``_symmetrize``) completes the masks.  The
+    count is of lines read, not the declared m, so a header cannot start
+    the n² pass on a sparse file.
     """
-    text = _read_text(path)
-    parser = _GrLines()
-    pos, lineno = 0, 1
-    while parser.n is None and pos <= len(text):
-        end = text.find("\n", pos)
-        if end < 0:
-            end = len(text)
-        parser.feed(text[pos:end], lineno)
-        pos, lineno = end + 1, lineno + 1
-    if parser.n is None:
-        raise PaceParseError("missing problem line", 1)
-    index = {str(i + 1): i for i in range(parser.n)}
-    while pos < len(text):
-        end = text.find("\n", pos + _GR_CHUNK - 1) + 1
-        if end == 0:
-            end = len(text)
-        chunk = text[pos:end]
-        lines = chunk.count("\n")
-        if not _gr_bulk(chunk, lines, index, parser.adj):
-            parser.feed(chunk, lineno)
-        pos, lineno = end, lineno + lines
-    g = Graph.from_masks(parser.adj)
-    if g.edge_count != parser.m:
-        raise PaceParseError(
-            f"problem line declares {parser.m} edges but {g.edge_count} distinct edges found",
-            parser.header_line,
-        )
-    return g
+    return _decoded_before_errors(_parse_gr, _text_blocks(path))
 
 
 def pace_write_td(td: TreeDecomposition, n_vertices: int, path, comments: Sequence[str] = ()) -> None:
@@ -451,14 +584,27 @@ def pace_write_td(td: TreeDecomposition, n_vertices: int, path, comments: Sequen
 def pace_read_td(path) -> tuple[TreeDecomposition, int]:
     """Read a .td file; returns (decomposition, declared vertex count).
 
-    Every number must be an ASCII ``[0-9]+`` token.
+    Every number must be an ASCII ``[0-9]+`` token.  The file is decoded
+    as a stream of line-aligned blocks (``_text_blocks``) and parsed line
+    by line; an undecodable byte anywhere in it is reported before any
+    parse error.
     """
-    text = _read_text(path)
+    return _decoded_before_errors(_parse_td, _text_lines(path))
+
+
+def _text_lines(path) -> Iterator[str]:
+    """The lines of ``path``'s text, split at "\\n" only, as they are decoded."""
+    for block in _text_blocks(path):
+        yield from block.removesuffix("\n").split("\n")
+
+
+def _parse_td(lines: Iterator[str]) -> tuple[TreeDecomposition, int]:
+    """The decomposition and vertex count of the .td text in ``lines``."""
     header = None
     header_line = 0
     bags: dict[int, tuple[int, ...]] = {}
     edges: list[tuple[int, int]] = []
-    for lineno, raw in enumerate(text.split("\n"), start=1):
+    for lineno, raw in enumerate(lines, start=1):
         parts = raw.split()
         if not parts or parts[0].startswith("c"):
             continue

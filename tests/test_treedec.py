@@ -1,6 +1,7 @@
 import random
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -26,7 +27,6 @@ from qktw.quadric import build_quadric_graph
 from qktw.treedec import (
     TreeDecomposition,
     _nat,
-    _read_text,
     balanced_separator_check,
     pace_read_gr,
     pace_read_td,
@@ -263,6 +263,16 @@ def test_pace_gr_errors(tmp_path):
         pace_read_gr(bad)
 
 
+def _read_text(path) -> str:
+    """The whole file decoded at once; an undecodable byte reports its line."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise PaceParseError(f"not UTF-8 text ({exc.reason})", line) from None
+
+
 def _read_gr_reference(path) -> Graph:
     """The line-by-line .gr reader, the oracle for ``pace_read_gr``."""
     text = _read_text(path)
@@ -330,13 +340,26 @@ def _gr_outcome(reader, path):
 _CHUNKS = [None, 1, 7, 64]
 
 
+# reader constants besides the chunk size: the defaults; the transposition
+# after n bulk lines (one block holds every row up to n = 362), every run
+# scattered; blocks of a few rows, so a later switch, every run shifted
+_READER_SETTINGS = [
+    {},
+    {"_SYMMETRIZE_AT": 0, "_RUN_SCATTER": 1 << 20},
+    {"_SYMMETRIZE_AT": 0, "_RUN_SCATTER": 0, "_T_BLOCK": 100},
+]
+
+
 def _assert_reader_matches_the_reference(path, chunk):
-    with pytest.MonkeyPatch.context() as mp:
-        if chunk is not None:
-            mp.setattr(treedec, "_GR_CHUNK", chunk)
-        got = _gr_outcome(pace_read_gr, path)
-    assert got == _gr_outcome(_read_gr_reference, path)
-    return got
+    want = _gr_outcome(_read_gr_reference, path)
+    for settings in _READER_SETTINGS:
+        with pytest.MonkeyPatch.context() as mp:
+            if chunk is not None:
+                mp.setattr(treedec, "_GR_CHUNK", chunk)
+            for name, value in settings.items():
+                mp.setattr(treedec, name, value)
+            assert _gr_outcome(pace_read_gr, path) == want, settings
+    return want
 
 
 # edits applied at random offsets of a .gr file: tokens the bulk path must
@@ -436,6 +459,57 @@ def test_pace_read_gr_reads_the_writer_output(tmp_path, chunk, name):
     assert _assert_reader_matches_the_reference(path, chunk) == g
 
 
+@given(n=st.integers(1, 40), density=st.floats(0, 1), seed=st.integers(0, 10**6),
+       block=st.integers(1, 1700))
+def test_symmetrize_matches_the_bitwise_transpose(n, density, seed, block):
+    rng = random.Random(seed)
+    adj = [
+        sum(1 << v for v in range(n) if v != u and rng.random() < density) for u in range(n)
+    ]
+    want = [
+        m | sum(1 << j for j in range(n) if adj[j] >> i & 1) for i, m in enumerate(adj)
+    ]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(treedec, "_T_BLOCK", block)
+        treedec._symmetrize(adj)
+    assert adj == want
+
+
+def _write_lines(path, header, edges):
+    with open(path, "w", newline="\n") as fh:
+        fh.write(header + "\n" + "".join(f"{u} {v}\n" for u, v in edges))
+
+
+@pytest.mark.parametrize("lines, transposed", [(100, False), (1000, True)])
+def test_pace_read_gr_symmetrizes_by_the_lines_read_not_the_header(tmp_path, lines, transposed):
+    assert 100 < 50 * treedec._SYMMETRIZE_AT < 900  # the switch lies between the cases
+    path = tmp_path / "star.gr"
+    edges = [(1, 2 + i % 49) for i in range(lines)]  # repeats: 49 distinct edges
+    _write_lines(path, f"p tw 50 {10**6}", edges)
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(treedec, "_GR_CHUNK", 16)
+        mp.setattr(treedec, "_symmetrize", calls.append)
+        with pytest.raises(PaceParseError, match="declares 1000000 edges but 49"):
+            pace_read_gr(path)
+    assert len(calls) == transposed
+
+
+def test_pace_read_gr_sparse_paths_take_no_quadratic_pass(tmp_path):
+    n = GRAPH_MAX_VERTICES
+    path = tmp_path / "path.gr"
+    for m in (n - 1, 2_000_000):
+        _write_lines(path, f"p tw {n} {m}", ((i, i + 1) for i in range(1, n)))
+        start = time.perf_counter()
+        got = _gr_outcome(pace_read_gr, path)
+        assert time.perf_counter() - start < 1.0
+        if m == n - 1:  # a second path graph would hold another 69 MiB of masks
+            assert got.edge_count == n - 1 and got.neighbors(n - 2) == [n - 3, n - 1]
+        else:
+            message = f"line 1: problem line declares {m} edges but {n - 1} distinct edges found"
+            assert got == (message, 1)
+
+
 def _traced_peak(fn, *args):
     tracemalloc.start()
     try:
@@ -456,6 +530,14 @@ def test_pace_read_gr_peak_memory_is_below_half_the_line_reader(tmp_path):
     assert path.stat().st_size >= 10**6
     assert pace_read_gr(path) == g
     assert 2 * _traced_peak(pace_read_gr, path) < _traced_peak(_read_gr_reference, path)
+
+
+def test_pace_read_gr_peak_memory_is_below_a_quarter_of_the_file(tmp_path):
+    g = build_quadric_graph(5)
+    path = tmp_path / "quadric5.gr"
+    pace_write_gr(g, path)
+    assert pace_read_gr(path) == g
+    assert 4 * _traced_peak(pace_read_gr, path) < path.stat().st_size
 
 
 def test_pace_td_roundtrip(tmp_path):
@@ -527,6 +609,22 @@ def test_pace_readers_reject_undecodable_bytes(tmp_path):
     with pytest.raises(PaceParseError) as err:
         pace_read_td(bad)
     assert err.value.line == 1
+
+
+@pytest.mark.parametrize("chunk", _CHUNKS)
+def test_pace_read_td_reports_a_later_undecodable_byte_before_a_parse_error(tmp_path, chunk):
+    bad = tmp_path / "bad.td"
+    bad.write_bytes(b"s td 1 1 1\nb x\nb 1 1\nc\nc \xe2\x82\n")
+    with pytest.MonkeyPatch.context() as mp:
+        if chunk is not None:
+            mp.setattr(treedec, "_GR_CHUNK", chunk)
+        with pytest.raises(PaceParseError) as err:
+            pace_read_td(bad)
+    assert str(err.value) == "line 5: not UTF-8 text (invalid continuation byte)"
+    bad.write_bytes(b"s td 1 1 1\nb x\nb 1 1\n")
+    with pytest.raises(PaceParseError) as err:
+        pace_read_td(bad)
+    assert err.value.line == 2
 
 
 def test_pace_gr_vertex_budget(tmp_path):
