@@ -54,6 +54,17 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
 
+def _vertex_budget(text: str) -> int:
+    """argparse type of ``--max-vertices``: a negative budget is a usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
 def _add_params(sub: argparse.ArgumentParser, need_nkt: bool = True) -> None:
     sub.add_argument("-q", type=int, required=True, help="field order (prime power)")
     if need_nkt:
@@ -84,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     alpha = sub.add_parser("alpha", help="independence number, formula vs exact")
     _add_params(alpha)
-    alpha.add_argument("--max-vertices", type=int, default=200)
+    alpha.add_argument("--max-vertices", type=_vertex_budget, default=200)
 
     tdb = sub.add_parser("td-build", help="write the star decomposition as .td")
     _add_params(tdb)
@@ -98,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     twe = sub.add_parser("tw-exact", help="exact treewidth of a small .gr input")
     twe.add_argument("graph", help="input .gr path")
     twe.add_argument("-o", "--output", help="write the optimal decomposition here")
-    twe.add_argument("--max-vertices", type=int, default=18)
+    twe.add_argument("--max-vertices", type=_vertex_budget, default=18)
 
     ver = sub.add_parser("verify", help="run one verification suite")
     ver.add_argument("suite", choices=SUITE_NAMES)

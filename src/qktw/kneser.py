@@ -169,7 +169,8 @@ def star_independent_set(p: KneserParams) -> list[Subspace]:
         return tuple(tuple(1 if j == i else 0 for j in range(p.n)) for i in range(m))
 
     if p.n < 2 * p.k:
-        return subspaces_of(Subspace(f, p.n, coordinate_rows(2 * p.k - p.t)), p.k)
+        span = Subspace(f, p.n, coordinate_rows(2 * p.k - p.t))
+        return [Subspace(f, p.n, w) for w in subspaces_of(span, p.k)]
     # e_1..e_t over a (k-t)-subspace of the other coordinates is RREF, and
     # the subspaces come in the order of those (k-t)-subspaces
     head = coordinate_rows(p.t)

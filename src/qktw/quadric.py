@@ -11,7 +11,7 @@ trusted.
 Projective points are 1-subspaces and have no code of their own: the
 model's points are the 1-subspaces of F_q^6 from
 :func:`subspace.enumerate_k_subspaces` that lie on the form, a quadric
-line's points and a subspace's section come from
+line's points and a subspace's section are the one-row tuples of
 :func:`subspace.subspaces_of`, and a Klein image is scaled to a leading 1
 by :func:`subspace.rref_canonical`.
 
@@ -136,8 +136,8 @@ class QuadricModel:
                     continue
                 line = rref_canonical((self.points[i], self.points[j]), f)
                 mask = 0
-                for p in subspaces_of(line, 1):
-                    mask |= 1 << self.index[p.rows[0]]
+                for (p,) in subspaces_of(line, 1):
+                    mask |= 1 << self.index[p]
                 if mask.bit_count() != self.q + 1:
                     raise ArithmeticError("a quadric line must have q + 1 points")
                 for p in iter_bits(mask):
@@ -168,12 +168,12 @@ class QuadricModel:
 
     def section(self, space: Subspace) -> list[int]:
         """Indices, ascending, of the quadric points inside a projective
-        subspace.  Its points are its 1-subspaces from :func:`subspaces_of`,
-        in the model's order.  The census uses :meth:`polar_section`, and
-        the tests compare the two."""
+        subspace.  Its points are the rows of its 1-subspaces from
+        :func:`subspaces_of`, in the model's order.  The census uses
+        :meth:`polar_section`, and the tests compare the two."""
         if space.k == 0:
             return []
-        found = (self.index.get(p.rows[0]) for p in subspaces_of(space, 1))
+        found = (self.index.get(p) for (p,) in subspaces_of(space, 1))
         return [i for i in found if i is not None]
 
     def perp_space(self, point_indices) -> Subspace:

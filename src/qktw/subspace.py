@@ -8,17 +8,20 @@ equality of subspaces.
 Enumeration walks Schubert cells: choose the pivot columns, then fill the
 free entries.  :func:`subspaces_of` is the one lister of the t-subspaces
 (and so of the projective points) inside a given subspace: it lifts the
-enumeration of F_q^k through the subspace's RREF basis, and the lifts are
-RREF and sorted as they come.  Rank computations get a bit-packed fast
-path for q = 2, where rows are machine ints and elimination is XOR.
+enumeration of F_q^k, made once per (k, t, q), through the subspace's
+RREF basis, and the lifts are RREF and sorted as they come.  Sub-subspaces
+pass between functions as these RREF row tuples, not as Subspace values.
 Whole incidence relations ("meets in dimension >= t") come from shared
-t-subspaces as bitmasks, without a per-pair elimination.
+t-subspaces as bitmasks, without a per-pair elimination; the shared
+t-subspaces are numbered in one place, :func:`held_subspaces`.  The
+pairwise rank in :func:`intersect_dim` gets a bit-packed fast path for
+q = 2, where rows are machine ints and elimination is XOR.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations, product
 from typing import Iterable, Sequence
 
@@ -27,6 +30,10 @@ from .gf import FieldSpec
 from .qbinom import gauss_binom
 
 DEFAULT_ENUMERATION_CAP = 2_000_000
+
+# Entries kept by _coefficient_rows, one per (dim u, t, q) that
+# subspaces_of has lifted from; verify-all lifts from 10.
+COEFFICIENT_CACHE_SIZE = 64
 
 _HEX = "0123456789abcdef"
 
@@ -79,29 +86,6 @@ def _rank_bits(rows: Iterable[int]) -> int:
                 rank += 1
                 break
             row ^= p
-    return rank
-
-
-def _rank_rows(rows: Iterable[Sequence[int]], f: FieldSpec) -> int:
-    """Rank over F_q by forward elimination with normalized pivot rows."""
-    pivots: dict[int, list[int]] = {}
-    rank = 0
-    for raw in rows:
-        r = list(raw)
-        while True:
-            lead = next((j for j, x in enumerate(r) if x), None)
-            if lead is None:
-                break
-            prow = pivots.get(lead)
-            if prow is None:
-                c = f.inv(r[lead])
-                if c != 1:
-                    r = [f.mul(c, x) for x in r]
-                pivots[lead] = r
-                rank += 1
-                break
-            coef = r[lead]
-            r = [f.sub(x, f.mul(coef, y)) for x, y in zip(r, prow)]
     return rank
 
 
@@ -210,58 +194,80 @@ def enumerate_k_subspaces(
     return out
 
 
-def subspaces_of(u: Subspace, t: int) -> list[Subspace]:
-    """All t-dimensional subspaces of u, as subspaces of the ambient space,
-    sorted lexicographically by RREF.
+@lru_cache(maxsize=COEFFICIENT_CACHE_SIZE)
+def _coefficient_rows(k: int, t: int, f: FieldSpec) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """The RREF row tuples of the t-subspaces of F_q^k, in enumeration order."""
+    return tuple(w.rows for w in enumerate_k_subspaces(k, t, f))
+
+
+def subspaces_of(u: Subspace, t: int) -> list[tuple[tuple[int, ...], ...]]:
+    """The t-dimensional subspaces of u, as the RREF row tuples of
+    subspaces of the ambient space, sorted lexicographically.
 
     Each t-subspace w of F_q^k (k = dim u), in RREF, lifts to w . u.rows.
     The rows of u are RREF, so at u's pivot columns the lift repeats w's
     entries and is zero before the first of them: the lift is already
     RREF.  Two coefficient rows that first differ at index j give lifts
     that first differ at u's j-th pivot column, by the same values, so the
-    lifts keep the enumeration's order.  Nothing is re-reduced or sorted.
+    lifts keep the enumeration's order.  Nothing is re-reduced or sorted,
+    and the coefficient subspaces are enumerated once per (k, t, q).
     """
     if not 0 <= t <= u.k:
         raise ValueError(f"need 0 <= t <= dim, got t={t}, dim={u.k}")
     f = u.field
     out = []
-    for w in enumerate_k_subspaces(u.k, t, f):
+    for w in _coefficient_rows(u.k, t, f):
         lifted = []
-        for coords in w.rows:
+        for coords in w:
             vec = [0] * u.n
             for c, row in zip(coords, u.rows):
                 if c:
                     vec = [f.add(x, f.mul(c, y)) for x, y in zip(vec, row)]
             lifted.append(tuple(vec))
-        out.append(Subspace(f, u.n, tuple(lifted)))
+        out.append(tuple(lifted))
     return out
+
+
+def held_subspaces(
+    spaces: Sequence[Subspace], t: int
+) -> tuple[list[tuple[tuple[int, ...], ...]], list[list[int]]]:
+    """Number the t-subspaces that the spaces hold, in first-seen order.
+
+    Returns the held t-subspaces as RREF row tuples, listed by number, and
+    per space the numbers of its own t-subspaces in :func:`subspaces_of`
+    order.  Every space needs dimension >= t and one ambient space.
+    """
+    number: dict[tuple[tuple[int, ...], ...], int] = {}
+    numbers = []
+    for u in spaces:
+        if u.field != spaces[0].field or u.n != spaces[0].n:
+            raise AmbientMismatchError("subspaces live in different ambient spaces")
+        numbers.append([number.setdefault(w, len(number)) for w in subspaces_of(u, t)])
+    return list(number), numbers
 
 
 def meet_masks(spaces: Sequence[Subspace], t: int) -> list[int]:
     """Incidence masks: bit j of mask i is set iff dim(spaces[i] ∩ spaces[j]) >= t.
 
     Two subspaces meet in dimension >= t exactly when they share a
-    t-subspace.  Each t-subspace gets the mask of the spaces containing
-    it, and a space's mask is the OR of those masks over its own
-    t-subspaces; no pair is compared.  Masks follow the input order, and
-    every space needs dimension >= t.  :func:`intersect_dim` is the
-    elimination-based oracle the tests compare against.
+    t-subspace.  Each t-subspace :func:`held_subspaces` numbers gets the
+    mask of the spaces containing it, and a space's mask is the OR of
+    those masks over its own t-subspaces; no pair is compared.  Masks
+    follow the input order, and every space needs dimension >= t.
+    :func:`intersect_dim` is the elimination-based oracle the tests
+    compare against.
     """
-    containing: dict[tuple, int] = {}
-    keys = []
-    for i, u in enumerate(spaces):
-        if u.field != spaces[0].field or u.n != spaces[0].n:
-            raise AmbientMismatchError("subspaces live in different ambient spaces")
-        mine = [w.rows for w in subspaces_of(u, t)]
-        keys.append(mine)
+    held, numbers = held_subspaces(spaces, t)
+    containing = [0] * len(held)
+    for i, mine in enumerate(numbers):
         bit = 1 << i
-        for w in mine:
-            containing[w] = containing.get(w, 0) | bit
+        for x in mine:
+            containing[x] |= bit
     masks = []
-    for mine in keys:
+    for mine in numbers:
         mask = 0
-        for w in mine:
-            mask |= containing[w]
+        for x in mine:
+            mask |= containing[x]
         masks.append(mask)
     return masks
 
@@ -275,7 +281,7 @@ def intersect_dim(u: Subspace, v: Subspace) -> int:
     if u.field.q == 2:
         rank = _rank_bits(u.bit_rows + v.bit_rows)
     else:
-        rank = _rank_rows(u.rows + v.rows, u.field)
+        rank = len(_row_reduce(u.rows + v.rows, u.field))
     return u.k + v.k - rank
 
 

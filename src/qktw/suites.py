@@ -38,7 +38,7 @@ from .quadric import (
     verify_klein_isomorphism,
 )
 from .report import CheckCase, SuiteReport
-from .subspace import Subspace, enumerate_k_subspaces, meet_masks, subspaces_of
+from .subspace import Subspace, enumerate_k_subspaces, held_subspaces, meet_masks
 from .treedec import (
     pace_read_gr,
     pace_read_td,
@@ -100,21 +100,20 @@ def pair_censuses(verts: Sequence[Subspace]):
     pairs (x, y) of t-subspaces x of verts[a] and y of verts[b] with
     dim(x ∩ y) = i.
 
-    Let T be all t-subspaces of the ambient space, S_a the mask of a's
-    t-subspaces in T and M_i = meet_masks(T, i).  Then s counts the t at
-    which S_a & S_b is not empty, and the pairs meeting in dimension
-    >= i number the sum over x of a of popcount(M_i[x] & S_b); exact
-    counts are differences, and none meet in more than min(s, t).  No
-    pair is eliminated; :func:`intersect_dim` is the oracle the tests
-    compare.
+    Let T be the t-subspaces the vertices hold, numbered by
+    :func:`held_subspaces`, S_a the mask of a's t-subspaces in T and
+    M_i = meet_masks(T, i).  Then s counts the t at which S_a & S_b is not
+    empty, and the pairs meeting in dimension >= i number the sum over x
+    of a of popcount(M_i[x] & S_b); exact counts are differences, and none
+    meet in more than min(s, t).  Every S_b lies in T, so no other
+    t-subspace of the ambient space can count.  No pair is eliminated;
+    :func:`intersect_dim` is the oracle the tests compare.
     """
     f, n, k = verts[0].field, verts[0].n, verts[0].k
     per_t = []
     for t in range(1, k + 1):
-        ambient = enumerate_k_subspaces(n, t, f)
-        index = {w.rows: i for i, w in enumerate(ambient)}
-        meets = [meet_masks(ambient, i) for i in range(t + 1)]
-        subs = [[index[w.rows] for w in subspaces_of(v, t)] for v in verts]
+        held, subs = held_subspaces(verts, t)
+        meets = [meet_masks([Subspace(f, n, w) for w in held], i) for i in range(t + 1)]
         per_t.append((t, meets, subs, [sum(1 << x for x in xs) for xs in subs]))
     for a in range(len(verts)):
         for b in range(a, len(verts)):

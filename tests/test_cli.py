@@ -158,13 +158,24 @@ _PINNED_OUTPUTS = [
         "3a7a7cbf81919ddaf31c63062691c00c31ff4651555e16f7c458d305174c8392",
         None,
     ),
+    (
+        # n < 2k: the only star set that wraps subspaces_of's row tuples
+        ["td-build", "-q", "2", "-n", "5", "-k", "3", "-t", "2"],
+        "46c4276533a6c3804d0870efa731b70e5f1f6912dff4a12f5a8fc5a0a54650b8",
+        None,
+    ),
+]
+
+
+_PINNED_IDS = [
+    "K2-4-2-1", "K3-4-2-1", "K2-5-3-2", "Q2", "Q3", "Q4", "Q5", "td-K2-4-2-1", "td-K2-5-3-2"
 ]
 
 
 @pytest.mark.parametrize(
     "argv,digest,labels_digest",
     _PINNED_OUTPUTS,
-    ids=["K2-4-2-1", "K3-4-2-1", "K2-5-3-2", "Q2", "Q3", "Q4", "Q5", "td-K2-4-2-1"],
+    ids=_PINNED_IDS,
 )
 def test_outputs_match_pinned_digests(tmp_path, capsys, argv, digest, labels_digest):
     out = tmp_path / "out"
@@ -175,6 +186,33 @@ def test_outputs_match_pinned_digests(tmp_path, capsys, argv, digest, labels_dig
         assert not labels.exists()
     else:
         assert hashlib.sha256(labels.read_bytes()).hexdigest() == labels_digest
+
+
+def test_desk_corpus_script_matches_the_pinned_digests(tmp_path, monkeypatch):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "build_desk_corpus.py"
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the script prepends src/
+    spec = importlib.util.spec_from_file_location("build_desk_corpus", script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    monkeypatch.setattr(sys, "argv", ["build_desk_corpus.py", str(tmp_path)])
+    assert module.main() == 0
+    pinned = dict(zip(_PINNED_IDS, _PINNED_OUTPUTS))
+    corpus = {
+        "kneser-q2-n4-k2-t1": "K2-4-2-1",
+        "kneser-q3-n4-k2-t1": "K3-4-2-1",
+        "kneser-q2-n5-k3-t2": "K2-5-3-2",
+        "quadric-q2": "Q2",
+        "quadric-q3": "Q3",
+    }
+
+    def digest(name):
+        return hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+
+    for name, key in corpus.items():
+        _, gr_digest, labels_digest = pinned[key]
+        assert digest(f"{name}.gr") == gr_digest
+        assert digest(f"{name}.labels") == labels_digest
+    assert digest("kneser-q2-n4-k2-t1.td") == pinned["td-K2-4-2-1"][1]
 
 
 def test_td_build_and_validate(tmp_path, capsys):
@@ -264,6 +302,22 @@ def test_tw_exact_node_budget_fails_fast(tmp_path, capsys, monkeypatch):
 def test_verify_pair_count_budget(capsys):
     assert run(["verify", "pair-count", "-q", "4"]) == 3
     assert "budget" in capsys.readouterr().err
+
+
+def test_tw_exact_refuses_a_negative_vertex_budget(tmp_path, capsys):
+    gr = tmp_path / "pet.gr"
+    pace_write_gr(petersen_graph(), gr)
+    assert run(["tw-exact", str(gr), "--max-vertices", "-1"]) == 2
+    assert "--max-vertices: must be at least 0, got -1" in capsys.readouterr().err
+    assert run(["tw-exact", str(gr), "--max-vertices", "x"]) == 2
+    assert "--max-vertices: invalid int value: 'x'" in capsys.readouterr().err
+
+
+def test_alpha_refuses_a_negative_vertex_budget(capsys):
+    assert run(["alpha", "-q", "2", "-n", "5", "-k", "2", "-t", "1", "--max-vertices", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--max-vertices: must be at least 0, got -1" in captured.err
 
 
 def test_alpha_command(capsys):

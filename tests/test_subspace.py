@@ -2,11 +2,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qktw import subspace
+from qktw import kneser, subspace
 from qktw.errors import AmbientMismatchError, DimensionMismatchError, SizeLimitError
 from qktw.gf import make_field, prime_powers_up_to
 from qktw.graph import Graph
-from qktw.kneser import KneserParams, star_independent_set
+from qktw.kneser import KneserParams, build_kneser_graph, star_independent_set
 from qktw.qbinom import gauss_binom
 from qktw.quadric import QuadricModel
 from qktw.subspace import (
@@ -147,10 +147,10 @@ def test_subspaces_of_counts():
     assert len(subspaces_of(u, 1)) == 7
     assert len(subspaces_of(u, 2)) == 7
     assert len(subspaces_of(u, 3)) == 1
-    assert subspaces_of(u, 0)[0].k == 0
-    for t_sub in subspaces_of(u, 2):
-        assert contains(u, t_sub)
-        assert t_sub.n == 5
+    assert subspaces_of(u, 0) == [()]
+    for rows in subspaces_of(u, 2):
+        assert all(len(row) == 5 for row in rows)
+        assert contains(u, Subspace(F2, 5, rows))
 
 
 def is_rref(s):
@@ -200,9 +200,27 @@ def test_subspaces_of_matches_the_reducing_oracle(q, n):
     for k in range(n + 1):
         for u in enumerate_k_subspaces(n, k, f):
             for t in range(k + 1):
-                subs = subspaces_of(u, t)
+                subs = [Subspace(f, n, w) for w in subspaces_of(u, t)]
                 assert subs == oracle_subspaces_of(u, t)
                 assert all(is_rref(w) for w in subs)
+
+
+def test_coefficient_subspaces_are_enumerated_once_per_shape(monkeypatch):
+    # one enumeration for the vertices of K_2(6,3,2) and one for the 2-subspaces
+    # of F_2^3 that every vertex lifts, not one per vertex
+    calls = []
+    real = subspace.enumerate_k_subspaces
+
+    def counted(*args, **kwargs):
+        calls.append(args[:2])
+        return real(*args, **kwargs)
+
+    for module in (subspace, kneser):
+        monkeypatch.setattr(module, "enumerate_k_subspaces", counted)
+    subspace._coefficient_rows.cache_clear()
+    build_kneser_graph(KneserParams(2, 6, 3, 2))
+    assert calls == [(6, 3), (3, 2)]
+    assert subspace._coefficient_rows.cache_info().maxsize == subspace.COEFFICIENT_CACHE_SIZE
 
 
 def test_is_rref_rejects_each_defect():

@@ -13,7 +13,7 @@ from qktw.errors import BudgetExceededError
 from qktw.gf import make_field
 from qktw.kneser import KneserParams, treewidth_verdict
 from qktw.report import CheckCase, SuiteReport, exact_str
-from qktw.subspace import enumerate_k_subspaces, intersect_dim, subspaces_of
+from qktw.subspace import Subspace, enumerate_k_subspaces, intersect_dim, subspaces_of
 from qktw.suites import (
     bridge_suite,
     counting_suite,
@@ -135,7 +135,10 @@ def test_verdict_suite():
 def oracle_pair_censuses(verts):
     """pair_censuses by one intersect_dim per pair of t-subspaces."""
     k = verts[0].k
-    subs = [[subspaces_of(v, t) for t in range(1, k + 1)] for v in verts]
+    subs = [
+        [[Subspace(v.field, v.n, w) for w in subspaces_of(v, t)] for t in range(1, k + 1)]
+        for v in verts
+    ]
     for a, u in enumerate(verts):
         for b in range(a, len(verts)):
             s = intersect_dim(u, verts[b])
