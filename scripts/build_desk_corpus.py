@@ -17,7 +17,7 @@ from qktw.kneser import (  # noqa: E402
     treewidth_verdict,
 )
 from qktw.quadric import build_quadric_graph  # noqa: E402
-from qktw.treedec import pace_write_gr, pace_write_td  # noqa: E402
+from qktw.treedec import pace_write_gr, pace_write_td, write_labels  # noqa: E402
 
 INSTANCES = [(2, 4, 2, 1), (2, 5, 2, 1), (3, 4, 2, 1), (2, 5, 3, 2)]
 QUADRIC_ORDERS = [2, 3]
@@ -31,8 +31,7 @@ def main() -> int:
         name = f"kneser-q{q}-n{n}-k{k}-t{t}"
         g, td = kneser_star_decomposition(p)
         pace_write_gr(g, out / f"{name}.gr")
-        labels = [f"{i + 1} {s.text()}" for i, s in enumerate(g.labels)]
-        (out / f"{name}.labels").write_text("\n".join(labels) + "\n")
+        write_labels(g, out / f"{name}.labels")
         pace_write_td(td, g.n, out / f"{name}.td")
         verdict = treewidth_verdict(p)
         print(
@@ -43,10 +42,7 @@ def main() -> int:
         g = build_quadric_graph(q)
         name = f"quadric-q{q}"
         pace_write_gr(g, out / f"{name}.gr")
-        labels = [
-            f"{i + 1} {','.join(str(x) for x in lab)}" for i, lab in enumerate(g.labels)
-        ]
-        (out / f"{name}.labels").write_text("\n".join(labels) + "\n")
+        write_labels(g, out / f"{name}.labels")
         print(f"{name}: {g.n} vertices, degree {g.degree(0)}")
     return 0
 

@@ -46,6 +46,7 @@ from .treedec import (
     pace_write_gr,
     pace_write_td,
     validate_td,
+    write_labels,
 )
 
 EXIT_OK = 0
@@ -140,17 +141,13 @@ def _cmd_gen(args) -> int:
             print("gen: -n, -k, -t do not apply to --quadric", file=sys.stderr)
             return EXIT_USAGE
         g = build_quadric_graph(args.q)
-        label_of = lambda lab: ",".join(str(x) for x in lab)
     else:
         if None in nkt:
             print("gen: -n, -k, -t are required unless --quadric is given", file=sys.stderr)
             return EXIT_USAGE
         g = build_kneser_graph(KneserParams(args.q, *nkt))
-        label_of = lambda lab: lab.text()
     pace_write_gr(g, args.output)
-    label_path = args.labels or f"{args.output}.labels"
-    lines = [f"{i + 1} {label_of(lab)}" for i, lab in enumerate(g.labels)]
-    Path(label_path).write_text("\n".join(lines) + "\n")
+    write_labels(g, args.labels or f"{args.output}.labels")
     print(f"wrote {g.n} vertices / {g.edge_count} edges to {args.output}")
     return EXIT_OK
 

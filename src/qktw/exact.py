@@ -199,7 +199,9 @@ def treewidth_exact(
         best_v = n
         rest = s
         while rest:
-            # grow the component K of rest's lowest vertex inside S
+            # grow the component K of rest's lowest vertex inside S; inline,
+            # since graph.component's call per component made the benchmark's
+            # exact-solvers wall_s 6% slower (medians 1.27 -> 1.34 s)
             comp = frontier = rest & -rest
             reach = 0
             while frontier:
@@ -303,6 +305,8 @@ def _balanced(adj: list[int], ymask: int, ycount: int) -> bool:
     once the unexplored rest is no larger than the half."""
     half = ycount // 2
     rest = ymask
+    # inline, not graph.component: the early exit inside a component's growth
+    # keeps the benchmark's separator graphs at 0.25 s, against 0.61 s
     while rest.bit_count() > half:
         comp = frontier = rest & -rest
         while frontier:

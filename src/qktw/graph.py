@@ -3,6 +3,9 @@
 Adjacency is one Python int bitmask per vertex, which keeps the quadratic
 pair censuses, component searches, and the exact solvers fast without any
 dependencies.  Graphs are built once and then treated as immutable.
+``component`` grows one connected component and returns its outside
+neighbourhood too; ``components`` and the tree checks of
+``treedec.validate_td`` are built on it.
 """
 
 from __future__ import annotations
@@ -22,21 +25,37 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def component(adj: Sequence[int], start: int, within: int) -> tuple[int, int]:
+    """Component of ``start`` in the graph induced on ``within``.
+
+    ``start`` is a one-bit mask inside ``within``.  Returns (comp,
+    outside): comp is the component as a mask, and outside is N(comp)
+    minus ``within``, the union of the comp vertices' neighbour masks
+    ``& ~within``.  The one component search of the package, apart from
+    the two inline loops in ``exact`` that keep their own for speed.
+    """
+    comp = frontier = start
+    reach = 0
+    while frontier:
+        nxt = 0
+        while frontier:
+            bit = frontier & -frontier
+            frontier ^= bit
+            nxt |= adj[bit.bit_length() - 1]
+        reach |= nxt
+        frontier = nxt & within & ~comp
+        comp |= frontier
+    return comp, reach & ~within
+
+
 def components(adj: Sequence[int], subset_mask: int) -> list[int]:
     """Connected components of the graph induced on ``subset_mask``, as masks."""
     out = []
-    rem = subset_mask
-    while rem:
-        comp = 0
-        frontier = rem & -rem
-        while frontier:
-            comp |= frontier
-            nxt = 0
-            for u in iter_bits(frontier):
-                nxt |= adj[u]
-            frontier = nxt & subset_mask & ~comp
+    rest = subset_mask
+    while rest:
+        comp = component(adj, rest & -rest, subset_mask)[0]
         out.append(comp)
-        rem &= ~comp
+        rest &= ~comp
     return out
 
 

@@ -137,15 +137,15 @@ def pair_count_suite(q: int = 2, max_n: int = 5, max_k: int = 3) -> SuiteReport:
     censused by :func:`pair_censuses`; cases are aggregated per
     (n, k, t, s, i) as the worst observed count against the bound.  Runs
     whose :func:`pair_count_work` passes PAIR_COUNT_MAX_WORK raise
-    BudgetExceededError before any enumeration.
+    BudgetExceededError before the field is built or anything enumerated.
     """
-    f = make_field(q)
     work = pair_count_work(q, max_n, max_k)
     if work > PAIR_COUNT_MAX_WORK:
         raise BudgetExceededError(
             f"pair-count work {work} (q={q}, n <= {max_n}, k <= {max_k}) "
             f"exceeds the budget of {PAIR_COUNT_MAX_WORK}"
         )
+    f = make_field(q)
     cases = []
     for n in range(2, max_n + 1):
         for k in range(2, min(max_k, n) + 1):

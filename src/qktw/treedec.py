@@ -3,7 +3,9 @@
 A decomposition is a tree of bags.  Validity means: the tree is a tree,
 every graph edge lies inside some bag, and the bags containing any fixed
 vertex form a nonempty connected subtree.  Width is max bag size minus
-one.
+one.  Validation works on masks: bags as vertex masks for edge coverage,
+and tree nodes as node masks that ``graph.component`` searches for the
+connectivity of the tree and of each vertex's bags.
 
 File formats are the PACE 2017 conventions: ``.gr`` graphs ("p tw <n> <m>"
 then one "u v" line per edge, 1-indexed) and ``.td`` decompositions
@@ -27,7 +29,8 @@ from .errors import (
     NotIndependentError,
     PaceParseError,
 )
-from .graph import GRAPH_MAX_VERTICES, Graph, components, iter_bits
+from .graph import GRAPH_MAX_VERTICES, Graph, component, components, iter_bits
+from .subspace import Subspace
 
 
 @dataclass(frozen=True)
@@ -55,14 +58,6 @@ class TreeDecomposition:
         if not self.bags:
             raise EmptyTreeError("decomposition has no nodes")
         return max(len(b) for b in self.bags) - 1
-
-    def node_adjacency(self) -> list[list[int]]:
-        adj: list[list[int]] = [[] for _ in range(self.node_count)]
-        for x, y in self.tree_edges:
-            if 0 <= x < self.node_count and 0 <= y < self.node_count:
-                adj[x].append(y)
-                adj[y].append(x)
-        return adj
 
 
 # -- validation ---------------------------------------------------------------
@@ -100,6 +95,12 @@ def validate_td(g: Graph, td: TreeDecomposition) -> TdValidationReport:
     (u, v), u < v, in ascending order, as ``g.edges()`` lists them.
     Bag entries outside V(G) are reported as foreign and cover nothing.
 
+    The tree checks work on node masks: tree[x] is the OR of the
+    in-range tree edges at node x.  The tree is connected iff the
+    ``graph.component`` of node 0 is every node, and v's bags form a
+    connected subtree iff the component of its lowest node inside its
+    occurrence mask is the whole mask.
+
     Violations are report content, never exceptions.
     """
     nb = td.node_count
@@ -111,25 +112,21 @@ def validate_td(g: Graph, td: TreeDecomposition) -> TdValidationReport:
             foreign_vertices=(), uncovered_edges=(),
             missing_vertices=tuple(range(g.n)), broken_vertices=(),
         )
+    tree = [0] * nb  # tree[x]: the nodes joined to x by an in-range edge
     for x, y in td.tree_edges:
         if x == y:
             tree_problems.append(f"self-loop at node {x}")
-        if not (0 <= x < nb and 0 <= y < nb):
+        if 0 <= x < nb and 0 <= y < nb:
+            tree[x] |= 1 << y
+            tree[y] |= 1 << x
+        else:
             tree_problems.append(f"edge ({x}, {y}) references a missing node")
-    adj = td.node_adjacency()
     if len(td.tree_edges) != nb - 1:
         tree_problems.append(
             f"{len(td.tree_edges)} edges on {nb} nodes (a tree needs {nb - 1})"
         )
-    seen = {0}
-    stack = [0]
-    while stack:
-        x = stack.pop()
-        for y in adj[x]:
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    if len(seen) != nb:
+    all_nodes = (1 << nb) - 1
+    if component(tree, 1, all_nodes)[0] != all_nodes:
         tree_problems.append("tree is disconnected")
     is_tree = not tree_problems
 
@@ -161,20 +158,7 @@ def validate_td(g: Graph, td: TreeDecomposition) -> TdValidationReport:
         occ = occurrence[v]
         if not occ:
             missing.append(v)
-            continue
-        if not is_tree:
-            continue
-        start = (occ & -occ).bit_length() - 1
-        comp = 1 << start
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                bit = 1 << y
-                if occ & bit and not comp & bit:
-                    comp |= bit
-                    stack.append(y)
-        if comp != occ:
+        elif is_tree and component(tree, occ & -occ, occ)[0] != occ:
             broken.append(v)
 
     return TdValidationReport(
@@ -284,6 +268,20 @@ def pace_write_gr(g: Graph, path, comments: Sequence[str] = ()) -> None:
                     names[u + 1:], bin(rest)[:1:-1].encode().translate(_BIT_BYTES)
                 )
                 fh.write(pre + ("\n" + pre).join(picked) + "\n")
+
+
+def write_labels(g: Graph, path) -> None:
+    """Write ``g``'s vertex labels as a ``.labels`` file, "<id> <label>"
+    lines with the 1-indexed ids of the ``.gr`` file.
+
+    A Kneser vertex (a :class:`Subspace`) is written as its ``text()``, a
+    quadric point as its comma-joined coordinates.
+    """
+    texts = (
+        lab.text() if isinstance(lab, Subspace) else ",".join(str(x) for x in lab)
+        for lab in g.labels
+    )
+    _write_text(path, "".join(f"{i} {text}\n" for i, text in enumerate(texts, start=1)))
 
 
 def _nat(token: str) -> int:

@@ -299,8 +299,10 @@ def test_tw_exact_node_budget_fails_fast(tmp_path, capsys, monkeypatch):
     assert solved == [22]
 
 
-def test_verify_pair_count_budget(capsys):
-    assert run(["verify", "pair-count", "-q", "4"]) == 3
+# q = 128 is past the field tables too: the budget is checked first
+@pytest.mark.parametrize("q", ["4", "128"])
+def test_verify_pair_count_budget(capsys, q):
+    assert run(["verify", "pair-count", "-q", q]) == 3
     assert "budget" in capsys.readouterr().err
 
 
@@ -469,3 +471,15 @@ def test_verify_all_script_writes_the_cli_report(tmp_path, capsys, monkeypatch):
     assert module.main() == 1
     assert "total: 3 cases, 1 failed" in capsys.readouterr().out
     assert (tmp_path / "script.json").read_bytes() == (tmp_path / "cli.json").read_bytes()
+
+
+# SHA-256 of the whole verify-all report (870,270 bytes): every suite of the
+# real matrix, end to end, byte for byte.
+_VERIFY_ALL_DIGEST = "0e25ffdd1ac3e6229dc92ef3fc7a8a987af31c0a76dd1d272e7760055dec0386"
+
+
+def test_verify_all_report_matches_the_pinned_digest(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    assert run(["verify-all", "-o", str(out)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == _VERIFY_ALL_DIGEST

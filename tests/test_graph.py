@@ -1,8 +1,13 @@
+import random
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qktw.graph import (
     Graph,
     complete_graph,
+    component,
     components,
     cycle_graph,
     iter_bits,
@@ -60,6 +65,44 @@ def test_components():
     # restricted to a subset mask
     comps = components(g.adjacency, 0b01011)
     assert sorted(c.bit_count() for c in comps) == [1, 2]
+
+
+def _bits(mask):
+    return {v for v in range(mask.bit_length()) if mask >> v & 1}
+
+
+def _search(g, v, inside):
+    """Component of v in G[inside] and its neighbours outside ``inside``,
+    by a breadth-first search over vertex sets."""
+    comp = {v}
+    queue = [v]
+    for x in queue:
+        for y in range(g.n):
+            if g.has_edge(x, y) and y in inside and y not in comp:
+                comp.add(y)
+                queue.append(y)
+    outside = {y for x in comp for y in range(g.n) if g.has_edge(x, y) and y not in inside}
+    return comp, outside
+
+
+@given(n=st.integers(1, 30), density=st.floats(0, 1), seed=st.integers(0, 10**6))
+def test_component_and_components_match_a_set_based_search(n, density, seed):
+    rng = random.Random(seed)
+    g = Graph.from_edges(
+        n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < density]
+    )
+    within = rng.getrandbits(n)
+    inside = _bits(within)
+    for v in inside:
+        comp, outside = component(g.adjacency, 1 << v, within)
+        assert (_bits(comp), _bits(outside)) == _search(g, v, inside)
+    want = []
+    left = set(inside)
+    while left:
+        comp = _search(g, min(left), inside)[0]
+        want.append(comp)
+        left -= comp
+    assert [_bits(c) for c in components(g.adjacency, within)] == want
 
 
 def test_from_masks():

@@ -25,6 +25,7 @@ from qktw.graph import (
 from qktw.kneser import KneserParams, build_kneser_graph, star_independent_set
 from qktw.quadric import build_quadric_graph
 from qktw.treedec import (
+    TdValidationReport,
     TreeDecomposition,
     _nat,
     balanced_separator_check,
@@ -139,6 +140,111 @@ def test_validate_td_coverage_on_a_kneser_star(damage):
     rep = _assert_coverage_matches_the_reference(g, _damaged(td, g.n, damage, random.Random(5)))
     assert rep.passed == (not damage) or damage == ("duplicate",)
     assert bool(rep.uncovered_edges) == ("truncate" in damage or "drop" in damage)
+
+
+def _reached(adj, start, allowed):
+    """Nodes reached from ``start`` through ``allowed`` nodes, by a stack."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        x = stack.pop()
+        for y in adj[x]:
+            if y in allowed and y not in seen:
+                seen.add(y)
+                stack.append(y)
+    return seen
+
+
+def _validate_reference(g, td):
+    """validate_td's report from node adjacency lists: a search from node 0
+    for the tree, one inside each vertex's set of bags for its subtree,
+    and the per-edge coverage loop."""
+    nb = td.node_count
+    if nb == 0:
+        return TdValidationReport(
+            node_count=0, width=None, is_tree=False,
+            tree_problems=("decomposition has no nodes",),
+            foreign_vertices=(), uncovered_edges=(),
+            missing_vertices=tuple(range(g.n)), broken_vertices=(),
+        )
+    problems = []
+    adj = [[] for _ in range(nb)]
+    for x, y in td.tree_edges:
+        if x == y:
+            problems.append(f"self-loop at node {x}")
+        if 0 <= x < nb and 0 <= y < nb:
+            adj[x].append(y)
+            adj[y].append(x)
+        else:
+            problems.append(f"edge ({x}, {y}) references a missing node")
+    if len(td.tree_edges) != nb - 1:
+        problems.append(f"{len(td.tree_edges)} edges on {nb} nodes (a tree needs {nb - 1})")
+    if len(_reached(adj, 0, range(nb))) != nb:
+        problems.append("tree is disconnected")
+    foreign, uncovered, missing = _coverage_reference(g, td)
+    holders = [{x for x, bag in enumerate(td.bags) if v in bag} for v in range(g.n)]
+    broken = () if problems else tuple(
+        v for v, held in enumerate(holders) if held and _reached(adj, min(held), held) != held
+    )
+    return TdValidationReport(
+        node_count=nb, width=td.width(), is_tree=not problems,
+        tree_problems=tuple(problems), foreign_vertices=foreign,
+        uncovered_edges=uncovered, missing_vertices=missing, broken_vertices=broken,
+    )
+
+
+_TREE_DAMAGE = [
+    "self-loop", "missing-node", "duplicate-edge", "cycle", "forest", "empty-bag", "foreign",
+]
+
+
+def _malformed(rng, damage):
+    """A random graph with a decomposition (from an elimination order, or
+    random bags on a random tree) that has each kind of ``damage``."""
+    n = rng.randint(1, 10)
+    g = Graph.from_edges(
+        n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.4]
+    )
+    if rng.random() < 0.5:
+        order = list(range(n))
+        rng.shuffle(order)
+        td = _decomposition_from_order(g, order)
+        bags, edges = [list(b) for b in td.bags], list(td.tree_edges)
+    else:
+        nb = rng.randint(1, 8)
+        bags = [rng.sample(range(n), rng.randint(0, n)) for _ in range(nb)]
+        edges = [(rng.randrange(i), i) for i in range(1, nb)]
+    nb = len(bags)
+    if "self-loop" in damage:
+        x = rng.choice([rng.randrange(nb), nb, -1])
+        edges.append((x, x))
+    if "missing-node" in damage:
+        edges.append((rng.randrange(nb), rng.choice([nb, nb + 3, -1])))
+    if "duplicate-edge" in damage and edges:
+        edges.append(rng.choice(edges))
+    if "cycle" in damage and nb >= 3:
+        edges.append(tuple(rng.sample(range(nb), 2)))
+    if "forest" in damage and edges:
+        edges.remove(rng.choice(edges))
+    if "empty-bag" in damage:
+        bags[rng.randrange(nb)] = []
+    if "foreign" in damage:
+        rng.choice(bags).append(rng.choice([-1, n, n + 7]))
+    return g, TreeDecomposition(tuple(tuple(b) for b in bags), tuple(edges))
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [(), *((kind,) for kind in _TREE_DAMAGE), _TREE_DAMAGE],
+    ids=["none", *_TREE_DAMAGE, "all"],
+)
+def test_validate_td_matches_the_list_based_checks(damage):
+    rng = random.Random(" ".join(damage))
+    for _ in range(250):
+        g, td = _malformed(rng, damage)
+        assert validate_td(g, td) == _validate_reference(g, td)
+    empty = TreeDecomposition((), ())
+    assert validate_td(g, empty) == _validate_reference(g, empty)
 
 
 def test_non_tree_structures_are_reported():
