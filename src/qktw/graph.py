@@ -3,9 +3,8 @@
 Adjacency is one Python int bitmask per vertex, which keeps the quadratic
 pair censuses, component searches, and the exact solvers fast without any
 dependencies.  Graphs are built once and then treated as immutable.
-``component`` grows one connected component and returns its outside
-neighbourhood too; ``components`` and the tree checks of
-``treedec.validate_td`` are built on it.
+``component`` grows one connected component; ``components`` and the tree
+checks of ``treedec.validate_td`` are built on it.
 """
 
 from __future__ import annotations
@@ -25,27 +24,25 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def component(adj: Sequence[int], start: int, within: int) -> tuple[int, int]:
-    """Component of ``start`` in the graph induced on ``within``.
+def component(adj: Sequence[int], start: int, within: int) -> int:
+    """Component of ``start`` in the graph induced on ``within``, as a mask.
 
-    ``start`` is a one-bit mask inside ``within``.  Returns (comp,
-    outside): comp is the component as a mask, and outside is N(comp)
-    minus ``within``, the union of the comp vertices' neighbour masks
-    ``& ~within``.  The one component search of the package, apart from
-    the two inline loops in ``exact`` that keep their own for speed.
+    ``start`` is a one-bit mask inside ``within``.  The one component
+    search of the package, apart from the two inline loops in ``exact``
+    that keep their own for speed.
     """
     comp = frontier = start
-    reach = 0
+    rest = within & ~start
     while frontier:
         nxt = 0
         while frontier:
             bit = frontier & -frontier
             frontier ^= bit
             nxt |= adj[bit.bit_length() - 1]
-        reach |= nxt
-        frontier = nxt & within & ~comp
+        frontier = nxt & rest
+        rest ^= frontier
         comp |= frontier
-    return comp, reach & ~within
+    return comp
 
 
 def components(adj: Sequence[int], subset_mask: int) -> list[int]:
@@ -53,7 +50,7 @@ def components(adj: Sequence[int], subset_mask: int) -> list[int]:
     out = []
     rest = subset_mask
     while rest:
-        comp = component(adj, rest & -rest, subset_mask)[0]
+        comp = component(adj, rest & -rest, subset_mask)
         out.append(comp)
         rest &= ~comp
     return out

@@ -28,9 +28,9 @@ from .errors import (
     EmptyTreeError,
     NotIndependentError,
     PaceParseError,
+    SizeLimitError,
 )
 from .graph import GRAPH_MAX_VERTICES, Graph, component, components, iter_bits
-from .subspace import Subspace
 
 
 @dataclass(frozen=True)
@@ -99,11 +99,18 @@ def validate_td(g: Graph, td: TreeDecomposition) -> TdValidationReport:
     in-range tree edges at node x.  The tree is connected iff the
     ``graph.component`` of node 0 is every node, and v's bags form a
     connected subtree iff the component of its lowest node inside its
-    occurrence mask is the whole mask.
+    occurrence mask is the whole mask.  Node x's mask is as wide as its
+    highest neighbour, so the masks take up to nb^2 / 8 bytes; like the
+    graph's vertices, the nodes are limited to GRAPH_MAX_VERTICES, and
+    SizeLimitError is raised past it.
 
     Violations are report content, never exceptions.
     """
     nb = td.node_count
+    if nb > GRAPH_MAX_VERTICES:
+        raise SizeLimitError(
+            f"decomposition has {nb} nodes; at most {GRAPH_MAX_VERTICES} can be validated"
+        )
     tree_problems: list[str] = []
     if nb == 0:
         return TdValidationReport(
@@ -126,7 +133,7 @@ def validate_td(g: Graph, td: TreeDecomposition) -> TdValidationReport:
             f"{len(td.tree_edges)} edges on {nb} nodes (a tree needs {nb - 1})"
         )
     all_nodes = (1 << nb) - 1
-    if component(tree, 1, all_nodes)[0] != all_nodes:
+    if component(tree, 1, all_nodes) != all_nodes:
         tree_problems.append("tree is disconnected")
     is_tree = not tree_problems
 
@@ -158,7 +165,7 @@ def validate_td(g: Graph, td: TreeDecomposition) -> TdValidationReport:
         occ = occurrence[v]
         if not occ:
             missing.append(v)
-        elif is_tree and component(tree, occ & -occ, occ)[0] != occ:
+        elif is_tree and component(tree, occ & -occ, occ) != occ:
             broken.append(v)
 
     return TdValidationReport(
@@ -274,11 +281,12 @@ def write_labels(g: Graph, path) -> None:
     """Write ``g``'s vertex labels as a ``.labels`` file, "<id> <label>"
     lines with the 1-indexed ids of the ``.gr`` file.
 
-    A Kneser vertex (a :class:`Subspace`) is written as its ``text()``, a
-    quadric point as its comma-joined coordinates.
+    A label with a ``text()`` method (a Kneser vertex's ``Subspace``) is
+    written as its text, any other (a quadric point's coordinates) as its
+    comma-joined entries.
     """
     texts = (
-        lab.text() if isinstance(lab, Subspace) else ",".join(str(x) for x in lab)
+        lab.text() if hasattr(lab, "text") else ",".join(str(x) for x in lab)
         for lab in g.labels
     )
     _write_text(path, "".join(f"{i} {text}\n" for i, text in enumerate(texts, start=1)))
@@ -582,10 +590,12 @@ def pace_write_td(td: TreeDecomposition, n_vertices: int, path, comments: Sequen
 def pace_read_td(path) -> tuple[TreeDecomposition, int]:
     """Read a .td file; returns (decomposition, declared vertex count).
 
-    Every number must be an ASCII ``[0-9]+`` token.  The file is decoded
-    as a stream of line-aligned blocks (``_text_blocks``) and parsed line
-    by line; an undecodable byte anywhere in it is reported before any
-    parse error.
+    Every number must be an ASCII ``[0-9]+`` token, and the solution line
+    may declare at most GRAPH_MAX_VERTICES bags, the node budget of
+    ``validate_td``; a larger count is refused before any bag is read.
+    The file is decoded as a stream of line-aligned blocks
+    (``_text_blocks``) and parsed line by line; an undecodable byte
+    anywhere in it is reported before any parse error.
     """
     return _decoded_before_errors(_parse_td, _text_lines(path))
 
@@ -617,6 +627,8 @@ def _parse_td(lines: Iterator[str]) -> tuple[TreeDecomposition, int]:
                 header = (_nat(parts[2]), _nat(parts[3]), _nat(parts[4]))
             except ValueError:
                 raise PaceParseError("non-integer counts in solution line", lineno)
+            if header[0] > GRAPH_MAX_VERTICES:
+                raise PaceParseError(f"bag count must be in 0..{GRAPH_MAX_VERTICES}", lineno)
             header_line = lineno
             continue
         if header is None:

@@ -249,6 +249,10 @@ def test_td_validate_parse_error(tmp_path, capsys):
     pace_write_gr(petersen_graph(), gr)
     td.write_text("s td nonsense\n")
     assert run(["td-validate", str(gr), str(td)]) == 2
+    td.write_text("s td 32769 1 10\n")  # more bags than validate_td takes
+    capsys.readouterr()
+    assert run(["td-validate", str(gr), str(td)]) == 2
+    assert "line 1: bag count must be in 0..32768" in capsys.readouterr().err
 
 
 def test_tw_exact_command(tmp_path, capsys):

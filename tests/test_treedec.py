@@ -13,6 +13,7 @@ from qktw.errors import (
     EmptyTreeError,
     NotIndependentError,
     PaceParseError,
+    SizeLimitError,
 )
 from qktw.exact import _decomposition_from_order
 from qktw.graph import (
@@ -745,6 +746,39 @@ def test_pace_gr_vertex_budget(tmp_path):
     bad.write_text(f"p tw {GRAPH_MAX_VERTICES + 1} 0\n")
     with pytest.raises(PaceParseError):
         pace_read_gr(bad)
+
+
+def _write_path_td(path, nb):
+    """A .td of nb bags, each holding vertex 1, joined in a path: the
+    node masks of such a tree take about nb^2 / 16 bytes."""
+    with open(path, "w", newline="\n") as fh:
+        fh.write(f"s td {nb} 1 1\n")
+        fh.writelines(f"b {i} 1\n" for i in range(1, nb + 1))
+        fh.writelines(f"{i} {i + 1}\n" for i in range(1, nb))
+
+
+def test_pace_td_bag_budget(tmp_path):
+    g = Graph(1)
+    bad = tmp_path / "long.td"
+    _write_path_td(bad, 200_000)  # about 2.6 MB; its node masks would take 2.5 GB
+    message = f"line 1: bag count must be in 0..{GRAPH_MAX_VERTICES}"
+    assert _gr_outcome(pace_read_td, bad) == (message, 1)
+    assert _traced_peak(_gr_outcome, pace_read_td, bad) < 2**20
+    wide = TreeDecomposition(((0,),) * (GRAPH_MAX_VERTICES + 1), ())
+    with pytest.raises(SizeLimitError):
+        validate_td(g, wide)
+    ok = tmp_path / "path.td"
+    _write_path_td(ok, GRAPH_MAX_VERTICES)
+    td, n = pace_read_td(ok)
+    assert n == 1 and td.node_count == GRAPH_MAX_VERTICES
+    start = time.perf_counter()
+    assert validate_td(g, td).passed
+    assert time.perf_counter() - start < 5.0
+    # the masks stay within nb^2 / 8 bytes (128 MiB at the bound); traced
+    # on a quarter of the path, since tracing makes each allocation dear
+    quarter = GRAPH_MAX_VERTICES // 4
+    part = TreeDecomposition(td.bags[:quarter], td.tree_edges[:quarter - 1])
+    assert _traced_peak(validate_td, g, part) < quarter**2 // 8
 
 
 _PACE_TOKENS = st.sampled_from(
