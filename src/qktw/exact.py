@@ -2,7 +2,8 @@
 
 Maximum independent set (branch and bound on the complement's clique
 problem with a greedy coloring bound), exact treewidth (dynamic
-programming over vertex subsets with decomposition reconstruction),
+programming over vertex subsets, with each subset's components kept in
+tables and the elimination order recovered along one path of subsets),
 minimum balanced separator (exhaustive over subsets by increasing size),
 and the all-orderings treewidth oracle (depth-first over elimination
 orderings with the width cut) that ``verify-all`` checks the subset DP
@@ -15,21 +16,24 @@ tie-breaking.  Exceeded budgets raise, they never return a wrong answer.
 from __future__ import annotations
 
 import time
+from array import array
 from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import BudgetExceededError
-from .graph import Graph, components, iter_bits
+from .graph import Graph, component, components, iter_bits
 from .treedec import TreeDecomposition
 
 MIS_VERTEX_CAP = 200
 TREEWIDTH_VERTEX_CAP = 18
-# The subset DP keeps two one-byte tables of 2^n entries: 128 MiB at 26
-# vertices, the memory budget of graph.GRAPH_MAX_VERTICES.  No budget
-# admits more.
-TREEWIDTH_TABLE_MAX_VERTICES = 26
+# The subset DP keeps 13 bytes per subset past 16 vertices (a one-byte
+# width and three four-byte masks): 104 MiB at 23 vertices, within the
+# 128 MiB memory budget of graph.GRAPH_MAX_VERTICES, and 208 MiB at 24.
+# No budget admits more.
+TREEWIDTH_TABLE_MAX_VERTICES = 23
 # tw-exact refuses, before solving, a graph whose subset DP would tick more
-# nodes (one per nonempty subset) than this: G(22, 1/2) takes about 21 s.
+# nodes (one per nonempty subset) than this: G(22, 1/2) takes about 11 s
+# and 68 MiB peak RSS.
 TREEWIDTH_NODE_BUDGET = 2**22 - 1
 SEPARATOR_VERTEX_CAP = 20
 
@@ -42,6 +46,12 @@ class SolveBudget:
     time_limit: float | None = None
     node_limit: int | None = None
 
+    def __post_init__(self):
+        for name in ("time_limit", "node_limit"):
+            value = getattr(self, name)
+            if value is not None and value < 0:
+                raise ValueError(f"{name} must not be negative, got {value}")
+
 
 class _BudgetClock:
     """Node counter plus an occasionally-polled wall clock."""
@@ -50,7 +60,7 @@ class _BudgetClock:
         self.node_limit = budget.node_limit
         self.time_limit = budget.time_limit
         self.deadline = (
-            time.monotonic() + budget.time_limit if budget.time_limit else None
+            time.monotonic() + budget.time_limit if budget.time_limit is not None else None
         )
         self.nodes = 0
 
@@ -163,6 +173,14 @@ def _decomposition_from_order(g: Graph, order: list[int]) -> TreeDecomposition:
     return TreeDecomposition(tuple(tuple(sorted(b)) for b in bags), tuple(edges))
 
 
+def _subset_tables(n: int) -> tuple[bytearray, array, array, array]:
+    """The subset DP's tables, zeroed: one byte per subset for the width,
+    and one mask per subset for low, high and nb."""
+    size = 1 << n
+    zeros = array("H" if n <= 16 else "I", [0])
+    return bytearray(size), zeros * size, zeros * size, zeros * size
+
+
 def treewidth_exact(
     g: Graph, budget: SolveBudget | None = None
 ) -> tuple[int, TreeDecomposition]:
@@ -170,76 +188,85 @@ def treewidth_exact(
 
     Dynamic programming over subsets S of already-eliminated vertices
     (Bodlaender, Fomin, Koster, Kratsch and Thilikos): the best width of
-    eliminating S first is min over v in S of max(best(S - v), the fill
-    degree of v after S - v).  That fill degree counts the vertices
-    outside S reached from v through S - v, which are exactly the outside
-    neighbours of v's component K in G[S]; so one component pass per
-    subset gives |N(K) - S| for every v in K at once.  The stored choice
-    is the lowest v reaching the minimum, as in a plain ascending scan
-    that keeps only strict improvements.  One byte per subset per table;
-    the elimination order is recovered from the stored choices and turned
-    into a valid decomposition whose width equals the optimum.  One
-    budget node per nonempty subset.
+    eliminating S first is TW(S) = min over v in S of max(TW(S - v), the
+    fill degree of v after S - v).  That fill degree counts the vertices
+    outside S reached from v through S - v, which are exactly N(K) - S
+    for v's component K in G[S].  Hence a disconnected S takes the larger
+    TW of its lowest vertex's component C and of S - C, and a connected S
+    takes max(|N(S) - S|, min over v of TW(S - v)).
+
+    Per subset, in O(1) from smaller subsets: low[S] and high[S], the
+    components of S's lowest and highest vertex in G[S], and nb[S] = N(S).
+    The order is recovered along one path of n subsets, taking at each
+    the lowest v with max(TW(S - v), |N(K) - S|) = TW(S), the choice of a
+    plain ascending scan that keeps only strict improvements; it is
+    turned into a valid decomposition whose width equals the optimum.
+    One budget node per nonempty subset.
     """
     budget = _check_vertex_cap(g, budget, TREEWIDTH_VERTEX_CAP)
     if g.n > TREEWIDTH_TABLE_MAX_VERTICES:
         raise BudgetExceededError(
-            f"{g.n} vertices need two subset tables of 2^{g.n} bytes; "
+            f"{g.n} vertices need 2^{g.n} subsets of 13 table bytes each; "
             f"they are limited to {TREEWIDTH_TABLE_MAX_VERTICES} vertices (128 MiB)"
         )
-    clock = _BudgetClock(budget)
+    tick = _BudgetClock(budget).tick
     n = g.n
     adj = g.adjacency
-    size = 1 << n
-    best = bytearray(size)
-    choice = bytearray(size)
-    for s in range(1, size):
-        clock.tick()
-        best_width = 255
-        best_v = n
-        rest = s
-        while rest:
-            # grow the component K of rest's lowest vertex inside S; inline,
-            # since graph.component's call per component made the benchmark's
-            # exact-solvers wall_s 6% slower (medians 1.27 -> 1.34 s)
-            comp = frontier = rest & -rest
-            reach = 0
-            while frontier:
-                nxt = 0
-                while frontier:
-                    bit = frontier & -frontier
-                    frontier ^= bit
-                    nxt |= adj[bit.bit_length() - 1]
-                reach |= nxt
-                frontier = nxt & s & ~comp
-                comp |= frontier
-            rest &= ~comp
-            d = (reach & ~s).bit_count()
-            if d > best_width:
+    best, low, high, nb = _subset_tables(n)
+    for h in range(n):
+        # the subsets whose highest vertex is h, in increasing order
+        hb = 1 << h
+        ah = adj[h]
+        tick()
+        low[hb] = high[hb] = hb
+        nb[hb] = ah
+        best[hb] = ah.bit_count()
+        for s in range(hb + 1, hb << 1):
+            tick()
+            ns = nb[s ^ hb] | ah
+            nb[s] = ns
+            # high: drop the lowest vertex, then merge through it
+            lo = s & -s
+            c = high[s ^ lo]
+            if adj[lo.bit_length() - 1] & c:
+                c |= low[s ^ c]
+            high[s] = c
+            # low: drop h, then merge through it
+            c = low[s ^ hb]
+            if ah & c:
+                c |= high[s ^ c]
+            low[s] = c
+            if c != s:
+                a = best[c]
+                b = best[s ^ c]
+                best[s] = a if a > b else b
                 continue
-            # K's candidates in ascending order; none is below d, so the
-            # first v with best(S - v) <= d is K's best
-            while comp:
-                bit = comp & -comp
-                comp ^= bit
+            # no candidate is below d, so the first TW(S - v) <= d settles it
+            d = (ns & ~s).bit_count()
+            m = 255
+            rest = s
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
                 prev = best[s ^ bit]
-                cand = prev if prev > d else d
-                if cand <= best_width:
-                    v = bit.bit_length() - 1
-                    if cand < best_width or v < best_v:
-                        best_width, best_v = cand, v
                 if prev <= d:
+                    m = d
                     break
-        best[s] = best_width
-        choice[s] = best_v
+                if prev < m:
+                    m = prev
+            best[s] = m
 
-    width = best[size - 1]
+    s = (1 << n) - 1
+    width = best[s]
     order = [0] * n
-    s = size - 1
     for pos in range(n - 1, -1, -1):
-        v = choice[s]
+        w = best[s]
+        for v in iter_bits(s):
+            bit = 1 << v
+            if best[s ^ bit] <= w and (nb[component(adj, bit, s)] & ~s).bit_count() <= w:
+                break
         order[pos] = v
-        s ^= 1 << v
+        s ^= bit
     td = _decomposition_from_order(g, order)
     if td.width() != width:
         raise AssertionError("reconstructed decomposition does not match the optimum")

@@ -28,8 +28,8 @@ def component(adj: Sequence[int], start: int, within: int) -> int:
     """Component of ``start`` in the graph induced on ``within``, as a mask.
 
     ``start`` is a one-bit mask inside ``within``.  The one component
-    search of the package, apart from the two inline loops in ``exact``
-    that keep their own for speed.
+    search of the package, apart from the inline loop of
+    ``exact._balanced``, which stops growing once a component passes half.
     """
     comp = frontier = start
     rest = within & ~start

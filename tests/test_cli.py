@@ -278,10 +278,10 @@ def test_tw_exact_budget_failure_reaches_stderr(tmp_path, capsys, monkeypatch):
 
 
 def test_tw_exact_table_budget(tmp_path, capsys):
-    gr = tmp_path / "path27.gr"
-    pace_write_gr(path_graph(27), gr)
+    gr = tmp_path / "path24.gr"
+    pace_write_gr(path_graph(24), gr)
     assert run(["tw-exact", str(gr), "--max-vertices", "40"]) == 3
-    assert "26 vertices" in capsys.readouterr().err
+    assert "23 vertices" in capsys.readouterr().err
 
 
 def test_tw_exact_node_budget_fails_fast(tmp_path, capsys, monkeypatch):

@@ -119,16 +119,20 @@ def test_treewidth_table_budget_fails_before_allocating(monkeypatch):
     class Allocated(Exception):
         pass
 
-    def allocate(size):
-        raise Allocated(size)
+    def allocate(n):
+        raise Allocated(n)
 
-    # the subset tables are the first allocation; 26 vertices reach it
-    monkeypatch.setattr(exact, "bytearray", allocate, raising=False)
-    assert exact.TREEWIDTH_TABLE_MAX_VERTICES == 26
+    # 13 table bytes per subset past 16 vertices: 2^23 subsets fit 128 MiB
+    tables = exact._subset_tables(17)
+    assert sum(len(t) * getattr(t, "itemsize", 1) for t in tables) == 13 * 2**17
+    assert 13 * 2**23 <= 2**27 < 13 * 2**24
+    # the subset tables are the first allocation; 23 vertices reach it
+    monkeypatch.setattr(exact, "_subset_tables", allocate)
+    assert exact.TREEWIDTH_TABLE_MAX_VERTICES == 23
     with pytest.raises(Allocated):
-        treewidth_exact(path_graph(26), SolveBudget(max_vertices=40))
-    with pytest.raises(BudgetExceededError, match="26 vertices"):
-        treewidth_exact(path_graph(27), SolveBudget(max_vertices=40))
+        treewidth_exact(path_graph(23), SolveBudget(max_vertices=40))
+    with pytest.raises(BudgetExceededError, match="23 vertices"):
+        treewidth_exact(path_graph(24), SolveBudget(max_vertices=40))
 
 
 def test_min_balanced_separator_examples():
@@ -263,6 +267,12 @@ def graphs(draw, max_n):
     return Graph.from_edges(n, [e for e, k in zip(pairs, keep) if k])
 
 
+def disjoint_union(a, b):
+    """``a`` on the first vertices, ``b`` on the next ones."""
+    edges = list(a.edges()) + [(u + a.n, v + a.n) for u, v in b.edges()]
+    return Graph.from_edges(a.n + b.n, edges)
+
+
 NAMED_GRAPHS = [
     Graph(1),
     Graph(6),
@@ -270,6 +280,11 @@ NAMED_GRAPHS = [
     cycle_graph(9),
     complete_graph(7),
     petersen_graph(),
+    disjoint_union(complete_graph(4), cycle_graph(5)),
+    # the two components tie on width 4 (two Petersen graphs make 20
+    # vertices, past the default cap, and the reference takes 30 s there)
+    disjoint_union(petersen_graph(), complete_graph(5)),
+    disjoint_union(path_graph(5), Graph(3)),
 ]
 
 
@@ -280,6 +295,12 @@ def test_treewidth_matches_the_reference_dp_on_named_graphs(g):
 
 @given(g=graphs(max_n=10))
 def test_treewidth_matches_the_reference_dp(g):
+    assert treewidth_exact(g) == reference_treewidth(g)
+
+
+@given(a=graphs(max_n=6), b=graphs(max_n=6))
+def test_treewidth_matches_the_reference_dp_on_disjoint_unions(a, b):
+    g = disjoint_union(a, b)
     assert treewidth_exact(g) == reference_treewidth(g)
 
 
@@ -327,6 +348,60 @@ def test_treewidth_node_limit_is_one_node_per_nonempty_subset():
     assert str(info.value) == "search-node limit 510 exceeded after 510 search nodes explored"
 
 
+class ReadLog(bytearray):
+    """A width table that records, for each subset written, the subsets
+    read since the previous write."""
+
+    def __init__(self, size):
+        super().__init__(size)
+        self.pending = []
+        self.reads = {}
+
+    def __getitem__(self, i):
+        self.pending.append(i)
+        return super().__getitem__(i)
+
+    def __setitem__(self, i, value):
+        self.reads[i], self.pending = self.pending, []
+        super().__setitem__(i, value)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_treewidth_reads_one_component_split_or_a_scan_up_to_d(monkeypatch, seed):
+    tables = exact._subset_tables
+    logs = []
+
+    def logged(n):
+        best, *masks = tables(n)
+        logs.append(ReadLog(len(best)))
+        return (logs[-1], *masks)
+
+    monkeypatch.setattr(exact, "_subset_tables", logged)
+    g = random_graph(8, 0.3 + 0.1 * seed, seed)
+    treewidth_exact(g)
+    widths = bytes(logs[0])
+    adj = g.adjacency
+    for s in range(1, 2**g.n):
+        comps = components(adj, s)
+        if len(comps) > 1:
+            # the lowest vertex's component and the rest
+            expected = [comps[0], s ^ comps[0]]
+        elif s & (s - 1):
+            # TW(S - v) in ascending v up to the first one within d
+            reach = 0
+            for v in iter_bits(s):
+                reach |= adj[v]
+            d = (reach & ~s).bit_count()
+            expected = []
+            for v in iter_bits(s):
+                expected.append(s ^ 1 << v)
+                if widths[s ^ 1 << v] <= d:
+                    break
+        else:
+            expected = []
+        assert logs[0].reads[s] == expected, s
+
+
 def test_separator_node_limit_is_one_node_per_candidate():
     g = random_graph(10, 0.5, seed=8)
     sep = min_balanced_separator(g)
@@ -344,3 +419,17 @@ def test_time_limit_trips_inside_the_dp():
     with pytest.raises(BudgetExceededError) as info:
         treewidth_exact(g, SolveBudget(time_limit=1e-9))
     assert str(info.value) == "time limit of 1e-09 s exceeded after 1023 search nodes explored"
+
+
+def test_zero_time_limit_is_a_limit():
+    g = random_graph(16, 0.5, seed=16)
+    with pytest.raises(BudgetExceededError) as info:
+        treewidth_exact(g, SolveBudget(time_limit=0))
+    assert str(info.value) == "time limit of 0 s exceeded after 1023 search nodes explored"
+
+
+@pytest.mark.parametrize("field", ["time_limit", "node_limit"])
+def test_negative_limits_are_refused(field):
+    with pytest.raises(ValueError, match=f"{field} must not be negative"):
+        SolveBudget(**{field: -1})
+    assert getattr(SolveBudget(**{field: 0}), field) == 0
