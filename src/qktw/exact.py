@@ -47,7 +47,7 @@ class SolveBudget:
     node_limit: int | None = None
 
     def __post_init__(self):
-        for name in ("time_limit", "node_limit"):
+        for name in ("max_vertices", "time_limit", "node_limit"):
             value = getattr(self, name)
             if value is not None and value < 0:
                 raise ValueError(f"{name} must not be negative, got {value}")

@@ -246,6 +246,18 @@ def held_subspaces(
     return list(number), numbers
 
 
+def containing_masks(numbers: Sequence[Sequence[int]], count: int) -> list[int]:
+    """Per numbered subspace, the mask of the spaces that hold it: bit i
+    of entry x is set iff x is in ``numbers[i]``, the numbers that
+    :func:`held_subspaces` gives space i out of ``count``."""
+    containing = [0] * count
+    for i, mine in enumerate(numbers):
+        bit = 1 << i
+        for x in mine:
+            containing[x] |= bit
+    return containing
+
+
 def meet_masks(spaces: Sequence[Subspace], t: int) -> list[int]:
     """Incidence masks: bit j of mask i is set iff dim(spaces[i] ∩ spaces[j]) >= t.
 
@@ -258,11 +270,7 @@ def meet_masks(spaces: Sequence[Subspace], t: int) -> list[int]:
     compare against.
     """
     held, numbers = held_subspaces(spaces, t)
-    containing = [0] * len(held)
-    for i, mine in enumerate(numbers):
-        bit = 1 << i
-        for x in mine:
-            containing[x] |= bit
+    containing = containing_masks(numbers, len(held))
     masks = []
     for mine in numbers:
         mask = 0

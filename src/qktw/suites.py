@@ -7,7 +7,12 @@ exact sides, computed in one thread in a fixed order.
 from __future__ import annotations
 
 import random
+import sys
 import tempfile
+from array import array
+from functools import reduce
+from itertools import compress
+from operator import or_
 from pathlib import Path
 from typing import Sequence
 
@@ -38,7 +43,13 @@ from .quadric import (
     verify_klein_isomorphism,
 )
 from .report import CheckCase, SuiteReport
-from .subspace import Subspace, enumerate_k_subspaces, held_subspaces, meet_masks
+from .subspace import (
+    Subspace,
+    containing_masks,
+    enumerate_k_subspaces,
+    held_subspaces,
+    meet_masks,
+)
 from .treedec import (
     pace_read_gr,
     pace_read_td,
@@ -50,6 +61,10 @@ from .treedec import (
 # Admits the default pair-count sweep (n <= 5, k <= 3) at q = 2 (work
 # 234,161) and q = 3 (23,510,162); q = 4 would be 824,011,665.
 PAIR_COUNT_MAX_WORK = 50_000_000
+
+# Packed census fields: array type codes by width in bytes.
+_FIELD_CODES = {array(code).itemsize: code for code in "BHILQ"}
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
 
 ORACLE_SEED = 271828
 ORACLE_GRAPH_COUNT = 200
@@ -91,43 +106,97 @@ def pair_count_work(q: int, max_n: int, max_k: int) -> int:
     return work
 
 
+def _mask_bytes(mask: int, size: int) -> bytes:
+    """Byte b is bit b of ``mask`` (0 or 1), for b < size; mask < 2**size."""
+    return f"{mask:0{size}b}"[::-1].encode().translate(_BIT_BYTES)
+
+
 def pair_censuses(verts: Sequence[Subspace]):
-    """Intersection censuses of subspace pairs, from incidence masks.
+    """Intersection censuses of subspace pairs, one vertex against all at once.
 
     ``verts`` are k-subspaces of one ambient space.  Yields
-    (a, b, s, counts) for every pair a <= b: s = dim(verts[a] ∩ verts[b])
-    and counts[t - 1][i], for t = 1..k and i = 0..min(s, t), the number of
-    pairs (x, y) of t-subspaces x of verts[a] and y of verts[b] with
-    dim(x ∩ y) = i.
+    (a, classes, columns) for every vertex a: classes[s], for s = 0..k,
+    lists the b >= a with dim(verts[a] ∩ verts[b]) = s, ascending, and
+    columns[t - 1][i][b], for t = 1..k, i = 0..t and every b, is the
+    number of pairs (x, y) of t-subspaces x of verts[a] and y of verts[b]
+    with dim(x ∩ y) = i.
 
     Let T be the t-subspaces the vertices hold, numbered by
-    :func:`held_subspaces`, S_a the mask of a's t-subspaces in T and
-    M_i = meet_masks(T, i).  Then s counts the t at which S_a & S_b is not
-    empty, and the pairs meeting in dimension >= i number the sum over x
-    of a of popcount(M_i[x] & S_b); exact counts are differences, and none
-    meet in more than min(s, t).  Every S_b lies in T, so no other
-    t-subspace of the ambient space can count.  No pair is eliminated;
-    :func:`intersect_dim` is the oracle the tests compare.
+    :func:`held_subspaces`, S_b the set of b's t-subspaces in T and
+    M_i = meet_masks(T, i).  Each y in T gets a packed vector, a big int
+    with a field of w bytes per vertex b, holding 1 if y lies in b.
+    R_i[x], the sum of the packed vectors over M_i[x], holds
+    popcount(M_i[x] & S_b) in field b, and V_i, the sum of R_i[x] over the
+    t-subspaces x of a, the pairs that meet in dimension >= i; V_0 is
+    [k,t]_q times the sum of all packed vectors.  The exact counts are
+    E_i = V_i - V_{i+1}, with V_{t+1} = 0.  No field overflows: w is the
+    least of 1, 2, 4 and 8 bytes with [k,t]_q^2 < 256^w, and no field of
+    any sum exceeds [k,t]_q^2, the pairs (x, y) of one (a, b).  No field
+    borrows: M_{i+1}[x] lies in M_i[x], which is checked, so no field of
+    V_{i+1} exceeds that of V_i.  Every S_b lies in T, so no other
+    t-subspace of the ambient space can count.
+
+    s comes from vertex masks: b lies in the OR of the containing masks of
+    a's t-subspaces exactly when dim(a ∩ b) >= t.  x ∩ y lies in a ∩ b, so
+    a nonzero count above min(s, t) raises ArithmeticError.  No pair is
+    eliminated and no Python step runs per pair; ``oracle_pair_censuses``
+    in the tests, one :func:`intersect_dim` per pair of t-subspaces, is the
+    oracle.
     """
     f, n, k = verts[0].field, verts[0].n, verts[0].k
+    count = len(verts)
     per_t = []
+    near = []  # near[t - 1][a]: the mask of the b with dim(a ∩ b) >= t
     for t in range(1, k + 1):
         held, subs = held_subspaces(verts, t)
-        meets = [meet_masks([Subspace(f, n, w) for w in held], i) for i in range(t + 1)]
-        per_t.append((t, meets, subs, [sum(1 << x for x in xs) for xs in subs]))
-    for a in range(len(verts)):
-        for b in range(a, len(verts)):
-            s = sum(1 for _, _, _, masks in per_t if masks[a] & masks[b])
-            counts = []
-            for t, meets, subs, masks in per_t:
-                xs, theirs, top = subs[a], masks[b], min(s, t)
-                at_least = [
-                    sum((row[x] & theirs).bit_count() for x in xs)
-                    for row in meets[: top + 1]
-                ]
-                at_least.append(0)  # x ∩ y lies in a ∩ b and in x
-                counts.append([at_least[i] - at_least[i + 1] for i in range(top + 1)])
-            yield a, b, s, counts
+        largest = gauss_binom(k, t, f.q) ** 2  # the pairs (x, y) of one (a, b)
+        width = next(w for w in _FIELD_CODES if largest < 256**w)
+        containing = containing_masks(subs, len(held))
+        near.append([reduce(or_, map(containing.__getitem__, xs)) for xs in subs])
+        packed = []
+        for mask in containing:
+            fields = bytearray(count * width)
+            fields[::width] = _mask_bytes(mask, count)
+            packed.append(int.from_bytes(fields, "little"))
+        total = sum(packed)
+        spaces = [Subspace(f, n, w) for w in held]
+        rows, prev = [], None
+        for i in range(1, t + 1):
+            meets = meet_masks(spaces, i)
+            if prev is not None and any(m & ~p for m, p in zip(meets, prev)):
+                raise ArithmeticError(f"meet rows of dimension {i} do not nest in {i - 1}")
+            rows.append([sum(compress(packed, _mask_bytes(m, len(held)))) for m in meets])
+            prev = meets
+        per_t.append((t, subs, total, rows, _FIELD_CODES[width], count * width))
+    everyone = (1 << count) - 1
+    for a in range(count):
+        ge = [everyone & ~((1 << a) - 1)]  # ge[s]: the b >= a with dim(a ∩ b) >= s
+        ge += [masks[a] & ge[0] for masks in near]
+        ge.append(0)
+        classes = [
+            list(compress(range(count), _mask_bytes(ge[s] & ~ge[s + 1], count)))
+            for s in range(k + 1)
+        ]
+        columns = []
+        for t, subs, total, rows, code, size in per_t:
+            xs = subs[a]
+            at_least = [len(xs) * total]
+            at_least += [sum(map(row.__getitem__, xs)) for row in rows]
+            at_least.append(0)
+            cols = []
+            for i in range(t + 1):
+                col = array(code, (at_least[i] - at_least[i + 1]).to_bytes(size, "little"))
+                if sys.byteorder == "big":
+                    col.byteswap()
+                cols.append(col)
+            columns.append(cols)
+            for s, bs in enumerate(classes[:t]):
+                for i in range(s + 1, t + 1):
+                    if any(map(cols[i].__getitem__, bs)):
+                        raise ArithmeticError(
+                            f"t-subspaces meet in dimension {i} > dim(a ∩ b) = {s}"
+                        )
+        yield a, classes, columns
 
 
 def pair_count_suite(q: int = 2, max_n: int = 5, max_k: int = 3) -> SuiteReport:
@@ -135,8 +204,11 @@ def pair_count_suite(q: int = 2, max_n: int = 5, max_k: int = 3) -> SuiteReport:
 
     Every unordered pair of k-subspaces (including equal pairs) is
     censused by :func:`pair_censuses`; cases are aggregated per
-    (n, k, t, s, i) as the worst observed count against the bound.  Runs
-    whose :func:`pair_count_work` passes PAIR_COUNT_MAX_WORK raise
+    (n, k, t, s, i) as the worst observed count against the bound.  Per
+    vertex a and s, the worst count of each (t, i) is the max of the
+    column over the b of class s, and the class adds its size to the pairs
+    checked, so no Python step runs per pair.  Runs whose
+    :func:`pair_count_work` passes PAIR_COUNT_MAX_WORK raise
     BudgetExceededError before the field is built or anything enumerated.
     """
     work = pair_count_work(q, max_n, max_k)
@@ -152,12 +224,16 @@ def pair_count_suite(q: int = 2, max_n: int = 5, max_k: int = 3) -> SuiteReport:
             verts = enumerate_k_subspaces(n, k, f)
             worst: dict[tuple[int, int, int], int] = {}
             pairs: dict[tuple[int, int, int], int] = {}
-            for _, _, s, counts in pair_censuses(verts):
-                for t, row in enumerate(counts, start=1):
-                    for i, count in enumerate(row):
-                        key = (t, s, i)
-                        worst[key] = max(worst.get(key, 0), count)
-                        pairs[key] = pairs.get(key, 0) + 1
+            for _, classes, columns in pair_censuses(verts):
+                for s, bs in enumerate(classes):
+                    if not bs:
+                        continue
+                    for t, cols in enumerate(columns, start=1):
+                        for i in range(min(s, t) + 1):
+                            key = (t, s, i)
+                            most = max(map(cols[i].__getitem__, bs))
+                            worst[key] = max(worst.get(key, 0), most)
+                            pairs[key] = pairs.get(key, 0) + len(bs)
             for (t, s, i), count in sorted(worst.items()):
                 bound = gauss_binom(s, i, q) * gauss_binom(k - i, t - i, q) ** 2
                 cases.append(

@@ -428,7 +428,7 @@ def test_zero_time_limit_is_a_limit():
     assert str(info.value) == "time limit of 0 s exceeded after 1023 search nodes explored"
 
 
-@pytest.mark.parametrize("field", ["time_limit", "node_limit"])
+@pytest.mark.parametrize("field", ["max_vertices", "time_limit", "node_limit"])
 def test_negative_limits_are_refused(field):
     with pytest.raises(ValueError, match=f"{field} must not be negative"):
         SolveBudget(**{field: -1})

@@ -309,7 +309,12 @@ def test_pair_count_examples():
     # line pairs (t = 1) of planes (k = 2) in F_2^4, counted by hand; the
     # bound is [s,i] [k-i,t-i]^2
     verts = enumerate_k_subspaces(4, 2, F2)
-    censuses = {b: (s, counts[0]) for a, b, s, counts in pair_censuses(verts) if a == 0}
+    _, classes, columns = next(pair_censuses(verts))  # vertex 0 against all
+    censuses = {
+        b: (s, [columns[0][i][b] for i in range(min(s, 1) + 1)])
+        for s, bs in enumerate(classes)
+        for b in bs
+    }
 
     def bound(s, i):
         return gauss_binom(s, i, 2) * gauss_binom(2 - i, 1 - i, 2) ** 2

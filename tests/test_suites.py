@@ -151,26 +151,65 @@ def oracle_pair_censuses(verts):
             yield a, b, s, counts
 
 
+def pair_census_tuples(verts):
+    """pair_censuses expanded to the oracle's (a, b, s, counts) per pair."""
+    for a, classes, columns in pair_censuses(verts):
+        dims = {b: s for s, bs in enumerate(classes) for b in bs}
+        for b, s in sorted(dims.items()):
+            tops = [cols[: min(s, t) + 1] for t, cols in enumerate(columns, start=1)]
+            yield a, b, s, [[col[b] for col in top] for top in tops]
+
+
 @pytest.mark.parametrize(
     "q,n,k",
-    [(2, n, k) for n in range(2, 5) for k in range(1, n + 1)] + [(3, 4, 2)],
+    [(2, n, k) for n in range(2, 5) for k in range(1, n + 1)] + [(3, 4, 2), (4, 3, 3), (5, 3, 3)],
 )
 def test_pair_censuses_match_the_pairwise_oracle(q, n, k):
     verts = enumerate_k_subspaces(n, k, make_field(q))
-    assert list(pair_censuses(verts)) == list(oracle_pair_censuses(verts))
+    assert list(pair_census_tuples(verts)) == list(oracle_pair_censuses(verts))
+
+
+@pytest.mark.parametrize("q,most", [(4, 420), (5, 930)])
+def test_pair_censuses_fill_two_byte_fields(q, most):
+    # the plane of F_q^3 against itself: q^2 + q + 1 points, and the pairs
+    # of distinct points (t = 1, i = 0) pass one byte
+    (_, classes, columns), = pair_censuses(enumerate_k_subspaces(3, 3, make_field(q)))
+    assert classes == [[], [], [], [0]]
+    assert columns[0][0].itemsize == 2
+    assert max(col[0] for cols in columns for col in cols) == most
+
+
+@pytest.mark.parametrize("fault", ["above s", "not nested"])
+def test_pair_count_refuses_a_corrupt_meet_row(monkeypatch, fault):
+    real = suites.meet_masks
+
+    def corrupt(spaces, i):
+        rows = real(spaces, i)
+        t = spaces[0].k
+        if fault == "above s" and t == i == 1:
+            rows[0] |= 1 << 1  # point 0 "is" point 1
+        if fault == "not nested" and t == i == 2:
+            skew = ~real(spaces, 1)[0] & ((1 << len(rows)) - 1)
+            rows[0] |= skew & -skew  # a line skew to line 0 "is" line 0
+        return rows
+
+    monkeypatch.setattr(suites, "meet_masks", corrupt)
+    match = {"above s": "meet in dimension", "not nested": "do not nest"}[fault]
+    with pytest.raises(ArithmeticError, match=match):
+        pair_count_suite(q=2, max_n=4, max_k=3)
 
 
 @settings(max_examples=20, deadline=None)
 @given(st.data())
 def test_pair_censuses_on_random_vertex_subsets(data):
-    q, n = data.draw(st.sampled_from([(2, 4), (2, 5), (3, 3), (3, 4)]))
+    q, n = data.draw(st.sampled_from([(2, 4), (2, 5), (3, 3), (3, 4), (4, 4)]))
     k = data.draw(st.integers(1, n - 1))
     every = enumerate_k_subspaces(n, k, make_field(q))
     picked = data.draw(
         st.lists(st.integers(0, len(every) - 1), min_size=1, max_size=12, unique=True)
     )
     verts = [every[i] for i in picked]
-    assert list(pair_censuses(verts)) == list(oracle_pair_censuses(verts))
+    assert list(pair_census_tuples(verts)) == list(oracle_pair_censuses(verts))
 
 
 def test_pair_count_budget_admits_q2_and_q3_only():
