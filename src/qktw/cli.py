@@ -17,14 +17,17 @@ Exit codes: 0 all checks passed, 1 a check failed, 2 usage or parse error,
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 from pathlib import Path
 
 from .errors import BudgetExceededError, PaceParseError, SizeLimitError
 from .exact import (
+    MIS_VERTEX_CAP,
     TREEWIDTH_NODE_BUDGET,
     TREEWIDTH_TABLE_MAX_VERTICES,
+    TREEWIDTH_VERTEX_CAP,
     SolveBudget,
     mis_exact,
     treewidth_exact,
@@ -39,7 +42,7 @@ from .kneser import (
 )
 from .quadric import build_quadric_graph
 from .report import exact_str, verify_all_json
-from .suites import SUITE_NAMES, run_suite, verify_all
+from .suites import SUITE_NAMES, SUITES, run_suite, verify_all
 from .treedec import (
     pace_read_gr,
     pace_read_td,
@@ -96,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     alpha = sub.add_parser("alpha", help="independence number, formula vs exact")
     _add_params(alpha)
-    alpha.add_argument("--max-vertices", type=_vertex_budget, default=200)
+    alpha.add_argument("--max-vertices", type=_vertex_budget, default=MIS_VERTEX_CAP)
 
     tdb = sub.add_parser("td-build", help="write the star decomposition as .td")
     _add_params(tdb)
@@ -110,14 +113,17 @@ def build_parser() -> argparse.ArgumentParser:
     twe = sub.add_parser("tw-exact", help="exact treewidth of a small .gr input")
     twe.add_argument("graph", help="input .gr path")
     twe.add_argument("-o", "--output", help="write the optimal decomposition here")
-    twe.add_argument("--max-vertices", type=_vertex_budget, default=18)
+    twe.add_argument("--max-vertices", type=_vertex_budget, default=TREEWIDTH_VERTEX_CAP)
 
     ver = sub.add_parser("verify", help="run one verification suite")
     ver.add_argument("suite", choices=SUITE_NAMES)
     ver.add_argument("-q", type=int, default=None, help="restrict to one field order")
     ver.add_argument("--tuples", type=int, default=None, help="counting sweep size (default 50)")
     ver.add_argument(
-        "--claims", default=None, help="comma-separated census claims (i,ii,iii,iv)"
+        "--claims",
+        type=lambda text: tuple(text.split(",")),
+        default=None,
+        help="comma-separated census claims (i,ii,iii,iv)",
     )
     ver.add_argument("-o", "--output", help="write the JSON report here")
 
@@ -227,19 +233,16 @@ def _cmd_tw_exact(args) -> int:
     return EXIT_OK
 
 
-# The suites each optional ``verify`` argument applies to; every other
-# suite refuses it rather than ignore it.
-_VERIFY_OPTIONS = {
-    "q": ("-q", ("gauss-bounds", "pair-count", "grid", "klein", "perp-census")),
-    "claims": ("--claims", ("perp-census",)),
-    "tuples": ("--tuples", ("counting",)),
-}
+# The optional ``verify`` arguments, each passed to the suite under its own
+# name when given; a suite whose signature lacks the name refuses it.
+_SUITE_OPTIONS = (("q", "-q"), ("claims", "--claims"), ("tuples", "--tuples"))
 
 
 def _verify_usage_error(args) -> str | None:
     """Why the optional arguments do not fit ``args.suite``, or None."""
-    for dest, (flag, suites) in _VERIFY_OPTIONS.items():
-        if getattr(args, dest) is not None and args.suite not in suites:
+    accepted = inspect.signature(SUITES[args.suite]).parameters
+    for name, flag in _SUITE_OPTIONS:
+        if getattr(args, name) is not None and name not in accepted:
             return f"{flag} does not apply to the {args.suite} suite"
     if args.tuples is not None and args.tuples < 1:
         return f"--tuples must be at least 1, got {args.tuples}"
@@ -253,20 +256,9 @@ def _cmd_verify(args) -> int:
     if problem:
         print(f"verify: {problem}", file=sys.stderr)
         return EXIT_USAGE
-    kwargs: dict = {}
-    if args.suite in ("gauss-bounds", "grid", "klein"):
-        if args.q is not None:
-            kwargs["qs"] = (args.q,)
-    elif args.suite == "perp-census":
-        claims = tuple(args.claims.split(",")) if args.claims else None
-        if args.q is not None:
-            kwargs["plan"] = ((args.q, claims),)
-        elif claims is not None:
-            kwargs["plan"] = tuple((q, claims) for q in (2, 3))
-    elif args.suite == "counting" and args.tuples is not None:
-        kwargs["tuple_count"] = args.tuples
-    elif args.suite == "pair-count" and args.q is not None:
-        kwargs["q"] = args.q
+    kwargs = {
+        name: value for name, _ in _SUITE_OPTIONS if (value := getattr(args, name)) is not None
+    }
     report = run_suite(args.suite, **kwargs)
     _emit(report.to_json(), args.output)
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED

@@ -298,23 +298,25 @@ def counting_inequality_check(p: KneserParams) -> CountingReport:
     return CountingReport(params=reduced, cases=tuple(cases))
 
 
-def counting_sweep_params(
-    count: int = 50, q_limit: int = 32, k_limit: int = 6, n_extra: int = 12
-) -> list[KneserParams]:
+def counting_sweep_params(count: int = 50) -> list[KneserParams]:
     """Deterministic sweep of in-range parameter tuples, smallest graphs first.
 
-    Candidates are ordered by vertex count [n,k]_q so the sweep stays at
-    desk scale; only tuples inside the certified ranges qualify.
+    The candidates are the (q, n, k, t) with q <= 32, 2 <= k <= 6, t < k and
+    2k <= n <= 3k + 12 inside the certified ranges, ordered by vertex count
+    [n,k]_q so the sweep stays at desk scale.  A ``count`` below 1 or above
+    the number of candidates raises ValueError.
     """
     if count < 1:
         raise ValueError(f"need count >= 1, got {count}")
     candidates = []
-    for q in prime_powers_up_to(q_limit):
-        for k in range(2, k_limit + 1):
+    for q in prime_powers_up_to(32):
+        for k in range(2, 7):
             for t in range(1, k):
-                for n in range(2 * k, 3 * k + n_extra + 1):
+                for n in range(2 * k, 3 * k + 13):
                     if _main_range_tags(q, n, k, t):
                         candidates.append((gauss_binom(n, k, q), q, n, k, t))
+    if count > len(candidates):
+        raise ValueError(f"need count <= {len(candidates)}, the sweep's tuples, got {count}")
     candidates.sort()
     return [KneserParams(q, n, k, t) for _, q, n, k, t in candidates[:count]]
 

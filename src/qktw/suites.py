@@ -1,7 +1,11 @@
 """Named verification sweeps shared by the CLI and the acceptance tests.
 
 Each suite returns a SuiteReport of individually-verifiable cases with
-exact sides, computed in one thread in a fixed order.
+exact sides, computed in one thread in a fixed order.  A suite's keyword
+parameters are its ``verify`` options: ``qktw verify`` passes ``-q``,
+``--claims`` and ``--tuples`` as ``q``, ``claims`` and ``tuples`` to a
+suite whose signature names them and refuses them otherwise.  Every other
+sweep is fixed.
 """
 
 from __future__ import annotations
@@ -73,25 +77,31 @@ ORACLE_GRAPH_COUNT = 200
 # -- inequality suites -----------------------------------------------------------
 
 
-def gauss_bounds_suite(max_n: int = 8, qs: tuple[int, ...] = (2, 3, 4, 5, 7, 8, 9)) -> SuiteReport:
+def _orders(q: int | None, default: tuple[int, ...]) -> tuple[int, ...]:
+    """The field orders a suite runs: ``q`` alone if given, else its default sweep."""
+    return default if q is None else (q,)
+
+
+def gauss_bounds_suite(q: int | None = None) -> SuiteReport:
     return SuiteReport(
         "gauss-bounds",
-        [check_gauss_bounds(n, k, q) for q in qs for n in range(max_n + 1) for k in range(n + 1)],
-    )
-
-
-def parabola_suite(window: int = 40) -> SuiteReport:
-    return SuiteReport(
-        "parabola",
         [
-            parabola_tail_check(quad, anchor, q, mode, window=window)
-            for quad, anchor, q, mode in parabola_case_grid()
+            check_gauss_bounds(n, k, order)
+            for order in _orders(q, (2, 3, 4, 5, 7, 8, 9))
+            for n in range(9)
+            for k in range(n + 1)
         ],
     )
 
 
-def bridge_suite(max_q: int = 64) -> SuiteReport:
-    return SuiteReport("bridge", [bridge_inequality_check(q) for q in prime_powers_up_to(max_q)])
+def parabola_suite() -> SuiteReport:
+    return SuiteReport(
+        "parabola", [parabola_tail_check(*case) for case in parabola_case_grid()]
+    )
+
+
+def bridge_suite() -> SuiteReport:
+    return SuiteReport("bridge", [bridge_inequality_check(q) for q in prime_powers_up_to(64)])
 
 
 def pair_count_work(q: int, max_n: int, max_k: int) -> int:
@@ -248,9 +258,11 @@ def pair_count_suite(q: int = 2, max_n: int = 5, max_k: int = 3) -> SuiteReport:
     return SuiteReport("pair-count", cases)
 
 
-def counting_suite(tuple_count: int = 50) -> SuiteReport:
+def counting_suite(tuples: int = 50) -> SuiteReport:
+    """The counting inequality on the first ``tuples`` in-range parameter
+    tuples of :func:`counting_sweep_params`, one case per (tuple, s)."""
     cases = []
-    for p in counting_sweep_params(tuple_count):
+    for p in counting_sweep_params(tuples):
         rep = counting_inequality_check(p)
         for c in rep.cases:
             cases.append(
@@ -267,13 +279,13 @@ def counting_suite(tuple_count: int = 50) -> SuiteReport:
 # -- geometry suites ----------------------------------------------------------------
 
 
-def grid_suite(qs: tuple[int, ...] = (2, 3, 4)) -> SuiteReport:
+def grid_suite(q: int | None = None) -> SuiteReport:
     cases = []
-    for q in qs:
-        rep = grid_extremal_search(q)
+    for order in _orders(q, (2, 3, 4)):
+        rep = grid_extremal_search(order)
         cases.append(
             CheckCase(
-                params={"q": q},
+                params={"q": order},
                 lhs=rep.max_size,
                 rhs=rep.expected_max,
                 passed=rep.passed,
@@ -286,13 +298,13 @@ def grid_suite(qs: tuple[int, ...] = (2, 3, 4)) -> SuiteReport:
     return SuiteReport("grid", cases)
 
 
-def klein_suite(qs: tuple[int, ...] = (2, 3)) -> SuiteReport:
+def klein_suite(q: int | None = None) -> SuiteReport:
     cases = []
-    for q in qs:
-        rep = verify_klein_isomorphism(q)
+    for order in _orders(q, (2, 3)):
+        rep = verify_klein_isomorphism(order)
         cases.append(
             CheckCase(
-                params={"q": q},
+                params={"q": order},
                 lhs=rep.line_count,
                 rhs=rep.point_count,
                 passed=rep.passed,
@@ -307,15 +319,20 @@ def klein_suite(qs: tuple[int, ...] = (2, 3)) -> SuiteReport:
 
 
 def perp_census_suite(
-    plan: tuple[tuple[int, tuple[str, ...] | None], ...] = ((2, None), (3, None)),
+    q: int | None = None, claims: tuple[str, ...] | None = None
 ) -> SuiteReport:
+    """The perpendicular-section census at q = 2 and 3, or at ``q`` alone.
+
+    ``claims`` names the claims to check at every order; None checks each
+    order's default claims (:func:`default_census_claims`).
+    """
     cases = []
-    for q, claims in plan:
-        rep = perp_section_census(q, claims)
+    for order in _orders(q, (2, 3)):
+        rep = perp_section_census(order, claims)
         for claim, result in rep.claims.items():
             cases.append(
                 CheckCase(
-                    params={"q": q, "claim": claim},
+                    params={"q": order, "claim": claim},
                     lhs=len(result.failures),
                     rhs=0,
                     passed=result.passed,
@@ -389,36 +406,29 @@ def independence_suite() -> SuiteReport:
     return SuiteReport("independence", cases)
 
 
-def duality_suite(params: tuple[tuple[int, int, int, int], ...] = ((2, 5, 3, 2),)) -> SuiteReport:
-    cases = []
-    for q, n, k, t in params:
-        rep = duality_isomorphism(KneserParams(q, n, k, t))
-        cases.append(
-            CheckCase(
-                params={"q": q, "n": n, "k": k, "t": t},
-                lhs=rep.vertex_count,
-                rhs=rep.vertex_count,
-                passed=rep.passed,
-                witness={
-                    "dual": rep.dual_params.as_dict(),
-                    "pairs_checked": rep.pairs_checked,
-                    "mismatches": len(rep.mismatches),
-                },
-            )
-        )
-    return SuiteReport("duality", cases)
+def duality_suite() -> SuiteReport:
+    p = KneserParams(2, 5, 3, 2)
+    rep = duality_isomorphism(p)
+    case = CheckCase(
+        params=p.as_dict(),
+        lhs=rep.vertex_count,
+        rhs=rep.vertex_count,
+        passed=rep.passed,
+        witness={
+            "dual": rep.dual_params.as_dict(),
+            "pairs_checked": rep.pairs_checked,
+            "mismatches": len(rep.mismatches),
+        },
+    )
+    return SuiteReport("duality", [case])
 
 
-def random_graph_corpus(
-    count: int = ORACLE_GRAPH_COUNT,
-    n_range: tuple[int, int] = (4, 8),
-    seed: int = ORACLE_SEED,
-) -> list[Graph]:
-    rng = random.Random(seed)
-    lo, hi = n_range
+def random_graph_corpus(count: int = ORACLE_GRAPH_COUNT) -> list[Graph]:
+    """``count`` seeded random graphs of 4 to 8 vertices."""
+    rng = random.Random(ORACLE_SEED)
     out = []
     for _ in range(count):
-        n = rng.randint(lo, hi)
+        n = rng.randint(4, 8)
         p = rng.choice((0.2, 0.35, 0.5, 0.65, 0.8))
         edges = [
             (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p
@@ -427,11 +437,10 @@ def random_graph_corpus(
     return out
 
 
-def oracle_suite(count: int = ORACLE_GRAPH_COUNT, seed: int = ORACLE_SEED) -> SuiteReport:
+def oracle_suite() -> SuiteReport:
     cases = []
     agree = 0
-    corpus = random_graph_corpus(count, seed=seed)
-    for g in corpus:
+    for g in random_graph_corpus():
         dp, td = treewidth_exact(g)
         brute = treewidth_all_orderings(g)
         valid = validate_td(g, td).passed
@@ -439,10 +448,10 @@ def oracle_suite(count: int = ORACLE_GRAPH_COUNT, seed: int = ORACLE_SEED) -> Su
             agree += 1
     cases.append(
         CheckCase(
-            params={"corpus": "random", "count": count, "seed": seed},
+            params={"corpus": "random", "count": ORACLE_GRAPH_COUNT, "seed": ORACLE_SEED},
             lhs=agree,
-            rhs=count,
-            passed=agree == count,
+            rhs=ORACLE_GRAPH_COUNT,
+            passed=agree == ORACLE_GRAPH_COUNT,
         )
     )
     for name, g, expected in (

@@ -13,7 +13,7 @@ from qktw import cli
 from qktw.cli import run
 from qktw.exact import TREEWIDTH_NODE_BUDGET, SolveBudget
 from qktw.report import CheckCase, SuiteReport, verify_all_json
-from qktw.suites import counting_suite
+from qktw.suites import counting_suite, perp_census_suite
 from qktw.graph import path_graph, petersen_graph
 from qktw.treedec import TreeDecomposition, pace_write_gr
 
@@ -403,9 +403,33 @@ def test_verify_options_reach_their_suites(capsys):
     assert {c["params"]["q"] for c in payload["cases"]} == {3}
     assert payload["summary"]["total"] == sum(n + 1 for n in range(9))
     code, payload = run_json(capsys, ["verify", "counting", "--tuples", "3"])
-    assert code == 0 and payload == counting_suite(tuple_count=3).to_json()
+    assert code == 0 and payload == counting_suite(tuples=3).to_json()
     code, payload = run_json(capsys, ["verify", "counting"])
-    assert code == 0 and payload == counting_suite(tuple_count=50).to_json()
+    assert code == 0 and payload == counting_suite(tuples=50).to_json()
+
+
+def test_verify_claims_without_q_run_both_orders(capsys):
+    code, payload = run_json(capsys, ["verify", "perp-census", "--claims", "ii"])
+    assert code == 0 and payload == perp_census_suite(claims=("ii",)).to_json()
+    assert [(c["params"]["q"], c["params"]["claim"]) for c in payload["cases"]] == [
+        (2, "ii"),
+        (3, "ii"),
+    ]
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["perp-census", "--claims", ""], "error: unknown claim ''"),
+        (["perp-census", "--claims", "i,"], "error: unknown claim ''"),
+        (["counting", "--tuples", "100000"], "error: need count <= 4151,"),
+    ],
+)
+def test_verify_refuses_values_its_suite_cannot_run(capsys, argv, message):
+    assert run(["verify", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(message)
 
 
 _SESSION = [

@@ -294,6 +294,12 @@ def test_counting_sweep_rejects_counts_below_one():
     assert len(counting_sweep_params(1)) == 1
 
 
+def test_counting_sweep_refuses_counts_past_its_tuples():
+    assert len(set(counting_sweep_params(4151))) == 4151
+    with pytest.raises(ValueError, match="need count <= 4151, .* got 4152"):
+        counting_sweep_params(4152)
+
+
 def test_counting_sweep_deterministic_and_in_range():
     sweep = counting_sweep_params(50)
     assert len(sweep) == 50

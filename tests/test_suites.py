@@ -92,9 +92,10 @@ def test_suite_report_json_shape():
 
 
 def test_gauss_bounds_suite_small():
-    rep = gauss_bounds_suite(max_n=4, qs=(2, 3))
-    assert rep.passed
-    assert rep.total == 2 * sum(n + 1 for n in range(5))
+    for q in (2, 3):
+        rep = gauss_bounds_suite(q=q)
+        assert rep.passed
+        assert rep.total == sum(n + 1 for n in range(9))
 
 
 def test_bridge_suite():
@@ -103,18 +104,18 @@ def test_bridge_suite():
 
 
 def test_grid_and_klein_suites():
-    assert grid_suite(qs=(2,)).passed
-    assert klein_suite(qs=(2,)).passed
+    assert grid_suite(q=2).passed
+    assert klein_suite(q=2).passed
 
 
 def test_perp_census_suite_plan():
-    rep = perp_census_suite(plan=((2, ("i", "iv")),))
+    rep = perp_census_suite(q=2, claims=("i", "iv"))
     assert [c.params["claim"] for c in rep.cases] == ["i", "iv"]
     assert rep.passed
 
 
 def test_counting_suite_small():
-    rep = counting_suite(tuple_count=5)
+    rep = counting_suite(tuples=5)
     assert rep.passed
     assert {c.params["q"] for c in rep.cases} <= {3, 4, 5, 9, 11, 13}
 
@@ -122,7 +123,7 @@ def test_counting_suite_small():
 def test_counting_suite_rejects_counts_below_one():
     for count in (0, -5):
         with pytest.raises(ValueError, match="count >= 1"):
-            counting_suite(tuple_count=count)
+            counting_suite(tuples=count)
 
 
 def test_verdict_suite():

@@ -626,6 +626,11 @@ def _traced_peak(fn, *args):
         tracemalloc.stop()
 
 
+def _reference_lines(path) -> list[str]:
+    """The line reader's whole-text stage, which holds nearly all of its peak."""
+    return _read_text(path).split("\n")
+
+
 def test_pace_read_gr_peak_memory_is_below_half_the_line_reader(tmp_path):
     rng = random.Random(7)
     n = 600
@@ -636,7 +641,9 @@ def test_pace_read_gr_peak_memory_is_below_half_the_line_reader(tmp_path):
     pace_write_gr(g, path)
     assert path.stat().st_size >= 10**6
     assert pace_read_gr(path) == g
-    assert 2 * _traced_peak(pace_read_gr, path) < _traced_peak(_read_gr_reference, path)
+    # A lower bound on the peak of _read_gr_reference, which starts with this
+    # stage: 11.68 of its 11.75 MB here.
+    assert 2 * _traced_peak(pace_read_gr, path) < _traced_peak(_reference_lines, path)
 
 
 def test_pace_read_gr_peak_memory_is_below_a_quarter_of_the_file(tmp_path):
