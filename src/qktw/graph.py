@@ -4,7 +4,10 @@ Adjacency is one Python int bitmask per vertex, which keeps the quadratic
 pair censuses, component searches, and the exact solvers fast without any
 dependencies.  Graphs are built once and then treated as immutable.
 ``component`` grows one connected component; ``components`` and the tree
-checks of ``treedec.validate_td`` are built on it.
+checks of ``treedec.validate_td`` are built on it.  ``permute_masks`` and
+``orbit`` are the generic half of a symmetry certificate: a vertex
+permutation is an automorphism when it maps a mask list onto itself, and
+a set of them is transitive when the orbit of one vertex is every vertex.
 """
 
 from __future__ import annotations
@@ -65,6 +68,45 @@ def mask_mismatches(a: Sequence[int], b: Sequence[int]) -> list[tuple[int, int]]
         for i, (x, y) in enumerate(zip(a, b))
         for off in iter_bits((x ^ y) >> (i + 1))
     ]
+
+
+def permute_mask(mask: int, perm: Sequence[int]) -> int:
+    """Image of a vertex mask under the vertex permutation ``perm``: bit v
+    goes to bit perm[v]."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= 1 << perm[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
+def permute_masks(masks: Sequence[int], perm: Sequence[int]) -> list[int]:
+    """Image of a mask list under ``perm``: the mask of vertex v, permuted,
+    becomes the mask of perm[v].  ``perm`` is an automorphism of the
+    relation the masks hold exactly when the image equals the list, which
+    compares every bit, the diagonal included."""
+    out = [0] * len(masks)
+    for v, mask in enumerate(masks):
+        out[perm[v]] = permute_mask(mask, perm)
+    return out
+
+
+def orbit(start: int, perms: Sequence[Sequence[int]]) -> int:
+    """Orbit of vertex ``start`` under the group the permutations generate,
+    as a mask: breadth-first search along every permutation."""
+    seen = 1 << start
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for perm in perms:
+                w = perm[v]
+                if not (seen >> w) & 1:
+                    seen |= 1 << w
+                    nxt.append(w)
+        frontier = nxt
+    return seen
 
 
 class Graph:

@@ -19,7 +19,11 @@ Besides the model itself, this module verifies the geometric facts the
 K_q(4,2,1) treewidth argument rests on: the grid classification of large
 collinearity-closed point sets in Q+(3,q), and a census of perpendicular
 sections (conic planes, grid solids, two-line planes and their induced
-graphs).
+graphs).  The census is exhaustive at point 0 and transferred to every
+point by :attr:`QuadricModel.automorphisms`: point permutations of
+isometries of the form, each certified to preserve perpendicularity and
+the lines, and together to be transitive, before any verdict rests on
+them.
 """
 
 from __future__ import annotations
@@ -30,7 +34,15 @@ from itertools import combinations
 
 from .errors import BudgetExceededError, NotALineError, SizeLimitError
 from .gf import make_field
-from .graph import Graph, components, iter_bits, mask_mismatches
+from .graph import (
+    Graph,
+    components,
+    iter_bits,
+    mask_mismatches,
+    orbit,
+    permute_mask,
+    permute_masks,
+)
 from .kneser import KneserParams
 from .subspace import (
     Subspace,
@@ -45,7 +57,7 @@ ProjPoint = tuple[int, ...]
 
 GRID_SEARCH_MAX_Q = 4
 QUADRIC_GRAPH_MAX_Q = 5
-CENSUS_MAX_Q = 4
+CENSUS_MAX_Q = QUADRIC_GRAPH_MAX_Q
 
 
 class QuadricModel:
@@ -158,6 +170,24 @@ class QuadricModel:
                 through[p].append(li)
         return tuple(tuple(t) for t in through)
 
+    @cached_property
+    def automorphisms(self) -> tuple[tuple[int, ...], ...]:
+        """Point permutations induced by the isometries of
+        :func:`_isometry_generators`, certified by
+        :func:`certify_automorphisms` when first asked for: each maps the
+        perp masks and the lines onto themselves, and together they carry
+        point 0 to every point."""
+        perms = []
+        for images in _isometry_generators(self.field):
+            perm = []
+            for p in self.points:
+                image = rref_canonical((_apply(images, p, self.field),), self.field)
+                if image.k != 1 or image.rows[0] not in self.index:
+                    raise ArithmeticError(f"an isometry maps {p} off the quadric")
+                perm.append(self.index[image.rows[0]])
+            perms.append(tuple(perm))
+        return certify_automorphisms(self, perms)
+
     def polar_section(self, point_indices) -> int:
         """Mask of the quadric points in the polar of the span of the given
         points: the AND of their perp masks, exact by bilinearity."""
@@ -187,6 +217,70 @@ class QuadricModel:
 def _polar_vector(p: ProjPoint) -> tuple[int, ...]:
     """b(p, y) = dot(_polar_vector(p), y): swap the paired coordinates."""
     return (p[1], p[0], p[3], p[2], p[5], p[4])
+
+
+# -- certified automorphisms ---------------------------------------------------
+
+# A linear map of F_q^6 as the images of the coordinates: entry j lists the
+# pairs (i, c) with coordinate j of the image equal to the sum of c * x_i.
+LinearMap = tuple[tuple[tuple[int, int], ...], ...]
+
+
+def _apply(images: LinearMap, x: ProjPoint, f) -> tuple[int, ...]:
+    out = []
+    for terms in images:
+        value = 0
+        for i, c in terms:
+            value = f.add(value, f.mul(c, x[i]))
+        out.append(value)
+    return tuple(out)
+
+
+def _primitive_element(f) -> int:
+    """The least element of multiplicative order q - 1, for q > 2."""
+    return next(w for w in range(2, f.q) if len({f.pow(w, k) for k in range(f.q - 1)}) == f.q - 1)
+
+
+def _isometry_generators(f) -> list[LinearMap]:
+    """Isometries of x0x1 + x2x3 + x4x5 on row vectors: the swap x0 <-> x1,
+    the rotation of the three coordinate pairs, the Siegel map
+    x0 -> x0 - x3, x2 -> x2 + x1, and for q > 2 diag(w, 1/w, 1, 1, 1, 1)
+    with w primitive.  Nothing here is trusted: the certificate checks what
+    they do to the points."""
+    keep = tuple(((j, 1),) for j in range(6))
+    gens = [
+        (((1, 1),), ((0, 1),)) + keep[2:],
+        tuple((((j + 2) % 6, 1),) for j in range(6)),
+        (((0, 1), (3, f.neg(1))), keep[1], ((2, 1), (1, 1))) + keep[3:],
+    ]
+    if f.q > 2:
+        w = _primitive_element(f)
+        gens.append((((0, w),), ((1, f.inv(w)),)) + keep[2:])
+    return gens
+
+
+def certify_automorphisms(model: QuadricModel, perms) -> tuple[tuple[int, ...], ...]:
+    """The permutations, once each is shown to be an automorphism of the
+    model and all of them together to be transitive on the points.
+
+    Each must be a permutation of the points that maps the whole
+    ``perp_masks`` list onto itself (:func:`graph.permute_masks`, every bit
+    compared) and ``line_set`` onto itself, and the orbit of point 0 under
+    them (:func:`graph.orbit`) must be every point.  Any failed check
+    raises ArithmeticError: a verdict is never transferred along an
+    uncertified map.
+    """
+    n = len(model.points)
+    for g, perm in enumerate(perms):
+        if sorted(perm) != list(range(n)):
+            raise ArithmeticError(f"map {g} is not a permutation of the {n} points")
+        if permute_masks(model.perp_masks, perm) != list(model.perp_masks):
+            raise ArithmeticError(f"map {g} does not preserve perpendicularity")
+        if {permute_mask(line, perm) for line in model.line_set} != model.line_set:
+            raise ArithmeticError(f"map {g} does not map the lines onto themselves")
+    if orbit(0, perms) != (1 << n) - 1:
+        raise ArithmeticError("the maps do not carry point 0 to every point")
+    return tuple(tuple(perm) for perm in perms)
 
 
 # -- the Klein map -------------------------------------------------------------
@@ -393,7 +487,12 @@ def grid_extremal_search(q: int) -> GridSearchReport:
 
 @dataclass
 class ClaimResult:
+    """``checked`` counts the sections of the claim over all points,
+    ``examined`` those examined at the representative point; the failures
+    are among those."""
+
     checked: int
+    examined: int
     failures: tuple = ()
 
     @property
@@ -416,7 +515,7 @@ def default_census_claims(q: int) -> tuple[str, ...]:
 
 
 def perp_section_census(q: int, claims: tuple[str, ...] | None = None) -> CensusReport:
-    """Exhaustively verify the perpendicular-section facts on Q+(5,q), q <= 4.
+    """Verify the perpendicular-section facts on Q+(5,q), q <= 5.
 
     i.   For every triple of pairwise non-perpendicular points, the polar
          plane of their span meets the quadric in exactly q + 1 points.
@@ -427,6 +526,16 @@ def perp_section_census(q: int, claims: tuple[str, ...] | None = None) -> Census
          and the two sections share only z (4q + 1 points in total).
     iv.  (q = 2) The graph induced on those 4q + 1 points is an isolated
          vertex plus two 4-cycles.
+
+    The census is exhaustive at one representative, point 0: every triple
+    and pair through it, every two lines through it.  The verdicts are
+    transferred to every point by the model's certified automorphisms
+    (:attr:`QuadricModel.automorphisms`), which preserve perpendicularity
+    and the lines, and so every section and verdict, and carry point 0 to
+    every point; a failed certificate raises ArithmeticError.  ``checked``
+    stays the count over all points, as exact integers: N c / 3 for claim
+    i (each triple has three points), the edge count for claim ii and N c
+    for claims iii and iv, with c the count at point 0.
 
     Every section is a point mask: the quadric points of the polar of a
     point set are the AND of those points' perp masks
@@ -441,20 +550,40 @@ def perp_section_census(q: int, claims: tuple[str, ...] | None = None) -> Census
             raise ValueError(f"unknown claim {c!r}")
         if c == "iv" and q != 2:
             raise ValueError("claim 'iv' is specific to q = 2")
-    model = QuadricModel(q)
+    return _census(QuadricModel(q), wanted)
+
+
+def _census(model: QuadricModel, wanted: tuple[str, ...]) -> CensusReport:
+    """The claims of ``wanted`` at point 0, transferred under the certified
+    automorphisms, which are built first."""
+    n = len(model.points)
+    model.automorphisms  # certified before a verdict at point 0 stands for all
     results: dict[str, ClaimResult] = {}
     if "i" in wanted:
-        results["i"] = _census_conic_planes(model)
+        examined, failures = _census_conic_planes(model, 0)
+        results["i"] = ClaimResult(_exact_quotient(n * examined, 3), examined, failures)
     if "ii" in wanted:
-        results["ii"] = _census_secant_grids(model)
+        examined, failures = _census_secant_grids(model, 0)
+        edges = _exact_quotient(sum(m.bit_count() for m in model.adjacency_masks), 2)
+        results["ii"] = ClaimResult(edges, examined, failures)
     if "iii" in wanted or "iv" in wanted:
-        three, four = _census_two_line_planes(model, want_cycles="iv" in wanted)
+        examined, failures_iii, failures_iv = _census_two_line_planes(
+            model, 0, want_cycles="iv" in wanted
+        )
         if "iii" in wanted:
-            results["iii"] = three
+            results["iii"] = ClaimResult(n * examined, examined, failures_iii)
         if "iv" in wanted:
-            results["iv"] = four
+            results["iv"] = ClaimResult(n * examined, examined, failures_iv)
     ordered = {c: results[c] for c in ("i", "ii", "iii", "iv") if c in results}
-    return CensusReport(q=q, claims=ordered)
+    return CensusReport(q=model.q, claims=ordered)
+
+
+def _exact_quotient(total: int, parts: int) -> int:
+    """total / parts, which must be an integer."""
+    count, rest = divmod(total, parts)
+    if rest:
+        raise ArithmeticError(f"{total} does not split into {parts} equal shares")
+    return count
 
 
 def _low(mask: int) -> int:
@@ -462,23 +591,20 @@ def _low(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
 
 
-def _census_conic_planes(model: QuadricModel) -> ClaimResult:
+def _census_conic_planes(model: QuadricModel, u: int):
+    """(examined, failures) over the triples of pairwise non-perpendicular
+    points through u."""
     q = model.q
     adj = model.adjacency_masks
-    n = len(model.points)
-    checked = 0
+    examined = 0
     failures = []
-    for u in range(n):
-        for v_off in iter_bits(adj[u] >> (u + 1)):
-            v = u + 1 + v_off
-            common = adj[u] & adj[v]
-            for w_off in iter_bits((common >> (v + 1))):
-                w = v + 1 + w_off
-                checked += 1
-                size = model.polar_section((u, v, w)).bit_count()
-                if size != q + 1:
-                    failures.append((u, v, w, size))
-    return ClaimResult(checked=checked, failures=tuple(failures))
+    for v in iter_bits(adj[u]):
+        for w in iter_bits(adj[u] & adj[v] & ~((2 << v) - 1)):
+            examined += 1
+            size = model.polar_section((u, v, w)).bit_count()
+            if size != q + 1:
+                failures.append((u, v, w, size))
+    return examined, tuple(failures)
 
 
 def _grid_structure_ok(model: QuadricModel, section: int) -> bool:
@@ -495,6 +621,11 @@ def _grid_structure_ok(model: QuadricModel, section: int) -> bool:
     two classes hold every line.  A line of one class is not one of the
     other, so it meets each of those in at most one point, and by the
     partition in exactly one.
+
+    The lowest point is only where the check starts: the verdict is a
+    property of the section and its lines, so it is invariant under the
+    certified automorphisms, which map sections, perp masks and lines onto
+    sections, perp masks and lines.
     """
     perp = model.perp_masks
     lines = model.line_set
@@ -516,21 +647,18 @@ def _grid_structure_ok(model: QuadricModel, section: int) -> bool:
     return True
 
 
-def _census_secant_grids(model: QuadricModel) -> ClaimResult:
+def _census_secant_grids(model: QuadricModel, u: int):
+    """(examined, failures) over the non-perpendicular pairs through u."""
     q = model.q
-    adj = model.adjacency_masks
-    n = len(model.points)
-    checked = 0
+    examined = 0
     failures = []
-    for u in range(n):
-        for v_off in iter_bits(adj[u] >> (u + 1)):
-            v = u + 1 + v_off
-            checked += 1
-            sect = model.polar_section((u, v))
-            size = sect.bit_count()
-            if size != (q + 1) ** 2 or not _grid_structure_ok(model, sect):
-                failures.append((u, v, size))
-    return ClaimResult(checked=checked, failures=tuple(failures))
+    for v in iter_bits(model.adjacency_masks[u]):
+        examined += 1
+        sect = model.polar_section((u, v))
+        size = sect.bit_count()
+        if size != (q + 1) ** 2 or not _grid_structure_ok(model, sect):
+            failures.append((u, v, size))
+    return examined, tuple(failures)
 
 
 def _two_line_split(model: QuadricModel, section: int):
@@ -541,6 +669,10 @@ def _two_line_split(model: QuadricModel, section: int):
     In that shape the points of the section perpendicular to a point x
     other than z are the line zx, and the rest plus z is the other line;
     both must be lines of the model.
+
+    Which line comes first follows the lowest point, but whether the split
+    exists, its centre and its pair of lines are properties of the section:
+    a certified automorphism maps them to those of the image section.
     """
     if section.bit_count() != 2 * model.q + 1:
         return None
@@ -555,13 +687,12 @@ def _two_line_split(model: QuadricModel, section: int):
     return z, l1, l2
 
 
-def _two_line_planes(model: QuadricModel):
-    """(z, p1, p2) for every point z and every two lines through it, with
-    p1 and p2 the lowest other points of the two lines."""
-    for z, through in enumerate(model.lines_through):
-        rest = [model.lines[li] & ~(1 << z) for li in through]
-        for m1, m2 in combinations(rest, 2):
-            yield z, _low(m1), _low(m2)
+def _two_line_planes(model: QuadricModel, z: int):
+    """(z, p1, p2) for every two lines through the point z, with p1 and p2
+    the lowest other points of the two lines."""
+    rest = [model.lines[li] & ~(1 << z) for li in model.lines_through[z]]
+    for m1, m2 in combinations(rest, 2):
+        yield z, _low(m1), _low(m2)
 
 
 def _plane_section(model: QuadricModel, polar_split) -> int:
@@ -575,17 +706,19 @@ def _plane_section(model: QuadricModel, polar_split) -> int:
     return model.polar_section((z, _low(l1 & others), _low(l2 & others)))
 
 
-def _census_two_line_planes(model: QuadricModel, want_cycles: bool):
+def _census_two_line_planes(model: QuadricModel, z: int, want_cycles: bool):
+    """(examined, failures of iii, failures of iv) over the planes through
+    two lines through z."""
     perp = model.perp_masks
-    checked = 0
+    examined = 0
     failures_iii = []
     failures_iv = []
-    for z, p1, p2 in _two_line_planes(model):
+    for _, p1, p2 in _two_line_planes(model, z):
         if (perp[p1] >> p2) & 1:
             # z, p1, p2 pairwise perpendicular and singular: the plane lies
             # on the quadric, its section is never two lines
             continue
-        checked += 1
+        examined += 1
         polar = model.polar_section((z, p1, p2))
         polar_split = _two_line_split(model, polar)
         ok = polar_split is not None and polar_split[0] == z
@@ -597,9 +730,7 @@ def _census_two_line_planes(model: QuadricModel, want_cycles: bool):
             continue
         if want_cycles and not _is_point_plus_two_cycles(model, z, plane | polar):
             failures_iv.append((z, p1, p2))
-    three = ClaimResult(checked=checked, failures=tuple(failures_iii))
-    four = ClaimResult(checked=checked, failures=tuple(failures_iv))
-    return three, four
+    return examined, tuple(failures_iii), tuple(failures_iv)
 
 
 def _is_point_plus_two_cycles(model: QuadricModel, z: int, union: int) -> bool:

@@ -142,9 +142,11 @@ def pair_censuses(verts: Sequence[Subspace]):
     E_i = V_i - V_{i+1}, with V_{t+1} = 0.  No field overflows: w is the
     least of 1, 2, 4 and 8 bytes with [k,t]_q^2 < 256^w, and no field of
     any sum exceeds [k,t]_q^2, the pairs (x, y) of one (a, b).  No field
-    borrows: M_{i+1}[x] lies in M_i[x], which is checked, so no field of
-    V_{i+1} exceeds that of V_i.  Every S_b lies in T, so no other
-    t-subspace of the ambient space can count.
+    borrows: M_{i+1}[x] lies in M_i[x], which is checked for i + 1 < t,
+    so no field of V_{i+1} exceeds that of V_i.  M_t[x] is x alone, since
+    the held t-subspaces are distinct, so R_t[x] is x's packed vector,
+    with no :func:`meet_masks` call, and x lies in every M_i[x].  Every
+    S_b lies in T, so no other t-subspace of the ambient space can count.
 
     s comes from vertex masks: b lies in the OR of the containing masks of
     a's t-subspaces exactly when dim(a ∩ b) >= t.  x ∩ y lies in a ∩ b, so
@@ -171,12 +173,13 @@ def pair_censuses(verts: Sequence[Subspace]):
         total = sum(packed)
         spaces = [Subspace(f, n, w) for w in held]
         rows, prev = [], None
-        for i in range(1, t + 1):
+        for i in range(1, t):
             meets = meet_masks(spaces, i)
             if prev is not None and any(m & ~p for m, p in zip(meets, prev)):
                 raise ArithmeticError(f"meet rows of dimension {i} do not nest in {i - 1}")
             rows.append([sum(compress(packed, _mask_bytes(m, len(held)))) for m in meets])
             prev = meets
+        rows.append(packed)  # M_t is the identity: the held t-subspaces are distinct
         per_t.append((t, subs, total, rows, _FIELD_CODES[width], count * width))
     everyone = (1 << count) - 1
     for a in range(count):
@@ -336,7 +339,10 @@ def perp_census_suite(
                     lhs=len(result.failures),
                     rhs=0,
                     passed=result.passed,
-                    witness={"sections_checked": result.checked},
+                    witness={
+                        "sections_checked": result.checked,
+                        "sections_examined": result.examined,
+                    },
                 )
             )
     return SuiteReport("perp-census", cases)

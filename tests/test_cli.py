@@ -501,13 +501,30 @@ def test_verify_all_script_writes_the_cli_report(tmp_path, capsys, monkeypatch):
     assert (tmp_path / "script.json").read_bytes() == (tmp_path / "cli.json").read_bytes()
 
 
-# SHA-256 of the whole verify-all report (870,270 bytes): every suite of the
+# SHA-256 of the whole verify-all report (870,492 bytes): every suite of the
 # real matrix, end to end, byte for byte.
-_VERIFY_ALL_DIGEST = "0e25ffdd1ac3e6229dc92ef3fc7a8a987af31c0a76dd1d272e7760055dec0386"
+_VERIFY_ALL_DIGEST = "967b2905c75b43d6f6ff304ce36859ee324a3efb2c4ad749d4e6e3b544d7590e"
+# The same report before the perp-census cases carried "sections_examined",
+# the count at the representative point, beside "sections_checked".
+_DIGEST_WITHOUT_EXAMINED = "0e25ffdd1ac3e6229dc92ef3fc7a8a987af31c0a76dd1d272e7760055dec0386"
 
 
-def test_verify_all_report_matches_the_pinned_digest(tmp_path, capsys):
-    out = tmp_path / "report.json"
+@pytest.fixture(scope="module")
+def verify_all_report(tmp_path_factory):
+    out = tmp_path_factory.mktemp("verify-all") / "report.json"
     assert run(["verify-all", "-o", str(out)]) == 0
-    capsys.readouterr()
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == _VERIFY_ALL_DIGEST
+    return out.read_bytes()
+
+
+def test_verify_all_report_matches_the_pinned_digest(verify_all_report):
+    assert hashlib.sha256(verify_all_report).hexdigest() == _VERIFY_ALL_DIGEST
+
+
+def test_verify_all_report_differs_only_by_the_examined_counts(verify_all_report):
+    payload = json.loads(verify_all_report)
+    (census,) = [s for s in payload["suites"] if s["suite"] == "perp-census"]
+    for case in census["cases"]:
+        witness = case["witness"]
+        assert 0 < witness.pop("sections_examined") <= witness["sections_checked"]
+    text = json.dumps(payload, indent=2) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == _DIGEST_WITHOUT_EXAMINED

@@ -6,7 +6,7 @@ import pytest
 from qktw import quadric
 from qktw.errors import BudgetExceededError, NotALineError
 from qktw.gf import make_field
-from qktw.graph import iter_bits
+from qktw.graph import iter_bits, permute_mask
 from qktw.kneser import intersection_counts
 from qktw.qbinom import gauss_binom
 from qktw.quadric import (
@@ -194,14 +194,159 @@ def test_census_q4_defaults():
     assert rep.passed
 
 
+def test_census_q5_defaults_match_the_closed_forms():
+    rep = perp_section_census(5)
+    n, q = 806, 5
+    assert set(rep.claims) == {"ii", "iii"}
+    # ii: every point has q^4 non-perpendicular points; iii: every point
+    # lies on (q+1)^2 lines, and (q+1)^2 q^2 / 2 of their pairs span a plane
+    # that is not on the quadric
+    assert rep.claims["ii"].checked == n * q**4 // 2 == 251875
+    assert rep.claims["iii"].checked == n * (q + 1) ** 2 * q**2 // 2 == 362700
+    assert (rep.claims["ii"].examined, rep.claims["iii"].examined) == (625, 450)
+    assert rep.passed
+
+
 def test_census_claim_selection_and_errors():
     rep = perp_section_census(2, claims=("i",))
     assert set(rep.claims) == {"i"}
     with pytest.raises(ValueError):
         perp_section_census(3, claims=("iv",))
-    assert quadric.CENSUS_MAX_Q == 4
+    assert quadric.CENSUS_MAX_Q == quadric.QUADRIC_GRAPH_MAX_Q == 5
     with pytest.raises(BudgetExceededError):
-        perp_section_census(5)
+        perp_section_census(6)
+
+
+# -- the per-point census: the oracle of the census at one representative ---------
+
+
+def oracle_census(model, want_cycles=False):
+    """Claims i-iii (and iv) by the per-point loops, with no symmetry: every
+    triple and pair once, by its lowest point, and every two lines through
+    every point.  claim -> (checked, failures)."""
+    q = model.q
+    adj = model.adjacency_masks
+    perp = model.perp_masks
+    n = len(model.points)
+    conic, grids = [0, []], [0, []]
+    for u in range(n):
+        for v_off in iter_bits(adj[u] >> (u + 1)):
+            v = u + 1 + v_off
+            grids[0] += 1
+            sect = model.polar_section((u, v))
+            size = sect.bit_count()
+            if size != (q + 1) ** 2 or not quadric._grid_structure_ok(model, sect):
+                grids[1].append((u, v, size))
+            for w_off in iter_bits((adj[u] & adj[v]) >> (v + 1)):
+                w = v + 1 + w_off
+                conic[0] += 1
+                size = model.polar_section((u, v, w)).bit_count()
+                if size != q + 1:
+                    conic[1].append((u, v, w, size))
+    planes, three, four = 0, [], []
+    for z in range(n):
+        for _, p1, p2 in quadric._two_line_planes(model, z):
+            if (perp[p1] >> p2) & 1:
+                continue
+            planes += 1
+            polar = model.polar_section((z, p1, p2))
+            split = quadric._two_line_split(model, polar)
+            ok = split is not None and split[0] == z
+            if ok:
+                plane = quadric._plane_section(model, split)
+                ok = quadric._two_line_split(model, plane) is not None and plane & polar == 1 << z
+            if not ok:
+                three.append((z, p1, p2))
+            elif want_cycles and not quadric._is_point_plus_two_cycles(model, z, plane | polar):
+                four.append((z, p1, p2))
+    out = {
+        "i": (conic[0], tuple(conic[1])),
+        "ii": (grids[0], tuple(grids[1])),
+        "iii": (planes, tuple(three)),
+    }
+    if want_cycles:
+        out["iv"] = (planes, tuple(four))
+    return out
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_census_at_the_representative_matches_the_per_point_oracle(q):
+    claims = ("i", "ii", "iii", "iv") if q == 2 else ("i", "ii", "iii")
+    rep = perp_section_census(q, claims)
+    oracle = oracle_census(QuadricModel(q), want_cycles=q == 2)
+    assert set(rep.claims) == set(oracle)
+    for claim, (checked, failures) in oracle.items():
+        result = rep.claims[claim]
+        assert (result.checked, result.failures) == (checked, failures)
+        assert result.passed == (checked > 0 and not failures)
+        assert 0 < result.examined < checked
+
+
+def test_certificate_refuses_a_map_with_two_points_swapped():
+    m = QuadricModel(3)
+    perms = [list(g) for g in m.automorphisms]
+    perms[0][5], perms[0][9] = perms[0][9], perms[0][5]
+    with pytest.raises(ArithmeticError, match="perpendicularity"):
+        quadric.certify_automorphisms(m, perms)
+    with pytest.raises(ArithmeticError, match="not a permutation"):
+        quadric.certify_automorphisms(m, [[0] * len(m.points)])
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_certificate_refuses_maps_that_fix_point_0(q):
+    m = QuadricModel(q)
+    fixing = [g for g in m.automorphisms if g[0] == 0]
+    assert fixing and len(fixing) < len(m.automorphisms)
+    assert quadric.certify_automorphisms(m, m.automorphisms) == m.automorphisms
+    with pytest.raises(ArithmeticError, match="every point"):
+        quadric.certify_automorphisms(m, fixing)
+    with pytest.raises(ArithmeticError, match="every point"):
+        quadric.certify_automorphisms(m, [])
+
+
+def test_a_missing_line_makes_the_census_fail_not_pass():
+    m = QuadricModel(3)
+    through_0 = m.lines[m.lines_through[0][0]]
+    # the certificate sees the line set is not mapped onto itself
+    fewer = QuadricModel(3)
+    fewer.line_set = m.line_set - {through_0}
+    with pytest.raises(ArithmeticError, match="lines"):
+        quadric._census(fewer, ("ii", "iii"))
+    # with maps certified on the intact model, the claim itself fails
+    fewer = QuadricModel(3)
+    fewer.line_set = m.line_set - {through_0}
+    fewer.automorphisms = m.automorphisms
+    rep = quadric._census(fewer, ("iii",))
+    assert rep.claims["iii"].failures and not rep.passed
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_certified_maps_keep_the_section_verdicts(q):
+    m = QuadricModel(q)
+    adj = m.adjacency_masks
+    grids, splits = [], []
+    for v in iter_bits(adj[0]):
+        grid = m.polar_section((0, v))
+        low = grid & -grid
+        off = next(iter_bits(m.perp_masks[low.bit_length() - 1] & ~grid))
+        grids += [grid, (grid ^ low) | (1 << off)]  # a grid, and one point traded
+    for z, p1, p2 in quadric._two_line_planes(m, 0):
+        polar = m.polar_section((z, p1, p2))
+        splits += [polar, polar ^ (1 << p1)]
+    verdicts = [quadric._grid_structure_ok(m, s) for s in grids]
+    assert True in verdicts and False in verdicts
+    found = [quadric._two_line_split(m, s) for s in splits]
+    assert None in found and any(found)
+    for g in m.automorphisms:
+        assert [quadric._grid_structure_ok(m, permute_mask(s, g)) for s in grids] == verdicts
+        for section, split in zip(splits, found):
+            image = quadric._two_line_split(m, permute_mask(section, g))
+            if split is None:
+                assert image is None
+            else:
+                z, l1, l2 = split
+                assert image[0] == g[z]
+                assert {image[1], image[2]} == {permute_mask(l1, g), permute_mask(l2, g)}
 
 
 # -- the span-and-normalize oracle -------------------------------------------------
@@ -312,7 +457,8 @@ def _census_inputs(model):
     triples = [
         (u, v, w) for u, v in pairs for w in iter_bits(adj[u] & adj[v]) if w > v
     ]
-    return pairs, triples, list(quadric._two_line_planes(model))
+    planes = [pts for z in range(len(adj)) for pts in quadric._two_line_planes(model, z)]
+    return pairs, triples, planes
 
 
 @pytest.mark.parametrize("q,stride", [(2, 1), (3, 97)])
@@ -373,7 +519,7 @@ def test_section_shape_checks_reject_other_shapes():
     assert quadric._two_line_split(m, m.polar_section((u, v, x))) is None
     assert quadric._two_line_split(m, m.lines[0]) is None
     z, p1, p2 = next(
-        pts for pts in quadric._two_line_planes(m) if (m.perp_masks[pts[1]] >> pts[2]) & 1
+        pts for pts in quadric._two_line_planes(m, 0) if (m.perp_masks[pts[1]] >> pts[2]) & 1
     )
     on_quadric = m.polar_section((z, p1, p2))
     assert on_quadric.bit_count() == 13
@@ -383,7 +529,7 @@ def test_section_shape_checks_reject_other_shapes():
 def test_point_plus_two_cycles_rejects_other_unions():
     m = QuadricModel(2)
     z, p1, p2 = next(
-        pts for pts in quadric._two_line_planes(m) if not (m.perp_masks[pts[1]] >> pts[2]) & 1
+        pts for pts in quadric._two_line_planes(m, 0) if not (m.perp_masks[pts[1]] >> pts[2]) & 1
     )
     polar = m.polar_section((z, p1, p2))
     union = quadric._plane_section(m, quadric._two_line_split(m, polar)) | polar

@@ -185,19 +185,33 @@ def test_pair_count_refuses_a_corrupt_meet_row(monkeypatch, fault):
     real = suites.meet_masks
 
     def corrupt(spaces, i):
+        # rows with i < t: the row i = t is the identity and never computed
         rows = real(spaces, i)
         t = spaces[0].k
-        if fault == "above s" and t == i == 1:
-            rows[0] |= 1 << 1  # point 0 "is" point 1
-        if fault == "not nested" and t == i == 2:
-            skew = ~real(spaces, 1)[0] & ((1 << len(rows)) - 1)
-            rows[0] |= skew & -skew  # a line skew to line 0 "is" line 0
+        if fault == "above s" and (t, i) == (2, 1):
+            skew = ~rows[0] & ((1 << len(rows)) - 1)
+            rows[0] |= skew & -skew  # a line skew to line 0 "meets" it
+        if fault == "not nested" and (t, i) == (3, 1):
+            rows[0] &= ~(1 << 1)  # plane 1 "misses" plane 0, which it meets in a line
         return rows
 
     monkeypatch.setattr(suites, "meet_masks", corrupt)
     match = {"above s": "meet in dimension", "not nested": "do not nest"}[fault]
     with pytest.raises(ArithmeticError, match=match):
         pair_count_suite(q=2, max_n=4, max_k=3)
+
+
+def test_pair_count_takes_the_identity_meet_row_from_the_packed_vectors(monkeypatch):
+    real = suites.meet_masks
+    calls = []
+
+    def spy(spaces, i):
+        calls.append((spaces[0].k, i))
+        return real(spaces, i)
+
+    monkeypatch.setattr(suites, "meet_masks", spy)
+    assert pair_count_suite(q=2, max_n=4, max_k=3).passed
+    assert calls and all(i < t for t, i in calls)
 
 
 @settings(max_examples=20, deadline=None)
