@@ -148,11 +148,12 @@ def build_kneser_graph(p: KneserParams) -> Graph:
 
 
 def alpha_value(p: KneserParams) -> int:
-    """Independence number: max([n-t,k-t]_q, [2k-t,k-t]_q)."""
-    return max(
-        gauss_binom(p.n - p.t, p.k - p.t, p.q),
-        gauss_binom(2 * p.k - p.t, p.k - p.t, p.q),
-    )
+    """Independence number: max([n-t,k-t]_q, [2k-t,k-t]_q).
+
+    For j >= 1, [m,j]_q strictly increases in m, and k - t >= 1, so the
+    larger side is [max(n,2k)-t, k-t]_q; only that one is computed.
+    """
+    return gauss_binom(max(p.n, 2 * p.k) - p.t, p.k - p.t, p.q)
 
 
 def star_independent_set(p: KneserParams) -> list[Subspace]:
@@ -353,9 +354,13 @@ class TreewidthVerdict:
         out: dict = {"params": self.params.as_dict()}
         if self.reflected:
             out["given_params"] = self.given_params.as_dict()
-        out["formula_value"] = exact_str(self.formula_value)
+        # reduced parameters have n >= 2k, where alpha is [n-t,k-t]_q and
+        # upper_bound equals formula_value: its text is rendered once
+        formula = out["formula_value"] = exact_str(self.formula_value)
         out["alpha"] = exact_str(self.alpha)
-        out["upper_bound"] = exact_str(self.upper_bound)
+        out["upper_bound"] = (
+            formula if self.upper_bound == self.formula_value else exact_str(self.upper_bound)
+        )
         out["applicable"] = sorted(tag.value for tag in self.applicable)
         out["treewidth_pinned"] = self.treewidth_pinned
         if self.notes:

@@ -67,6 +67,40 @@ def test_verdict_on_large_orders(capsys):
     assert "decided exactly only below" in capsys.readouterr().err
 
 
+def verdict_grid():
+    """The (q, n, k, t) whose verdict JSON is pinned: small instances on
+    both sides of the duality up to q = 251, values on either side of the
+    interpreter's 4,300-digit int-to-str limit, and [1024,512]_2."""
+    grid = []
+    for q in (2, 3, 4, 5, 7, 9, 16, 251):
+        for k, t in ((2, 1), (3, 1), (3, 2), (5, 2), (6, 5), (9, 4)):
+            for n in (2 * k - t + 1, 2 * k, 3 * k - t + 1, 3 * k + 9):
+                grid.append((q, n, k, t))
+    grid += [
+        (2, 238, 119, 2), (2, 239, 119, 1), (2, 239, 121, 4), (2, 240, 120, 5),
+        (3, 189, 94, 1), (3, 190, 95, 2), (3, 190, 100, 11),
+        (251, 88, 29, 28), (251, 89, 30, 5), (251, 89, 59, 58), (251, 90, 30, 1),
+        (251, 120, 30, 1), (251, 120, 90, 61),
+        (2, 1024, 512, 1),
+    ]
+    return list(dict.fromkeys(grid))
+
+
+# SHA-256 of the concatenated `qktw verdict` output over verdict_grid().
+_VERDICT_DIGEST = "d1ed0b735b300d23d4ff2f327c1e590022846e4e726610b4b536ad79f1ed0846"
+
+
+def test_verdict_output_matches_the_pinned_digest(capsys):
+    grid = verdict_grid()
+    assert len(grid) == 190
+    assert sum(n < 2 * k for _, n, k, _ in grid) == 36
+    digest = hashlib.sha256()
+    for q, n, k, t in grid:
+        assert run(["verdict", "-q", str(q), "-n", str(n), "-k", str(k), "-t", str(t)]) == 0
+        digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == _VERDICT_DIGEST
+
+
 def test_gen_and_files(tmp_path, capsys):
     out = tmp_path / "g.gr"
     code = run(["gen", "-q", "2", "-n", "4", "-k", "2", "-t", "1", "-o", str(out)])

@@ -1,4 +1,5 @@
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -67,6 +68,19 @@ def test_alpha_values():
     assert alpha_value(KneserParams(2, 5, 2, 1)) == 15
     # n < 2k: the other branch of the maximum is active
     assert alpha_value(KneserParams(2, 5, 3, 2)) == 15
+
+
+def test_alpha_value_is_the_larger_side_of_the_maximum():
+    checked = reflected = 0
+    for q in (2, 3, 4, 5, 7, 9):
+        for k in range(2, 8):
+            for t in range(1, k):
+                for n in range(2 * k - t + 1, 3 * k + 4):
+                    both = gauss_binom(n - t, k - t, q), gauss_binom(2 * k - t, k - t, q)
+                    assert alpha_value(KneserParams(q, n, k, t)) == max(both), (q, n, k, t)
+                    checked += 1
+                    reflected += n < 2 * k
+    assert (checked, reflected) == (1386, 210)
 
 
 @pytest.mark.parametrize(
@@ -377,6 +391,31 @@ def test_verdict_reflection():
     js = v.to_json()
     assert js["given_params"] == {"q": 2, "n": 5, "k": 3, "t": 2}
     assert js["formula_value"] == "139"
+
+
+@pytest.mark.parametrize(
+    "q,n,k,t,tag",
+    [(2, 5, 3, 2, None), (2, 6, 2, 1, "UPPER_BOUND_ONLY"), (3, 4, 2, 1, "K421"),
+     (2, 239, 121, 4, None)],
+)
+def test_verdict_renders_formula_value_once(monkeypatch, q, n, k, t, tag):
+    v = treewidth_verdict(KneserParams(q, n, k, t))
+    assert v.reflected == (n < 2 * k)
+    assert tag is None or tags_of(v) == {tag}
+    assert v.upper_bound == v.formula_value
+    rendered = []
+
+    def exact_str(x):
+        rendered.append(x)
+        return str(x)
+
+    monkeypatch.setattr(kneser, "exact_str", exact_str)
+    js = v.to_json()
+    assert rendered == [v.formula_value, v.alpha]
+    assert js["upper_bound"] == js["formula_value"] == str(v.formula_value)
+    # a verdict built with another upper bound still renders its own value
+    other = replace(v, upper_bound=v.formula_value + 1).to_json()
+    assert other["upper_bound"] == str(v.formula_value + 1)
 
 
 def test_verdict_boundary_is_strict():

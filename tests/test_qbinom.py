@@ -1,4 +1,10 @@
+import os
+import random
+import subprocess
+import sys
+import threading
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -17,6 +23,7 @@ from qktw.qbinom import (
     parabola_tail_check,
     range_slack_for,
 )
+from qktw.report import exact_str
 
 
 def pascal_oracle(n, k, q):
@@ -69,9 +76,18 @@ def fraction_products(n, k_max, q):
         yield acc
 
 
-def test_gauss_binom_against_the_fraction_product():
+@pytest.fixture
+def fresh_diagonals():
+    """The kept diagonal walks, empty before the test and after it."""
+    qbinom._diagonals.clear()
+    yield qbinom._diagonals
+    qbinom._diagonals.clear()
+
+
+def test_gauss_binom_against_the_fraction_product(fresh_diagonals):
     # the sweep's scale: k <= 30 and n <= 2k + 60, q up to 251; the kernel
-    # is called uncached so the grid leaves nothing in the shared cache
+    # is called uncached, and the fixture clears the diagonal walks it
+    # keeps, so the grid leaves nothing in the shared cache
     kernel = gauss_binom.__wrapped__
     checked = 0
     for q in (2, 3, 4, 5, 7, 9, 251):
@@ -83,6 +99,144 @@ def test_gauss_binom_against_the_fraction_product():
                 assert kernel(n, k, q) == value.numerator == kernel(n, n - k, q), (n, k, q)
                 checked += 1
     assert checked == 7 * sum(k + 61 for k in range(31))
+
+
+def kept_bits(diagonals):
+    """The bits of every kept walk, summed afresh, each walk's own count
+    checked on the way."""
+    for values, bits in diagonals.chains.values():
+        assert bits == sum(v.bit_length() for v in values)
+    return sum(bits for _, bits in diagonals.chains.values())
+
+
+@pytest.mark.parametrize("bound", [qbinom.DIAGONAL_CACHE_BITS, 3000])
+def test_diagonal_walks_match_the_fraction_product_in_any_order(
+    monkeypatch, fresh_diagonals, bound
+):
+    monkeypatch.setattr(qbinom, "DIAGONAL_CACHE_BITS", bound)
+    kernel = gauss_binom.__wrapped__
+    expected = {}
+    for q in (2, 3, 251):
+        for n in range(61):
+            for k, value in enumerate(fraction_products(n, min(n, 20), q)):
+                expected[n, k, q] = value.numerator
+
+    def diagonal_descending(key):
+        n, k, q = key
+        j = min(k, n - k)
+        return q, n - j, -j
+
+    orders = {
+        "shuffled": random.Random(19).sample(list(expected), len(expected)),
+        "per diagonal, descending": sorted(expected, key=diagonal_descending),
+    }
+    for name, order in orders.items():
+        fresh_diagonals.clear()
+        evicted = set()
+        for n, k, q in order:
+            before = set(fresh_diagonals.chains)
+            assert kernel(n, k, q) == expected[n, k, q], (name, n, k, q)
+            evicted |= before - set(fresh_diagonals.chains)
+            if bound < qbinom.DIAGONAL_CACHE_BITS:
+                assert fresh_diagonals.bits == kept_bits(fresh_diagonals) <= bound
+        assert fresh_diagonals.bits == kept_bits(fresh_diagonals) <= bound
+        assert evicted, name
+        # after the evictions every value is still right, read or walked again
+        for n, k, q in order[::7]:
+            assert kernel(n, k, q) == expected[n, k, q], (name, n, k, q)
+        assert fresh_diagonals.bits == kept_bits(fresh_diagonals) <= bound
+
+
+def test_a_walk_past_the_bound_is_not_kept(monkeypatch, fresh_diagonals):
+    kernel = gauss_binom.__wrapped__
+    chain = [pascal_oracle(5 + j, j, 2) for j in range(6)]
+    exact = sum(v.bit_length() for v in chain)
+    monkeypatch.setattr(qbinom, "DIAGONAL_CACHE_BITS", exact)
+    assert kernel(10, 5, 2) == chain[5]
+    assert fresh_diagonals.chains == {(5, 2): (chain, exact)}
+    assert fresh_diagonals.bits == exact
+    fresh_diagonals.clear()
+    monkeypatch.setattr(qbinom, "DIAGONAL_CACHE_BITS", exact - 1)
+    assert kernel(10, 5, 2) == chain[5]
+    assert fresh_diagonals.chains == {} and fresh_diagonals.bits == 0
+    # a walk that extends a kept one past the bound drops it
+    assert kernel(8, 3, 2) == chain[3]
+    assert fresh_diagonals.chains == {(5, 2): (chain[:4], kept_bits(fresh_diagonals))}
+    assert kernel(10, 5, 2) == chain[5]
+    assert fresh_diagonals.chains == {} and fresh_diagonals.bits == 0
+    # at the real bound: [1024,512]_2 alone passes it, and a kept walk stays
+    monkeypatch.undo()
+    assert kernel(40, 20, 3) == pascal_oracle(40, 20, 3)
+    kept = dict(fresh_diagonals.chains)
+    big = kernel(1024, 512, 2)
+    assert fresh_diagonals.chains == kept
+    assert big == kernel(1023, 511, 2) + 2**512 * kernel(1023, 512, 2)
+    assert fresh_diagonals.chains == kept
+    assert fresh_diagonals.bits == kept_bits(fresh_diagonals) <= qbinom.DIAGONAL_CACHE_BITS
+
+
+def test_concurrent_walks_keep_the_bit_count(monkeypatch, fresh_diagonals):
+    monkeypatch.setattr(qbinom, "DIAGONAL_CACHE_BITS", 20000)
+    kernel = gauss_binom.__wrapped__
+    keys = [(n, k, q) for q in (2, 7) for n in range(50) for k in range(min(n, 25) + 1)]
+    expected = {key: pascal_oracle(*key) for key in keys}
+    wrong = []
+
+    def worker(seed):
+        for key in random.Random(seed).sample(keys, len(keys)):
+            if kernel(*key) != expected[key]:
+                wrong.append(key)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
+    assert fresh_diagonals.bits == kept_bits(fresh_diagonals) <= 20000
+
+
+def test_a_diagonal_step_with_a_remainder_raises(monkeypatch, fresh_diagonals):
+    # a stored value off by one makes the next step's division inexact
+    kernel = gauss_binom.__wrapped__
+    assert kernel(7, 2, 2) == 2667
+    values, _ = fresh_diagonals.chains[(5, 2)]
+    values[2] += 1  # 2668 (2^8 - 1) leaves 3 over 2^3 - 1
+    with pytest.raises(ArithmeticError, match=r"\[8,3\]_2 came out inexact"):
+        kernel(8, 3, 2)
+    assert fresh_diagonals.chains == {} and fresh_diagonals.bits == 0
+    assert kernel(8, 3, 2) == pascal_oracle(8, 3, 2)
+
+
+_VERDICT_RSS = """
+import os, resource, sys
+from qktw import qbinom
+from qktw.cli import run
+qbinom.DIAGONAL_CACHE_BITS = int(sys.argv[1])
+sys.stdout = open(os.devnull, "w")
+assert run(["verdict", "-q", "2", "-n", "1024", "-k", "512", "-t", "1"]) == 0
+sys.stderr.write(str(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss))
+"""
+
+
+def test_the_kept_walks_add_no_memory_to_a_large_verdict():
+    # a bound of 0 keeps no walk: every binomial walks its diagonal afresh
+    src = str(Path(__file__).resolve().parents[1] / "src")
+
+    def peak_kib(bound):
+        probe = subprocess.run(
+            [sys.executable, "-c", _VERDICT_RSS, str(bound)],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, check=True,
+        )
+        return int(probe.stderr)
+
+    assert peak_kib(qbinom.DIAGONAL_CACHE_BITS) - peak_kib(0) < 1024
 
 
 def test_gauss_binom_size_limit():
@@ -194,8 +348,8 @@ def test_parabola_grid_is_fixed_and_passes():
 
 def fraction_sum(q, exponents):
     """The window sum term by term in Fraction arithmetic (oracle for
-    ``qbinom._qsum``)."""
-    return sum(qbinom._qf(q, e) for e in exponents)
+    ``qbinom._horner``)."""
+    return sum(Fraction(q) ** e for e in exponents)
 
 
 @given(
@@ -203,18 +357,50 @@ def fraction_sum(q, exponents):
     exponents=st.lists(st.integers(-2000, 300), min_size=1, max_size=90),
 )
 def test_integer_window_sum_matches_the_fraction_sum(q, exponents):
-    got = qbinom._qsum(q, exponents)
-    assert isinstance(got, Fraction)
-    assert got == fraction_sum(q, exponents)
+    m, low = qbinom._horner(q, exponents)
+    assert low == min(exponents)
+    assert m * Fraction(q) ** low == fraction_sum(q, exponents)
+
+
+def oracle_tail_sides(f, a, q, mode, window):
+    """The majorant and the bound of ``parabola_tail_check``, term by term
+    in Fraction arithmetic: each power of q a Fraction, summed one by one."""
+    geo = Fraction(q, q - 1)
+
+    def qf(e):
+        return Fraction(q) ** e
+
+    if mode == "above":
+        lhs = fraction_sum(q, map(f.value, range(a, a + window + 1)))
+        lhs += qf(f.value(a + window)) * geo
+    elif mode == "below":
+        lhs = fraction_sum(q, map(f.value, range(a - window, a + 1)))
+        lhs += qf(f.value(a - window)) * geo
+    if mode != "full":
+        return lhs, qf(f.value(a)) * (1 + Fraction(1, q) + Fraction(1, q**3))
+    factor = 1 + Fraction(2, q) + Fraction(2, q**3)
+    if f.b % 2 == 0:
+        x0 = f.b // 2
+        lhs = fraction_sum(q, map(f.value, range(x0 - window, x0 + window + 1)))
+        lhs += (qf(f.value(x0 - window)) + qf(f.value(x0 + window))) * geo
+        return lhs, qf(f.value(x0)) * factor
+    lo = (f.b - 1) // 2 - window
+    hi = (f.b + 1) // 2 + window
+    lhs = fraction_sum(q, map(f.value, range(lo, hi + 1)))
+    lhs += (qf(f.value(lo)) + qf(f.value(hi))) * geo
+    return lhs**4, qf(4 * f.c + f.b * f.b) * factor**4
 
 
 @pytest.mark.parametrize("window", [1, 40])
-def test_parabola_grid_matches_the_fraction_sum(monkeypatch, window):
+def test_parabola_grid_matches_the_fraction_sum(window):
     grid = parabola_case_grid()
-    fast = [parabola_tail_check(quad, a, q, mode, window=window) for quad, a, q, mode in grid]
-    monkeypatch.setattr(qbinom, "_qsum", fraction_sum)
-    slow = [parabola_tail_check(quad, a, q, mode, window=window) for quad, a, q, mode in grid]
-    assert fast == slow
+    assert len(grid) == 200
+    for quad, a, q, mode in grid:
+        case = parabola_tail_check(quad, a, q, mode, window=window)
+        lhs, rhs = oracle_tail_sides(quad, a, q, mode, window)
+        assert (case.lhs, case.rhs, case.passed) == (lhs, rhs, lhs < rhs)
+        assert case.witness["fourth_power"] == (mode == "full" and quad.b % 2 == 1)
+        assert case.to_json()["lhs"] == exact_str(lhs)
 
 
 @given(
