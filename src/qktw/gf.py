@@ -263,6 +263,11 @@ class FieldSpec:
         return hash(("FieldSpec", self.q))
 
 
+def primitive_element(f: FieldSpec) -> int:
+    """The least element of multiplicative order q - 1, a generator of F_q^*."""
+    return next(w for w in range(1, f.q) if len({f.pow(w, k) for k in range(f.q - 1)}) == f.q - 1)
+
+
 @lru_cache(maxsize=None)
 def make_field(q: int) -> FieldSpec:
     """Return the canonical FieldSpec for prime-power q.

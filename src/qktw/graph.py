@@ -4,14 +4,16 @@ Adjacency is one Python int bitmask per vertex, which keeps the quadratic
 pair censuses, component searches, and the exact solvers fast without any
 dependencies.  Graphs are built once and then treated as immutable.
 ``component`` grows one connected component; ``components`` and the tree
-checks of ``treedec.validate_td`` are built on it.  ``permute_masks`` and
-``orbit`` are the generic half of a symmetry certificate: a vertex
-permutation is an automorphism when it maps a mask list onto itself, and
-a set of them is transitive when the orbit of one vertex is every vertex.
+checks of ``treedec.validate_td`` are built on it.  ``certify_maps`` is
+the generic half of a symmetry certificate, on ``permute_masks`` and
+``orbit``: a vertex permutation is an automorphism when it maps a mask
+list onto itself, and a set of them is transitive when the orbit of one
+vertex is every vertex.
 """
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 # Budget for graphs built from subspaces or read from files: n masks of
@@ -82,13 +84,26 @@ def permute_mask(mask: int, perm: Sequence[int]) -> int:
 
 
 def permute_masks(masks: Sequence[int], perm: Sequence[int]) -> list[int]:
-    """Image of a mask list under ``perm``: the mask of vertex v, permuted,
-    becomes the mask of perm[v].  ``perm`` is an automorphism of the
-    relation the masks hold exactly when the image equals the list, which
-    compares every bit, the diagonal included."""
-    out = [0] * len(masks)
+    """Image of a mask list under the permutation ``perm`` of its vertices:
+    the mask of vertex v, permuted, becomes the mask of perm[v].  ``perm``
+    is an automorphism of the relation the masks hold exactly when the
+    image equals the list, which compares every bit, the diagonal included.
+
+    Each mask is permuted as its binary digit string, at C speed: digit
+    n-1-u of the string is bit u, and bit w of the image is bit v of the
+    mask for perm[v] = w.  ``permute_mask``, per set bit, suits single
+    sparse masks.  Every mask must lie below 2**len(masks).
+    """
+    n = len(masks)
+    if not n:
+        return []
+    order = [0] * n  # digit j of an image is digit order[j] of its mask
+    for v, w in enumerate(perm):
+        order[n - 1 - w] = n - 1 - v
+    pick = itemgetter(*order)
+    out = [0] * n
     for v, mask in enumerate(masks):
-        out[perm[v]] = permute_mask(mask, perm)
+        out[perm[v]] = int("".join(pick(format(mask, f"0{n}b"))), 2)
     return out
 
 
@@ -107,6 +122,27 @@ def orbit(start: int, perms: Sequence[Sequence[int]]) -> int:
                     nxt.append(w)
         frontier = nxt
     return seen
+
+
+def certify_maps(perms: Sequence[Sequence[int]], count: int, relations) -> None:
+    """Raise ArithmeticError unless every map is a permutation of the
+    ``count`` vertices that carries every relation onto itself, and the
+    maps together carry vertex 0 to every vertex.
+
+    ``relations`` yields (name, masks) pairs, one mask list alive at a
+    time; each list is compared whole, every bit, with its image under
+    every map (:func:`permute_masks`), and the orbit comes from
+    :func:`orbit`.  No verdict is transferred along a map that fails.
+    """
+    for g, perm in enumerate(perms):
+        if sorted(perm) != list(range(count)):
+            raise ArithmeticError(f"map {g} is not a permutation of the {count} vertices")
+    for name, masks in relations:
+        for g, perm in enumerate(perms):
+            if permute_masks(masks, perm) != list(masks):
+                raise ArithmeticError(f"map {g} does not preserve {name}")
+    if orbit(0, perms) != (1 << count) - 1:
+        raise ArithmeticError("the maps do not carry vertex 0 to every vertex")
 
 
 class Graph:

@@ -6,6 +6,9 @@ builds the graphs, evaluates independence numbers, intersection
 profiles, the duality isomorphism K_q(n,k,t) ~ K_q(n,n-k,n-2k+t), the
 counting inequality behind the treewidth lower bound, and the verdict
 that says which certified range (if any) pins an instance's treewidth.
+It also maps the k-subspaces under a few generators of GL(n,q), the
+vertex maps that :func:`graph.certify_maps` certifies before a census at
+vertex 0 stands for every vertex.
 """
 
 from __future__ import annotations
@@ -13,15 +16,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from typing import Sequence
 
 from .errors import InvalidDualParamsError, OutOfCertifiedRangeError, SizeLimitError
-from .gf import make_field, prime_power, prime_powers_up_to
+from .gf import FieldSpec, make_field, primitive_element, prime_power, prime_powers_up_to
 from .graph import GRAPH_MAX_VERTICES, Graph, mask_mismatches
 from .qbinom import gauss_binom, range_slack_for
 from .report import exact_str
 from .subspace import (
+    LinearMap,
     Subspace,
     enumerate_k_subspaces,
+    linear_image,
     meet_masks,
     orthogonal_complement,
     subspaces_of,
@@ -142,6 +148,34 @@ def build_kneser_graph(p: KneserParams) -> Graph:
             f"degrees {sorted(degrees)} disagree with the profile value {expected} for {p}"
         )
     return g
+
+
+# -- GL(n,q) vertex maps -------------------------------------------------------
+
+
+def gl_generators(n: int, f: FieldSpec) -> list[LinearMap]:
+    """Generators of GL(n,q) on row vectors: the n-cycle of the coordinates,
+    the swap of coordinates 0 and 1, the transvection x1 += x0 and, for
+    q > 2, diag(w, 1, ..., 1) with w primitive.  Nothing here is trusted:
+    :func:`graph.certify_maps` checks what they do to the vertices."""
+    keep = tuple(((j, 1),) for j in range(n))
+    cycle, swap = keep[-1:] + keep[:-1], (keep[1], keep[0]) + keep[2:]
+    gens = [cycle, swap, (keep[0], ((1, 1), (0, 1))) + keep[2:]]
+    if f.q > 2:
+        gens.append((((0, primitive_element(f)),),) + keep[1:])
+    return gens
+
+
+def gl_vertex_maps(verts: Sequence[Subspace], generators: Sequence[LinearMap]) -> list[list[int]]:
+    """Per linear map, the vertex map taking a to the index of
+    rref(a.rows · M).  An image that is not in ``verts``, such as one of
+    lower dimension under a singular map, raises ArithmeticError."""
+    f = verts[0].field
+    index = {v: i for i, v in enumerate(verts)}
+    try:
+        return [[index[linear_image(m, a.rows, f)] for a in verts] for m in generators]
+    except KeyError as exc:
+        raise ArithmeticError(f"a map takes a vertex off the vertices, to {exc.args[0]}") from None
 
 
 # -- independence ------------------------------------------------------------

@@ -33,18 +33,18 @@ from functools import cached_property
 from itertools import combinations
 
 from .errors import BudgetExceededError, NotALineError, SizeLimitError
-from .gf import make_field
+from .gf import make_field, primitive_element
 from .graph import (
     Graph,
+    certify_maps,
     components,
     iter_bits,
     mask_mismatches,
-    orbit,
     permute_mask,
-    permute_masks,
 )
-from .kneser import KneserParams
+from .kneser import KneserParams, gl_vertex_maps
 from .subspace import (
+    LinearMap,
     Subspace,
     enumerate_k_subspaces,
     meet_masks,
@@ -173,20 +173,13 @@ class QuadricModel:
     @cached_property
     def automorphisms(self) -> tuple[tuple[int, ...], ...]:
         """Point permutations induced by the isometries of
-        :func:`_isometry_generators`, certified by
+        :func:`_isometry_generators`, mapped by :func:`kneser.gl_vertex_maps`
+        with the points as 1-subspaces, and certified by
         :func:`certify_automorphisms` when first asked for: each maps the
         perp masks and the lines onto themselves, and together they carry
         point 0 to every point."""
-        perms = []
-        for images in _isometry_generators(self.field):
-            perm = []
-            for p in self.points:
-                image = rref_canonical((_apply(images, p, self.field),), self.field)
-                if image.k != 1 or image.rows[0] not in self.index:
-                    raise ArithmeticError(f"an isometry maps {p} off the quadric")
-                perm.append(self.index[image.rows[0]])
-            perms.append(tuple(perm))
-        return certify_automorphisms(self, perms)
+        points = [Subspace(self.field, 6, (p,)) for p in self.points]
+        return certify_automorphisms(self, gl_vertex_maps(points, _isometry_generators(self.field)))
 
     def polar_section(self, point_indices) -> int:
         """Mask of the quadric points in the polar of the span of the given
@@ -221,25 +214,6 @@ def _polar_vector(p: ProjPoint) -> tuple[int, ...]:
 
 # -- certified automorphisms ---------------------------------------------------
 
-# A linear map of F_q^6 as the images of the coordinates: entry j lists the
-# pairs (i, c) with coordinate j of the image equal to the sum of c * x_i.
-LinearMap = tuple[tuple[tuple[int, int], ...], ...]
-
-
-def _apply(images: LinearMap, x: ProjPoint, f) -> tuple[int, ...]:
-    out = []
-    for terms in images:
-        value = 0
-        for i, c in terms:
-            value = f.add(value, f.mul(c, x[i]))
-        out.append(value)
-    return tuple(out)
-
-
-def _primitive_element(f) -> int:
-    """The least element of multiplicative order q - 1, for q > 2."""
-    return next(w for w in range(2, f.q) if len({f.pow(w, k) for k in range(f.q - 1)}) == f.q - 1)
-
 
 def _isometry_generators(f) -> list[LinearMap]:
     """Isometries of x0x1 + x2x3 + x4x5 on row vectors: the swap x0 <-> x1,
@@ -254,7 +228,7 @@ def _isometry_generators(f) -> list[LinearMap]:
         (((0, 1), (3, f.neg(1))), keep[1], ((2, 1), (1, 1))) + keep[3:],
     ]
     if f.q > 2:
-        w = _primitive_element(f)
+        w = primitive_element(f)
         gens.append((((0, w),), ((1, f.inv(w)),)) + keep[2:])
     return gens
 
@@ -263,23 +237,17 @@ def certify_automorphisms(model: QuadricModel, perms) -> tuple[tuple[int, ...], 
     """The permutations, once each is shown to be an automorphism of the
     model and all of them together to be transitive on the points.
 
-    Each must be a permutation of the points that maps the whole
-    ``perp_masks`` list onto itself (:func:`graph.permute_masks`, every bit
-    compared) and ``line_set`` onto itself, and the orbit of point 0 under
-    them (:func:`graph.orbit`) must be every point.  Any failed check
-    raises ArithmeticError: a verdict is never transferred along an
-    uncertified map.
+    :func:`graph.certify_maps` requires each to be a permutation of the
+    points that maps the whole ``perp_masks`` list onto itself, every bit
+    compared, and the orbit of point 0 under them to be every point; each
+    must also map ``line_set`` onto itself.  Any failed check raises
+    ArithmeticError: a verdict is never transferred along an uncertified
+    map.
     """
-    n = len(model.points)
+    certify_maps(perms, len(model.points), [("perpendicularity", model.perp_masks)])
     for g, perm in enumerate(perms):
-        if sorted(perm) != list(range(n)):
-            raise ArithmeticError(f"map {g} is not a permutation of the {n} points")
-        if permute_masks(model.perp_masks, perm) != list(model.perp_masks):
-            raise ArithmeticError(f"map {g} does not preserve perpendicularity")
         if {permute_mask(line, perm) for line in model.line_set} != model.line_set:
             raise ArithmeticError(f"map {g} does not map the lines onto themselves")
-    if orbit(0, perms) != (1 << n) - 1:
-        raise ArithmeticError("the maps do not carry point 0 to every point")
     return tuple(tuple(perm) for perm in perms)
 
 

@@ -14,6 +14,7 @@ pass between functions as these RREF row tuples, not as Subspace values.
 Whole incidence relations ("meets in dimension >= t") come from shared
 t-subspaces as bitmasks, without a per-pair elimination; the shared
 t-subspaces are numbered in one place, :func:`held_subspaces`.  The
+image of a subspace under a linear map is :func:`linear_image`.  The
 pairwise rank in :func:`intersect_dim` gets a bit-packed fast path for
 q = 2, where rows are machine ints and elimination is XOR.
 """
@@ -258,6 +259,18 @@ def containing_masks(numbers: Sequence[Sequence[int]], count: int) -> list[int]:
     return containing
 
 
+def union_masks(numbers: Sequence[Sequence[int]], containing: Sequence[int]) -> list[int]:
+    """Per entry of ``numbers``, the OR of the containing masks of its
+    numbered subspaces: the spaces that share one of them."""
+    masks = []
+    for mine in numbers:
+        mask = 0
+        for x in mine:
+            mask |= containing[x]
+        masks.append(mask)
+    return masks
+
+
 def meet_masks(spaces: Sequence[Subspace], t: int) -> list[int]:
     """Incidence masks: bit j of mask i is set iff dim(spaces[i] ∩ spaces[j]) >= t.
 
@@ -270,14 +283,28 @@ def meet_masks(spaces: Sequence[Subspace], t: int) -> list[int]:
     compare against.
     """
     held, numbers = held_subspaces(spaces, t)
-    containing = containing_masks(numbers, len(held))
-    masks = []
-    for mine in numbers:
-        mask = 0
-        for x in mine:
-            mask |= containing[x]
-        masks.append(mask)
-    return masks
+    return union_masks(numbers, containing_masks(numbers, len(held)))
+
+
+# A linear map of F_q^n on row vectors as the images of the coordinates:
+# entry j lists the pairs (i, c) with coordinate j of x M equal to the sum
+# of c * x_i.
+LinearMap = tuple[tuple[tuple[int, int], ...], ...]
+
+
+def linear_image(m: LinearMap, rows: Sequence[Sequence[int]], f: FieldSpec) -> Subspace:
+    """The span of ``rows`` times M, canonical: the image of their span
+    under the map, of lower dimension when M is singular on it."""
+    images = []
+    for x in rows:
+        image = []
+        for terms in m:
+            value = 0
+            for i, c in terms:
+                value = f.add(value, f.mul(c, x[i]))
+            image.append(value)
+        images.append(image)
+    return rref_canonical(images, f)
 
 
 def intersect_dim(u: Subspace, v: Subspace) -> int:

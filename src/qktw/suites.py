@@ -5,25 +5,30 @@ exact sides, computed in one thread in a fixed order.  A suite's keyword
 parameters are its ``verify`` options: ``qktw verify`` passes ``-q``,
 ``--claims`` and ``--tuples`` as ``q``, ``claims`` and ``tuples`` to a
 suite whose signature names them and refuses them otherwise.  Every other
-sweep is fixed.
+sweep is fixed.  The pair-count suite censuses vertex 0 against every
+vertex, under GL(n,q) maps certified by :func:`graph.certify_maps`.
 """
 
 from __future__ import annotations
 
 import random
-import sys
 import tempfile
-from array import array
-from functools import reduce
-from itertools import compress
-from operator import or_
+from itertools import chain
 from pathlib import Path
 from typing import Sequence
 
 from .errors import BudgetExceededError
 from .exact import mis_exact, treewidth_all_orderings, treewidth_exact
 from .gf import make_field, prime_powers_up_to
-from .graph import Graph, complete_graph, path_graph, petersen_graph
+from .graph import (
+    GRAPH_MAX_VERTICES,
+    Graph,
+    certify_maps,
+    complete_graph,
+    iter_bits,
+    path_graph,
+    petersen_graph,
+)
 from .kneser import (
     KneserParams,
     alpha_value,
@@ -31,6 +36,8 @@ from .kneser import (
     counting_inequality_check,
     counting_sweep_params,
     duality_isomorphism,
+    gl_generators,
+    gl_vertex_maps,
     kneser_star_decomposition,
     treewidth_verdict,
 )
@@ -52,7 +59,7 @@ from .subspace import (
     containing_masks,
     enumerate_k_subspaces,
     held_subspaces,
-    meet_masks,
+    union_masks,
 )
 from .treedec import (
     pace_read_gr,
@@ -61,14 +68,6 @@ from .treedec import (
     pace_write_td,
     validate_td,
 )
-
-# Admits the default pair-count sweep (n <= 5, k <= 3) at q = 2 (work
-# 234,161) and q = 3 (23,510,162); q = 4 would be 824,011,665.
-PAIR_COUNT_MAX_WORK = 50_000_000
-
-# Packed census fields: array type codes by width in bytes.
-_FIELD_CODES = {array(code).itemsize: code for code in "BHILQ"}
-_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
 
 ORACLE_SEED = 271828
 ORACLE_GRAPH_COUNT = 200
@@ -104,160 +103,114 @@ def bridge_suite() -> SuiteReport:
     return SuiteReport("bridge", [bridge_inequality_check(q) for q in prime_powers_up_to(64)])
 
 
-def pair_count_work(q: int, max_n: int, max_k: int) -> int:
-    """Work of :func:`pair_count_suite`: over every (n, k, t), the pairs of
-    k-subspaces times the t-subspaces of one of them."""
-    work = 0
-    for n in range(2, max_n + 1):
-        for k in range(2, min(max_k, n) + 1):
-            verts = gauss_binom(n, k, q)
-            subs = sum(gauss_binom(k, t, q) for t in range(1, k + 1))
-            work += verts * (verts + 1) // 2 * subs
-    return work
+def vertex_census(verts: Sequence[Subspace]) -> tuple[list[list[int]], list[list[list[int]]]]:
+    """The intersection census of vertex 0 against every vertex, under a
+    certificate that it stands for every pair.
 
+    ``verts`` are all the k-subspaces of F_q^n, in any fixed order.
+    Returns (classes, columns): classes[s], for s = 0..k, lists the b with
+    dim(verts[0] ∩ verts[b]) = s, ascending, and columns[t - 1][i][b], for
+    t = 1..k and i = 0..t, is the number of pairs (x, y) of t-subspaces
+    x of verts[0] and y of verts[b] with dim(x ∩ y) = i.
 
-def _mask_bytes(mask: int, size: int) -> bytes:
-    """Byte b is bit b of ``mask`` (0 or 1), for b < size; mask < 2**size."""
-    return f"{mask:0{size}b}"[::-1].encode().translate(_BIT_BYTES)
+    The census runs only after :func:`graph.certify_maps` shows
+    that the vertex maps of :func:`kneser.gl_generators` are bijections
+    that keep every class list "dim(a ∩ b) >= s", s = 1..k-1, and carry
+    vertex 0 to every vertex.  A linear bijection keeps every intersection
+    dimension, so every pair (a, b) has the census of some pair (0, b').
 
-
-def pair_censuses(verts: Sequence[Subspace]):
-    """Intersection censuses of subspace pairs, one vertex against all at once.
-
-    ``verts`` are k-subspaces of one ambient space.  Yields
-    (a, classes, columns) for every vertex a: classes[s], for s = 0..k,
-    lists the b >= a with dim(verts[a] ∩ verts[b]) = s, ascending, and
-    columns[t - 1][i][b], for t = 1..k, i = 0..t and every b, is the
-    number of pairs (x, y) of t-subspaces x of verts[a] and y of verts[b]
-    with dim(x ∩ y) = i.
-
-    Let T be the t-subspaces the vertices hold, numbered by
-    :func:`held_subspaces`, S_b the set of b's t-subspaces in T and
-    M_i = meet_masks(T, i).  Each y in T gets a packed vector, a big int
-    with a field of w bytes per vertex b, holding 1 if y lies in b.
-    R_i[x], the sum of the packed vectors over M_i[x], holds
-    popcount(M_i[x] & S_b) in field b, and V_i, the sum of R_i[x] over the
-    t-subspaces x of a, the pairs that meet in dimension >= i; V_0 is
-    [k,t]_q times the sum of all packed vectors.  The exact counts are
-    E_i = V_i - V_{i+1}, with V_{t+1} = 0.  No field overflows: w is the
-    least of 1, 2, 4 and 8 bytes with [k,t]_q^2 < 256^w, and no field of
-    any sum exceeds [k,t]_q^2, the pairs (x, y) of one (a, b).  No field
-    borrows: M_{i+1}[x] lies in M_i[x], which is checked for i + 1 < t,
-    so no field of V_{i+1} exceeds that of V_i.  M_t[x] is x alone, since
-    the held t-subspaces are distinct, so R_t[x] is x's packed vector,
-    with no :func:`meet_masks` call, and x lies in every M_i[x].  Every
-    S_b lies in T, so no other t-subspace of the ambient space can count.
-
-    s comes from vertex masks: b lies in the OR of the containing masks of
-    a's t-subspaces exactly when dim(a ∩ b) >= t.  x ∩ y lies in a ∩ b, so
-    a nonzero count above min(s, t) raises ArithmeticError.  No pair is
-    eliminated and no Python step runs per pair; ``oracle_pair_censuses``
-    in the tests, one :func:`intersect_dim` per pair of t-subspaces, is the
-    oracle.
+    Per t, :func:`held_subspaces` numbers the t-subspaces the vertices
+    hold, and X are vertex 0's.  For x in X and 0 < i < t, the meet row
+    M_i[x] is the mask of the held y with dim(x ∩ y) >= i: the OR of the
+    containing masks, among the held t-subspaces, of x's i-subspaces.  Rows
+    are built for the [k,t]_q subspaces in X only; M_t[x] is x alone, since
+    the held t-subspaces are distinct, and M_0[x] is everything.  The
+    weight of y is the number of x whose row holds it, and V_i[b], the sum
+    of the weights over b's t-subspaces, is the number of pairs meeting in
+    dimension >= i; the counts are E_i = V_i - V_{i+1}, with V_{t+1} = 0.
+    E_t[b] is the number of t-subspaces b shares with vertex 0, nonzero
+    exactly when dim(verts[0] ∩ b) >= t, which gives the classes.  x ∩ y
+    lies in verts[0] ∩ verts[b], so a count above min(s, t), or a negative
+    count, raises ArithmeticError.  ``oracle_pair_censuses`` in the tests,
+    one :func:`intersect_dim` per pair of t-subspaces, is the oracle.
     """
-    f, n, k = verts[0].field, verts[0].n, verts[0].k
-    count = len(verts)
-    per_t = []
-    near = []  # near[t - 1][a]: the mask of the b with dim(a ∩ b) >= t
-    for t in range(1, k + 1):
-        held, subs = held_subspaces(verts, t)
-        largest = gauss_binom(k, t, f.q) ** 2  # the pairs (x, y) of one (a, b)
-        width = next(w for w in _FIELD_CODES if largest < 256**w)
-        containing = containing_masks(subs, len(held))
-        near.append([reduce(or_, map(containing.__getitem__, xs)) for xs in subs])
-        packed = []
-        for mask in containing:
-            fields = bytearray(count * width)
-            fields[::width] = _mask_bytes(mask, count)
-            packed.append(int.from_bytes(fields, "little"))
-        total = sum(packed)
-        spaces = [Subspace(f, n, w) for w in held]
-        rows, prev = [], None
-        for i in range(1, t):
-            meets = meet_masks(spaces, i)
-            if prev is not None and any(m & ~p for m, p in zip(meets, prev)):
-                raise ArithmeticError(f"meet rows of dimension {i} do not nest in {i - 1}")
-            rows.append([sum(compress(packed, _mask_bytes(m, len(held)))) for m in meets])
-            prev = meets
-        rows.append(packed)  # M_t is the identity: the held t-subspaces are distinct
-        per_t.append((t, subs, total, rows, _FIELD_CODES[width], count * width))
-    everyone = (1 << count) - 1
-    for a in range(count):
-        ge = [everyone & ~((1 << a) - 1)]  # ge[s]: the b >= a with dim(a ∩ b) >= s
-        ge += [masks[a] & ge[0] for masks in near]
-        ge.append(0)
-        classes = [
-            list(compress(range(count), _mask_bytes(ge[s] & ~ge[s + 1], count)))
-            for s in range(k + 1)
-        ]
-        columns = []
-        for t, subs, total, rows, code, size in per_t:
-            xs = subs[a]
-            at_least = [len(xs) * total]
-            at_least += [sum(map(row.__getitem__, xs)) for row in rows]
-            at_least.append(0)
-            cols = []
-            for i in range(t + 1):
-                col = array(code, (at_least[i] - at_least[i + 1]).to_bytes(size, "little"))
-                if sys.byteorder == "big":
-                    col.byteswap()
-                cols.append(col)
-            columns.append(cols)
-            for s, bs in enumerate(classes[:t]):
-                for i in range(s + 1, t + 1):
-                    if any(map(cols[i].__getitem__, bs)):
-                        raise ArithmeticError(
-                            f"t-subspaces meet in dimension {i} > dim(a ∩ b) = {s}"
-                        )
-        yield a, classes, columns
+    f, n, k, count = verts[0].field, verts[0].n, verts[0].k, len(verts)
+    tables = [held_subspaces(verts, t) for t in range(1, k + 1)]
+    # the class lists s = 1..k-1, made one at a time as the certificate asks
+    lists = (union_masks(subs, containing_masks(subs, len(held))) for held, subs in tables[:-1])
+    relations = ((f"dim(a ∩ b) >= {s}", masks) for s, masks in enumerate(lists, start=1))
+    certify_maps(gl_vertex_maps(verts, gl_generators(n, f)), count, relations)
+    columns = []
+    for t, (held, subs) in enumerate(tables, start=1):
+        mine = subs[0]
+        spaces = [Subspace(f, n, y) for y in held]
+        at_least = [[len(mine) * len(xs) for xs in subs]]
+        for i in range(1, t + 1):
+            if i < t:  # at t = k the held t-subspaces are the vertices, in order
+                inner, parts = tables[i - 1] if t == k else held_subspaces(spaces, i)
+                rows = union_masks([parts[x] for x in mine], containing_masks(parts, len(inner)))
+            else:
+                rows = [1 << x for x in mine]
+            weights = [0] * len(held)
+            for y in chain.from_iterable(map(iter_bits, rows)):
+                weights[y] += 1
+            at_least.append([sum(map(weights.__getitem__, xs)) for xs in subs])
+        at_least.append([0] * count)
+        columns.append([[u - v for u, v in zip(*at_least[i : i + 2])] for i in range(t + 1)])
+    if min(min(col) for cols in columns for col in cols) < 0:
+        raise ArithmeticError("a negative count of t-subspace pairs")
+    dims = [max((t for t, c in enumerate(columns, 1) if c[-1][b]), default=0) for b in range(count)]
+    for b, s in enumerate(dims):
+        if any(cols[i][b] for cols in columns for i in range(s + 1, len(cols))):
+            raise ArithmeticError(f"t-subspaces meet above dim(a ∩ b) = {s}")
+    return [[b for b, d in enumerate(dims) if d == s] for s in range(k + 1)], columns
 
 
 def pair_count_suite(q: int = 2, max_n: int = 5, max_k: int = 3) -> SuiteReport:
     """Exhaustive pair censuses against the [s,i] [k-i,t-i]^2 bound.
 
-    Every unordered pair of k-subspaces (including equal pairs) is
-    censused by :func:`pair_censuses`; cases are aggregated per
-    (n, k, t, s, i) as the worst observed count against the bound.  Per
-    vertex a and s, the worst count of each (t, i) is the max of the
-    column over the b of class s, and the class adds its size to the pairs
-    checked, so no Python step runs per pair.  Runs whose
-    :func:`pair_count_work` passes PAIR_COUNT_MAX_WORK raise
-    BudgetExceededError before the field is built or anything enumerated.
+    Every unordered pair of k-subspaces (including equal pairs) is covered
+    by :func:`vertex_census`, whose certified maps carry any pair to a
+    pair (0, b); cases are aggregated per (n, k, t, s, i) as the worst
+    count against the bound.  The worst count of each (t, i) is the max of
+    the column over class s, and the pairs checked are N c_s / 2 for
+    s < k, with c_s the size of class s, and N for s = k.  Runs whose
+    largest mask list, [n,t]_q subspaces over the sweep with t <= k,
+    passes GRAPH_MAX_VERTICES raise BudgetExceededError before the field
+    is built or anything enumerated.
     """
-    work = pair_count_work(q, max_n, max_k)
-    if work > PAIR_COUNT_MAX_WORK:
+    sweep = [(n, t) for n in range(2, max_n + 1) for t in range(1, min(max_k, n) + 1)]
+    largest = max(gauss_binom(n, t, q) for n, t in sweep)
+    if largest > GRAPH_MAX_VERTICES:
         raise BudgetExceededError(
-            f"pair-count work {work} (q={q}, n <= {max_n}, k <= {max_k}) "
-            f"exceeds the budget of {PAIR_COUNT_MAX_WORK}"
+            f"pair-count mask lists of {largest} subspaces (q={q}, n <= {max_n}, "
+            f"k <= {max_k}) exceed the budget of {GRAPH_MAX_VERTICES}"
         )
     f = make_field(q)
     cases = []
     for n in range(2, max_n + 1):
         for k in range(2, min(max_k, n) + 1):
             verts = enumerate_k_subspaces(n, k, f)
-            worst: dict[tuple[int, int, int], int] = {}
-            pairs: dict[tuple[int, int, int], int] = {}
-            for _, classes, columns in pair_censuses(verts):
+            classes, columns = vertex_census(verts)
+            for t, cols in enumerate(columns, start=1):
                 for s, bs in enumerate(classes):
                     if not bs:
                         continue
-                    for t, cols in enumerate(columns, start=1):
-                        for i in range(min(s, t) + 1):
-                            key = (t, s, i)
-                            most = max(map(cols[i].__getitem__, bs))
-                            worst[key] = max(worst.get(key, 0), most)
-                            pairs[key] = pairs.get(key, 0) + len(bs)
-            for (t, s, i), count in sorted(worst.items()):
-                bound = gauss_binom(s, i, q) * gauss_binom(k - i, t - i, q) ** 2
-                cases.append(
-                    CheckCase(
-                        params={"q": q, "n": n, "k": k, "t": t, "s": s, "i": i},
-                        lhs=count,
-                        rhs=bound,
-                        passed=count <= bound,
-                        witness={"pairs_checked": pairs[(t, s, i)]},
-                    )
-                )
+                    pairs, odd = divmod(len(verts) * len(bs), 2) if s < k else (len(verts), 0)
+                    if odd:
+                        raise ArithmeticError(f"{len(verts)} vertices, {len(bs)} at dimension {s}")
+                    for i in range(min(s, t) + 1):
+                        count = max(map(cols[i].__getitem__, bs))
+                        bound = gauss_binom(s, i, q) * gauss_binom(k - i, t - i, q) ** 2
+                        cases.append(
+                            CheckCase(
+                                params={"q": q, "n": n, "k": k, "t": t, "s": s, "i": i},
+                                lhs=count,
+                                rhs=bound,
+                                passed=count <= bound,
+                                witness={"pairs_checked": pairs},
+                            )
+                        )
     return SuiteReport("pair-count", cases)
 
 

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from qktw import cli
+from qktw import cli, suites
 from qktw.cli import run
 from qktw.exact import TREEWIDTH_NODE_BUDGET, SolveBudget
 from qktw.report import CheckCase, SuiteReport, verify_all_json
@@ -338,10 +338,15 @@ def test_tw_exact_node_budget_fails_fast(tmp_path, capsys, monkeypatch):
 
 
 # q = 128 is past the field tables too: the budget is checked first
-@pytest.mark.parametrize("q", ["4", "128"])
-def test_verify_pair_count_budget(capsys, q):
+@pytest.mark.parametrize("q", ["7", "128"])
+def test_verify_pair_count_budget(capsys, monkeypatch, q):
+    def refuse(*args, **kwargs):
+        raise AssertionError("built or enumerated past the budget")
+
+    monkeypatch.setattr(suites, "make_field", refuse)
+    monkeypatch.setattr(suites, "enumerate_k_subspaces", refuse)
     assert run(["verify", "pair-count", "-q", q]) == 3
-    assert "budget" in capsys.readouterr().err
+    assert "budget of 32768" in capsys.readouterr().err
 
 
 def test_tw_exact_refuses_a_negative_vertex_budget(tmp_path, capsys):

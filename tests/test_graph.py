@@ -13,6 +13,8 @@ from qktw.graph import (
     iter_bits,
     mask_mismatches,
     path_graph,
+    permute_mask,
+    permute_masks,
     petersen_graph,
 )
 
@@ -20,6 +22,26 @@ from qktw.graph import (
 def test_iter_bits():
     assert list(iter_bits(0b10110)) == [1, 2, 4]
     assert list(iter_bits(0)) == []
+
+
+@given(st.data())
+def test_permute_masks_matches_the_per_bit_permutation(data):
+    n = data.draw(st.integers(0, 40))
+    masks = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n))
+    perm = data.draw(st.permutations(range(n)))
+    out = [0] * n
+    for v, mask in enumerate(masks):
+        out[perm[v]] = permute_mask(mask, perm)
+    assert permute_masks(masks, perm) == out
+
+
+def test_permute_masks_on_empty_and_one_vertex_lists():
+    assert permute_masks([], []) == []
+    assert permute_masks([0], [0]) == [0]
+    assert permute_masks([1], [0]) == [1]
+    # a 3-cycle moves the path 0 - 1 - 2 onto 1 - 2 - 0
+    path = [0b010, 0b101, 0b010]
+    assert permute_masks(path, [1, 2, 0]) == [0b100, 0b100, 0b011]
 
 
 def test_basic_construction():

@@ -7,7 +7,7 @@ import pytest
 from qktw import kneser
 from qktw.errors import OutOfCertifiedRangeError, SizeLimitError
 from qktw.gf import make_field
-from qktw.graph import GRAPH_MAX_VERTICES
+from qktw.graph import GRAPH_MAX_VERTICES, certify_maps
 from qktw.kneser import (
     KneserParams,
     ResultTag,
@@ -16,6 +16,8 @@ from qktw.kneser import (
     counting_inequality_check,
     counting_sweep_params,
     duality_isomorphism,
+    gl_generators,
+    gl_vertex_maps,
     intersection_counts,
     kneser_star_decomposition,
     star_independent_set,
@@ -25,10 +27,11 @@ from qktw.qbinom import gauss_binom
 from qktw.subspace import (
     enumerate_k_subspaces,
     intersect_dim,
+    meet_masks,
     orthogonal_complement,
     rref_canonical,
 )
-from qktw.suites import pair_censuses
+from qktw.suites import vertex_census
 from qktw.treedec import validate_td
 
 F2 = make_field(2)
@@ -329,12 +332,13 @@ def test_pair_count_examples():
     # line pairs (t = 1) of planes (k = 2) in F_2^4, counted by hand; the
     # bound is [s,i] [k-i,t-i]^2
     verts = enumerate_k_subspaces(4, 2, F2)
-    _, classes, columns = next(pair_censuses(verts))  # vertex 0 against all
+    classes, columns = vertex_census(verts)  # vertex 0 against all
     censuses = {
         b: (s, [columns[0][i][b] for i in range(min(s, 1) + 1)])
         for s, bs in enumerate(classes)
         for b in bs
     }
+    assert [len(bs) for bs in classes] == [16, 18, 1]
 
     def bound(s, i):
         return gauss_binom(s, i, 2) * gauss_binom(2 - i, 1 - i, 2) ** 2
@@ -349,6 +353,66 @@ def test_pair_count_examples():
     s, lines = next(c for c in censuses.values() if c[0] == 0)
     assert (lines[0], bound(s, 0)) == (9, 9)
     assert len(lines) == 1
+
+
+# -- the GL(n,q) certificate ------------------------------------------------------
+
+
+def certified_setup(q, n, k):
+    verts = enumerate_k_subspaces(n, k, make_field(q))
+    classes = [(f"dim(a ∩ b) >= {s}", meet_masks(verts, s)) for s in range(1, k)]
+    return verts, classes, gl_vertex_maps(verts, gl_generators(n, verts[0].field))
+
+
+@pytest.mark.parametrize("q,n,k", [(2, 4, 2), (2, 5, 3), (3, 4, 2), (3, 3, 1), (4, 3, 2)])
+def test_gl_generators_are_certified_automorphisms(q, n, k):
+    verts, classes, perms = certified_setup(q, n, k)
+    assert len(perms) == (3 if q == 2 else 4)
+    certify_maps(perms, len(verts), classes)
+    # each map keeps the intersection dimension of every pair it moves
+    for perm in perms:
+        for a in range(0, len(verts), 7):
+            for b in range(len(verts)):
+                assert intersect_dim(verts[perm[a]], verts[perm[b]]) == intersect_dim(
+                    verts[a], verts[b]
+                )
+
+
+def test_certificate_refuses_maps_that_are_not_transitive():
+    verts, classes, _ = certified_setup(3, 4, 2)
+    diagonal = gl_generators(4, verts[0].field)[-1]
+    with pytest.raises(ArithmeticError, match="every vertex"):
+        certify_maps(gl_vertex_maps(verts, [diagonal]), len(verts), classes)
+    with pytest.raises(ArithmeticError, match="every vertex"):
+        certify_maps([], len(verts), classes)
+
+
+def test_certificate_refuses_a_singular_generator():
+    verts, _, _ = certified_setup(3, 4, 2)
+    keep = tuple(((j, 1),) for j in range(4))
+    singular = (keep[0], keep[0]) + keep[2:]  # coordinate 1 of the image repeats x0
+    with pytest.raises(ArithmeticError, match="off the vertices"):
+        gl_vertex_maps(verts, [gl_generators(4, verts[0].field)[0], singular])
+
+
+def test_certificate_refuses_a_map_with_two_vertices_swapped():
+    verts, classes, perms = certified_setup(2, 4, 2)
+    perms[1][5], perms[1][9] = perms[1][9], perms[1][5]
+    with pytest.raises(ArithmeticError, match=r"map 1 does not preserve dim\(a ∩ b\) >= 1"):
+        certify_maps(perms, len(verts), classes)
+    with pytest.raises(ArithmeticError, match="not a permutation"):
+        certify_maps([[0] * len(verts)], len(verts), classes)
+
+
+@pytest.mark.parametrize("s", [1, 2])
+def test_certificate_refuses_a_class_list_that_is_not_preserved(s):
+    verts, classes, perms = certified_setup(2, 5, 3)
+    # flip whether planes 0 and 7 meet in dimension >= s, symmetrically
+    masks = classes[s - 1][1]
+    masks[0] ^= 1 << 7
+    masks[7] ^= 1
+    with pytest.raises(ArithmeticError, match=rf"does not preserve dim\(a ∩ b\) >= {s}"):
+        certify_maps(perms, len(verts), classes)
 
 
 def test_verdict_k421():

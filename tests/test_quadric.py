@@ -298,9 +298,9 @@ def test_certificate_refuses_maps_that_fix_point_0(q):
     fixing = [g for g in m.automorphisms if g[0] == 0]
     assert fixing and len(fixing) < len(m.automorphisms)
     assert quadric.certify_automorphisms(m, m.automorphisms) == m.automorphisms
-    with pytest.raises(ArithmeticError, match="every point"):
+    with pytest.raises(ArithmeticError, match="every vertex"):
         quadric.certify_automorphisms(m, fixing)
-    with pytest.raises(ArithmeticError, match="every point"):
+    with pytest.raises(ArithmeticError, match="every vertex"):
         quadric.certify_automorphisms(m, [])
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import sys
 from collections import Counter
@@ -5,8 +6,6 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from qktw import suites
 from qktw.errors import BudgetExceededError
@@ -20,12 +19,11 @@ from qktw.suites import (
     gauss_bounds_suite,
     grid_suite,
     klein_suite,
-    pair_censuses,
     pair_count_suite,
-    pair_count_work,
     parabola_suite,
     perp_census_suite,
     verdict_suite,
+    vertex_census,
 )
 
 
@@ -132,17 +130,22 @@ def test_verdict_suite():
 
 # -- the pair-count census against the per-pair elimination oracle ---------------
 
+# SHA-256 of `qktw verify pair-count -q 3` (85 cases), taken before the census
+# moved to one vertex under certified maps.
+_PAIR_COUNT_Q3_DIGEST = "248a52b2ff2cdaf9c2f94e25ec1e79429952057e83dea212d10dbf269d193e36"
 
-def oracle_pair_censuses(verts):
-    """pair_censuses by one intersect_dim per pair of t-subspaces."""
+
+def oracle_pair_censuses(verts, bases=None):
+    """The census by one intersect_dim per pair of t-subspaces: (a, b, s,
+    counts) for every b >= a, or for every b when ``bases`` lists the a."""
     k = verts[0].k
     subs = [
         [[Subspace(v.field, v.n, w) for w in subspaces_of(v, t)] for t in range(1, k + 1)]
         for v in verts
     ]
-    for a, u in enumerate(verts):
-        for b in range(a, len(verts)):
-            s = intersect_dim(u, verts[b])
+    for a in range(len(verts)) if bases is None else bases:
+        for b in range(a if bases is None else 0, len(verts)):
+            s = intersect_dim(verts[a], verts[b])
             counts = []
             for xs, ys in zip(subs[a], subs[b]):
                 census = Counter(intersect_dim(x, y) for x in xs for y in ys)
@@ -152,101 +155,115 @@ def oracle_pair_censuses(verts):
             yield a, b, s, counts
 
 
-def pair_census_tuples(verts):
-    """pair_censuses expanded to the oracle's (a, b, s, counts) per pair."""
-    for a, classes, columns in pair_censuses(verts):
-        dims = {b: s for s, bs in enumerate(classes) for b in bs}
-        for b, s in sorted(dims.items()):
-            tops = [cols[: min(s, t) + 1] for t, cols in enumerate(columns, start=1)]
-            yield a, b, s, [[col[b] for col in top] for top in tops]
+def vertex_census_tuples(verts):
+    """vertex_census expanded to the oracle's (0, b, s, counts) per b."""
+    classes, columns = vertex_census(verts)
+    dims = {b: s for s, bs in enumerate(classes) for b in bs}
+    for b, s in sorted(dims.items()):
+        tops = [cols[: min(s, t) + 1] for t, cols in enumerate(columns, start=1)]
+        yield 0, b, s, [[col[b] for col in top] for top in tops]
 
 
 @pytest.mark.parametrize(
     "q,n,k",
     [(2, n, k) for n in range(2, 5) for k in range(1, n + 1)] + [(3, 4, 2), (4, 3, 3), (5, 3, 3)],
 )
-def test_pair_censuses_match_the_pairwise_oracle(q, n, k):
+def test_vertex_census_matches_the_pairwise_oracle(q, n, k):
     verts = enumerate_k_subspaces(n, k, make_field(q))
-    assert list(pair_census_tuples(verts)) == list(oracle_pair_censuses(verts))
+    assert list(vertex_census_tuples(verts)) == list(oracle_pair_censuses(verts, bases=[0]))
 
 
-@pytest.mark.parametrize("q,most", [(4, 420), (5, 930)])
-def test_pair_censuses_fill_two_byte_fields(q, most):
-    # the plane of F_q^3 against itself: q^2 + q + 1 points, and the pairs
-    # of distinct points (t = 1, i = 0) pass one byte
-    (_, classes, columns), = pair_censuses(enumerate_k_subspaces(3, 3, make_field(q)))
-    assert classes == [[], [], [], [0]]
-    assert columns[0][0].itemsize == 2
-    assert max(col[0] for cols in columns for col in cols) == most
+def oracle_pair_count_cases(q, max_n, max_k):
+    """pair_count_suite's (params, worst count, pairs checked), aggregated
+    from the oracle over every pair b >= a."""
+    out = []
+    for n in range(2, max_n + 1):
+        for k in range(2, min(max_k, n) + 1):
+            worst, pairs = {}, Counter()
+            for _, _, s, counts in oracle_pair_censuses(enumerate_k_subspaces(n, k, make_field(q))):
+                for t, row in enumerate(counts, start=1):
+                    for i, count in enumerate(row):
+                        worst[t, s, i] = max(worst.get((t, s, i), 0), count)
+                        pairs[t, s, i] += 1
+            out += [
+                ({"q": q, "n": n, "k": k, "t": t, "s": s, "i": i}, worst[t, s, i], pairs[t, s, i])
+                for t, s, i in sorted(worst)
+            ]
+    return out
 
 
-@pytest.mark.parametrize("fault", ["above s", "not nested"])
-def test_pair_count_refuses_a_corrupt_meet_row(monkeypatch, fault):
-    real = suites.meet_masks
+@pytest.mark.parametrize("q,max_n,max_k", [(2, 4, 3), (3, 4, 2)])
+def test_pair_count_suite_matches_the_oracle_over_every_pair(q, max_n, max_k):
+    rep = pair_count_suite(q=q, max_n=max_n, max_k=max_k)
+    got = [(c.params, c.lhs, c.witness["pairs_checked"]) for c in rep.cases]
+    assert got == oracle_pair_count_cases(q, max_n, max_k)
+    assert rep.passed
 
-    def corrupt(spaces, i):
-        # rows with i < t: the row i = t is the identity and never computed
-        rows = real(spaces, i)
-        t = spaces[0].k
-        if fault == "above s" and (t, i) == (2, 1):
-            skew = ~rows[0] & ((1 << len(rows)) - 1)
-            rows[0] |= skew & -skew  # a line skew to line 0 "meets" it
-        if fault == "not nested" and (t, i) == (3, 1):
-            rows[0] &= ~(1 << 1)  # plane 1 "misses" plane 0, which it meets in a line
+
+def test_pair_count_q3_report_matches_the_pinned_digest():
+    text = json.dumps(pair_count_suite(q=3).to_json(), indent=2) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == _PAIR_COUNT_Q3_DIGEST
+
+
+def _corrupt_vertex_0_meet_row(monkeypatch, change):
+    """Apply ``change`` to vertex 0's meet row at t = k: the one-row
+    union_masks call (the class lists have a row per vertex)."""
+    real = suites.union_masks
+
+    def corrupt(numbers, containing):
+        rows = real(numbers, containing)
+        if len(numbers) == 1:
+            rows[0] = change(rows[0])
         return rows
 
-    monkeypatch.setattr(suites, "meet_masks", corrupt)
-    match = {"above s": "meet in dimension", "not nested": "do not nest"}[fault]
-    with pytest.raises(ArithmeticError, match=match):
-        pair_count_suite(q=2, max_n=4, max_k=3)
+    monkeypatch.setattr(suites, "union_masks", corrupt)
 
 
-def test_pair_count_takes_the_identity_meet_row_from_the_packed_vectors(monkeypatch):
-    real = suites.meet_masks
-    calls = []
+def test_vertex_census_refuses_a_count_above_the_meet(monkeypatch):
+    def add_a_skew_plane(row):
+        skew = ~row & ((1 << 35) - 1)
+        return row | (skew & -skew)  # a plane skew to plane 0 "meets" it in a line
 
-    def spy(spaces, i):
-        calls.append((spaces[0].k, i))
-        return real(spaces, i)
-
-    monkeypatch.setattr(suites, "meet_masks", spy)
-    assert pair_count_suite(q=2, max_n=4, max_k=3).passed
-    assert calls and all(i < t for t, i in calls)
+    _corrupt_vertex_0_meet_row(monkeypatch, add_a_skew_plane)
+    with pytest.raises(ArithmeticError, match=r"meet above dim\(a ∩ b\) = 0"):
+        vertex_census(enumerate_k_subspaces(4, 2, make_field(2)))
 
 
-@settings(max_examples=20, deadline=None)
-@given(st.data())
-def test_pair_censuses_on_random_vertex_subsets(data):
-    q, n = data.draw(st.sampled_from([(2, 4), (2, 5), (3, 3), (3, 4), (4, 4)]))
-    k = data.draw(st.integers(1, n - 1))
-    every = enumerate_k_subspaces(n, k, make_field(q))
-    picked = data.draw(
-        st.lists(st.integers(0, len(every) - 1), min_size=1, max_size=12, unique=True)
-    )
-    verts = [every[i] for i in picked]
-    assert list(pair_census_tuples(verts)) == list(oracle_pair_censuses(verts))
+def test_vertex_census_refuses_a_negative_count(monkeypatch):
+    # plane 0 no longer "meets" itself in a line, while it still holds itself
+    _corrupt_vertex_0_meet_row(monkeypatch, lambda row: row & ~1)
+    with pytest.raises(ArithmeticError, match="negative count"):
+        vertex_census(enumerate_k_subspaces(4, 2, make_field(2)))
 
 
-def test_pair_count_budget_admits_q2_and_q3_only():
-    assert pair_count_work(2, 5, 3) == 234161
-    assert pair_count_work(3, 5, 3) == 23510162
-    assert pair_count_work(3, 5, 3) <= suites.PAIR_COUNT_MAX_WORK
-    assert pair_count_work(4, 5, 3) > suites.PAIR_COUNT_MAX_WORK
+def test_vertex_census_refuses_an_uncertified_map(monkeypatch):
+    def swapped(verts, generators):
+        perms = real(verts, generators)
+        perms[0][3], perms[0][4] = perms[0][4], perms[0][3]
+        return perms
+
+    real = suites.gl_vertex_maps
+    monkeypatch.setattr(suites, "gl_vertex_maps", swapped)
+    with pytest.raises(ArithmeticError, match="does not preserve"):
+        vertex_census(enumerate_k_subspaces(4, 2, make_field(2)))
 
 
 def test_pair_count_budget_fails_before_enumeration(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("enumerated past the budget")
+        raise AssertionError("built or enumerated past the budget")
 
     monkeypatch.setattr(suites, "enumerate_k_subspaces", refuse)
-    with pytest.raises(BudgetExceededError, match="824011665"):
-        pair_count_suite(q=4)
+    monkeypatch.setattr(suites, "make_field", refuse)
+    with pytest.raises(BudgetExceededError, match="140050 subspaces .* budget of 32768"):
+        pair_count_suite(q=7)
+    with pytest.raises(BudgetExceededError, match="budget"):
+        pair_count_suite(q=128)
 
 
 def test_pair_count_budget_boundary(monkeypatch):
-    work = pair_count_work(2, 3, 2)
-    monkeypatch.setattr(suites, "PAIR_COUNT_MAX_WORK", work)
+    # the largest mask list of n <= 3, k <= 2 at q = 2 is [3,1]_2 = [3,2]_2 = 7
+    monkeypatch.setattr(suites, "GRAPH_MAX_VERTICES", 7)
     assert pair_count_suite(q=2, max_n=3, max_k=2).passed
-    monkeypatch.setattr(suites, "PAIR_COUNT_MAX_WORK", work - 1)
-    with pytest.raises(BudgetExceededError):
+    monkeypatch.setattr(suites, "GRAPH_MAX_VERTICES", 6)
+    with pytest.raises(BudgetExceededError, match="7 subspaces"):
         pair_count_suite(q=2, max_n=3, max_k=2)
