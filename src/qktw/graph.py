@@ -7,8 +7,8 @@ dependencies.  Graphs are built once and then treated as immutable.
 checks of ``treedec.validate_td`` are built on it.  ``certify_maps`` is
 the generic half of a symmetry certificate, on ``permute_masks`` and
 ``orbit``: a vertex permutation is an automorphism when it maps a mask
-list onto itself, and a set of them is transitive when the orbit of one
-vertex is every vertex.
+list onto itself (a collineation when it maps lines onto lines), and a
+set of them is transitive when the orbit of one vertex is every vertex.
 """
 
 from __future__ import annotations
@@ -124,15 +124,16 @@ def orbit(start: int, perms: Sequence[Sequence[int]]) -> int:
     return seen
 
 
-def certify_maps(perms: Sequence[Sequence[int]], count: int, relations) -> None:
+def certify_maps(perms: Sequence[Sequence[int]], count: int, relations, lines=()) -> None:
     """Raise ArithmeticError unless every map is a permutation of the
-    ``count`` vertices that carries every relation onto itself, and the
-    maps together carry vertex 0 to every vertex.
+    ``count`` vertices that carries every relation onto itself and every
+    line onto a line, and the maps together carry vertex 0 to every vertex.
 
     ``relations`` yields (name, masks) pairs, one mask list alive at a
     time; each list is compared whole, every bit, with its image under
-    every map (:func:`permute_masks`), and the orbit comes from
-    :func:`orbit`.  No verdict is transferred along a map that fails.
+    every map (:func:`permute_masks`).  ``lines`` are vertex masks, and
+    the orbit comes from :func:`orbit`.  No verdict is transferred along a
+    map that fails.
     """
     for g, perm in enumerate(perms):
         if sorted(perm) != list(range(count)):
@@ -141,8 +142,25 @@ def certify_maps(perms: Sequence[Sequence[int]], count: int, relations) -> None:
         for g, perm in enumerate(perms):
             if permute_masks(masks, perm) != list(masks):
                 raise ArithmeticError(f"map {g} does not preserve {name}")
+    line_set = frozenset(lines)
+    for g, perm in enumerate(perms):
+        if any(permute_mask(line, perm) not in line_set for line in line_set):
+            raise ArithmeticError(f"map {g} does not map the lines onto themselves")
     if orbit(0, perms) != (1 << count) - 1:
         raise ArithmeticError("the maps do not carry vertex 0 to every vertex")
+
+
+def certify_collineations(perms, count: int, lines, blocks: Sequence[int]) -> list[list[int]]:
+    """The maps that permutations of ``count`` points, certified by
+    :func:`certify_maps` to map every line onto a line, induce on
+    ``blocks``, point masks: block b goes to the block whose mask is the
+    image of b's, else to -1, which :func:`certify_maps` refuses as no
+    permutation.  The induced maps must carry block 0 to every block."""
+    certify_maps(perms, count, (), lines)
+    index = {mask: b for b, mask in enumerate(blocks)}
+    induced = [[index.get(permute_mask(mask, perm), -1) for mask in blocks] for perm in perms]
+    certify_maps(induced, len(blocks), ())
+    return induced
 
 
 class Graph:

@@ -6,9 +6,9 @@ builds the graphs, evaluates independence numbers, intersection
 profiles, the duality isomorphism K_q(n,k,t) ~ K_q(n,n-k,n-2k+t), the
 counting inequality behind the treewidth lower bound, and the verdict
 that says which certified range (if any) pins an instance's treewidth.
-It also maps the k-subspaces under a few generators of GL(n,q), the
-vertex maps that :func:`graph.certify_maps` certifies before a census at
-vertex 0 stands for every vertex.
+It also maps subspaces under a few generators of GL(n,q): their maps of
+the points, certified by :func:`graph.certify_collineations`, let a
+census at vertex 0 stand for every vertex.
 """
 
 from __future__ import annotations
@@ -157,7 +157,7 @@ def gl_generators(n: int, f: FieldSpec) -> list[LinearMap]:
     """Generators of GL(n,q) on row vectors: the n-cycle of the coordinates,
     the swap of coordinates 0 and 1, the transvection x1 += x0 and, for
     q > 2, diag(w, 1, ..., 1) with w primitive.  Nothing here is trusted:
-    :func:`graph.certify_maps` checks what they do to the vertices."""
+    :func:`graph.certify_collineations` checks what they do."""
     keep = tuple(((j, 1),) for j in range(n))
     cycle, swap = keep[-1:] + keep[:-1], (keep[1], keep[0]) + keep[2:]
     gens = [cycle, swap, (keep[0], ((1, 1), (0, 1))) + keep[2:]]
@@ -167,9 +167,10 @@ def gl_generators(n: int, f: FieldSpec) -> list[LinearMap]:
 
 
 def gl_vertex_maps(verts: Sequence[Subspace], generators: Sequence[LinearMap]) -> list[list[int]]:
-    """Per linear map, the vertex map taking a to the index of
-    rref(a.rows · M).  An image that is not in ``verts``, such as one of
-    lower dimension under a singular map, raises ArithmeticError."""
+    """Per linear map, the map taking a to the index of rref(a.rows · M).
+    An image that is not in ``verts``, such as one of lower dimension
+    under a singular map, raises ArithmeticError.  The census and the
+    quadric map points with it; the tests map the k-subspaces."""
     f = verts[0].field
     index = {v: i for i, v in enumerate(verts)}
     try:

@@ -40,7 +40,6 @@ from .graph import (
     components,
     iter_bits,
     mask_mismatches,
-    permute_mask,
 )
 from .kneser import KneserParams, gl_vertex_maps
 from .subspace import (
@@ -239,15 +238,13 @@ def certify_automorphisms(model: QuadricModel, perms) -> tuple[tuple[int, ...], 
 
     :func:`graph.certify_maps` requires each to be a permutation of the
     points that maps the whole ``perp_masks`` list onto itself, every bit
-    compared, and the orbit of point 0 under them to be every point; each
-    must also map ``line_set`` onto itself.  Any failed check raises
+    compared, and each line of ``line_set`` onto a line, and the orbit of
+    point 0 under them to be every point.  Any failed check raises
     ArithmeticError: a verdict is never transferred along an uncertified
     map.
     """
-    certify_maps(perms, len(model.points), [("perpendicularity", model.perp_masks)])
-    for g, perm in enumerate(perms):
-        if {permute_mask(line, perm) for line in model.line_set} != model.line_set:
-            raise ArithmeticError(f"map {g} does not map the lines onto themselves")
+    perp = [("perpendicularity", model.perp_masks)]
+    certify_maps(perms, len(model.points), perp, model.line_set)
     return tuple(tuple(perm) for perm in perms)
 
 

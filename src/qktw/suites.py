@@ -6,7 +6,7 @@ parameters are its ``verify`` options: ``qktw verify`` passes ``-q``,
 ``--claims`` and ``--tuples`` as ``q``, ``claims`` and ``tuples`` to a
 suite whose signature names them and refuses them otherwise.  Every other
 sweep is fixed.  The pair-count suite censuses vertex 0 against every
-vertex, under GL(n,q) maps certified by :func:`graph.certify_maps`.
+vertex, under GL(n,q) maps certified by :func:`graph.certify_collineations`.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .gf import make_field, prime_powers_up_to
 from .graph import (
     GRAPH_MAX_VERTICES,
     Graph,
-    certify_maps,
+    certify_collineations,
     complete_graph,
     iter_bits,
     path_graph,
@@ -113,11 +113,15 @@ def vertex_census(verts: Sequence[Subspace]) -> tuple[list[list[int]], list[list
     t = 1..k and i = 0..t, is the number of pairs (x, y) of t-subspaces
     x of verts[0] and y of verts[b] with dim(x ∩ y) = i.
 
-    The census runs only after :func:`graph.certify_maps` shows
-    that the vertex maps of :func:`kneser.gl_generators` are bijections
-    that keep every class list "dim(a ∩ b) >= s", s = 1..k-1, and carry
-    vertex 0 to every vertex.  A linear bijection keeps every intersection
-    dimension, so every pair (a, b) has the census of some pair (0, b').
+    The census runs only after :func:`graph.certify_collineations` shows
+    that each point map of :func:`kneser.gl_generators` (by
+    :func:`kneser.gl_vertex_maps` on the held points) permutes all [n,1]_q
+    points and maps every held line (the vertices at k = 2, the census's
+    t = 2, i = 1 table past it) onto a line: a collineation (Hirschfeld,
+    "Projective Geometries over Finite Fields", OUP 1998), which keeps
+    every census.  The vertex maps read off the point masks must carry
+    vertex 0 to every vertex.  At k = 1 there is no line, and any
+    permutation keeps the census.
 
     Per t, :func:`held_subspaces` numbers the t-subspaces the vertices
     hold, and X are vertex 0's.  For x in X and 0 < i < t, the meet row
@@ -136,18 +140,26 @@ def vertex_census(verts: Sequence[Subspace]) -> tuple[list[list[int]], list[list
     """
     f, n, k, count = verts[0].field, verts[0].n, verts[0].k, len(verts)
     tables = [held_subspaces(verts, t) for t in range(1, k + 1)]
-    # the class lists s = 1..k-1, made one at a time as the certificate asks
-    lists = (union_masks(subs, containing_masks(subs, len(held))) for held, subs in tables[:-1])
-    relations = ((f"dim(a ∩ b) >= {s}", masks) for s, masks in enumerate(lists, start=1))
-    certify_maps(gl_vertex_maps(verts, gl_generators(n, f)), count, relations)
+    points, on_vertex = tables[0]
+    on_line = on_vertex if k == 2 else []
+    if k > 2:  # the lines' points: the census's t = 2, i = 1 table, renumbered as points
+        inner, parts = held_subspaces([Subspace(f, n, y) for y in tables[1][0]], 1)
+        at = {p: x for x, p in enumerate(points)}
+        on_line = [[at[inner[x]] for x in xs] for xs in parts]
+    pis = gl_vertex_maps([Subspace(f, n, p) for p in points], gl_generators(n, f))
+    lines = [sum(1 << x for x in xs) for xs in on_line]
+    blocks = [sum(1 << x for x in xs) for xs in on_vertex]
+    # each point map must permute all [n,1]_q points, not just the held ones
+    certify_collineations(pis, gauss_binom(n, 1, f.q), lines, blocks)
     columns = []
     for t, (held, subs) in enumerate(tables, start=1):
         mine = subs[0]
         spaces = [Subspace(f, n, y) for y in held]
         at_least = [[len(mine) * len(xs) for xs in subs]]
         for i in range(1, t + 1):
-            if i < t:  # at t = k the held t-subspaces are the vertices, in order
-                inner, parts = tables[i - 1] if t == k else held_subspaces(spaces, i)
+            if i < t:  # the vertices' own tables at t = k, the lines' points at t = 2
+                known = tables[i - 1] if t == k else (points, on_line) if t == 2 else None
+                inner, parts = known or held_subspaces(spaces, i)
                 rows = union_masks([parts[x] for x in mine], containing_masks(parts, len(inner)))
             else:
                 rows = [1 << x for x in mine]

@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 
 from qktw.graph import (
     Graph,
+    certify_collineations,
+    certify_maps,
     complete_graph,
     component,
     components,
@@ -42,6 +44,31 @@ def test_permute_masks_on_empty_and_one_vertex_lists():
     # a 3-cycle moves the path 0 - 1 - 2 onto 1 - 2 - 0
     path = [0b010, 0b101, 0b010]
     assert permute_masks(path, [1, 2, 0]) == [0b100, 0b100, 0b011]
+
+
+# the Fano plane: lines {i, i + 1, i + 3} mod 7, as point masks
+FANO_LINES = [(1 << i) | (1 << (i + 1) % 7) | (1 << (i + 3) % 7) for i in range(7)]
+
+
+def test_certify_maps_checks_lines_onto_lines():
+    shift = [(x + 1) % 7 for x in range(7)]
+    double = [2 * x % 7 for x in range(7)]  # keeps the difference set {0, 1, 3}
+    certify_maps([shift, double], 7, (), FANO_LINES)
+    swap = [1, 0, 2, 3, 4, 5, 6]
+    with pytest.raises(ArithmeticError, match="map 2 does not map the lines onto themselves"):
+        certify_maps([shift, double, swap], 7, (), FANO_LINES)
+
+
+def test_certify_collineations_induces_the_maps_on_blocks():
+    shift = [(x + 1) % 7 for x in range(7)]
+    assert certify_collineations([shift], 7, FANO_LINES, FANO_LINES) == [[1, 2, 3, 4, 5, 6, 0]]
+    # an image that is no block leaves the induced map no permutation
+    with pytest.raises(ArithmeticError, match="map 0 is not a permutation of the 6 vertices"):
+        certify_collineations([shift], 7, FANO_LINES, FANO_LINES[:-1])
+    # the lines and their complements are two orbits of blocks
+    blocks = FANO_LINES + [0b1111111 ^ line for line in FANO_LINES]
+    with pytest.raises(ArithmeticError, match="every vertex"):
+        certify_collineations([shift], 7, FANO_LINES, blocks)
 
 
 def test_basic_construction():

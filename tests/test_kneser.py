@@ -4,10 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from qktw import kneser
+from qktw import kneser, suites
 from qktw.errors import OutOfCertifiedRangeError, SizeLimitError
 from qktw.gf import make_field
-from qktw.graph import GRAPH_MAX_VERTICES, certify_maps
+from qktw.graph import GRAPH_MAX_VERTICES, certify_collineations, certify_maps
 from qktw.kneser import (
     KneserParams,
     ResultTag,
@@ -30,6 +30,7 @@ from qktw.subspace import (
     meet_masks,
     orthogonal_complement,
     rref_canonical,
+    subspaces_of,
 )
 from qktw.suites import vertex_census
 from qktw.treedec import validate_td
@@ -358,61 +359,132 @@ def test_pair_count_examples():
 # -- the GL(n,q) certificate ------------------------------------------------------
 
 
-def certified_setup(q, n, k):
+def class_lists(verts):
+    """The class lists "dim(a ∩ b) >= s", s = 1..k-1: the relations the
+    certified vertex maps must keep, compared whole by certify_maps."""
+    return [(f"dim(a ∩ b) >= {s}", meet_masks(verts, s)) for s in range(1, verts[0].k)]
+
+
+def census_maps(monkeypatch, verts):
+    """The vertex maps that vertex_census reads off its point maps."""
+    seen = []
+
+    def spy(*args):
+        seen.append(certify_collineations(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(suites, "certify_collineations", spy)
+    vertex_census(verts)
+    return seen.pop()
+
+
+# the (n, k) of pair_count_suite's default sweep, with k = 1 added
+CENSUS_SWEEP = [(n, k) for n in range(2, 6) for k in range(1, min(3, n) + 1)]
+
+
+@pytest.mark.parametrize("q,n,k", [(q, n, k) for q in (2, 3) for n, k in CENSUS_SWEEP])
+def test_point_derived_maps_pass_the_class_list_certificate(monkeypatch, q, n, k):
     verts = enumerate_k_subspaces(n, k, make_field(q))
-    classes = [(f"dim(a ∩ b) >= {s}", meet_masks(verts, s)) for s in range(1, k)]
-    return verts, classes, gl_vertex_maps(verts, gl_generators(n, verts[0].field))
+    sigmas = census_maps(monkeypatch, verts)
+    assert sigmas == gl_vertex_maps(verts, gl_generators(n, verts[0].field))
+    certify_maps(sigmas, len(verts), class_lists(verts))
+
+
+def point_setup(q, n, k):
+    """The k-subspaces, the generators' point maps, and the point masks of
+    the lines and of the k-subspaces, all built here."""
+    f = make_field(q)
+    verts, points = enumerate_k_subspaces(n, k, f), enumerate_k_subspaces(n, 1, f)
+    at = {p.rows: x for x, p in enumerate(points)}
+
+    def point_masks(spaces):
+        return [sum(1 << at[w] for w in subspaces_of(u, 1)) for u in spaces]
+
+    pis = gl_vertex_maps(points, gl_generators(n, f))
+    return verts, pis, point_masks(enumerate_k_subspaces(n, 2, f)), point_masks(verts)
 
 
 @pytest.mark.parametrize("q,n,k", [(2, 4, 2), (2, 5, 3), (3, 4, 2), (3, 3, 1), (4, 3, 2)])
 def test_gl_generators_are_certified_automorphisms(q, n, k):
-    verts, classes, perms = certified_setup(q, n, k)
-    assert len(perms) == (3 if q == 2 else 4)
-    certify_maps(perms, len(verts), classes)
+    verts, pis, lines, blocks = point_setup(q, n, k)
+    assert len(pis) == (3 if q == 2 else 4)
+    sigmas = certify_collineations(pis, len(pis[0]), lines, blocks)
     # each map keeps the intersection dimension of every pair it moves
-    for perm in perms:
+    for sigma in sigmas:
         for a in range(0, len(verts), 7):
             for b in range(len(verts)):
-                assert intersect_dim(verts[perm[a]], verts[perm[b]]) == intersect_dim(
+                assert intersect_dim(verts[sigma[a]], verts[sigma[b]]) == intersect_dim(
                     verts[a], verts[b]
                 )
 
 
-def test_certificate_refuses_maps_that_are_not_transitive():
-    verts, classes, _ = certified_setup(3, 4, 2)
-    diagonal = gl_generators(4, verts[0].field)[-1]
-    with pytest.raises(ArithmeticError, match="every vertex"):
-        certify_maps(gl_vertex_maps(verts, [diagonal]), len(verts), classes)
-    with pytest.raises(ArithmeticError, match="every vertex"):
-        certify_maps([], len(verts), classes)
+def test_certificate_refuses_a_point_map_with_two_points_swapped():
+    _, pis, lines, blocks = point_setup(2, 4, 2)
+    pis[1][5], pis[1][9] = pis[1][9], pis[1][5]
+    with pytest.raises(ArithmeticError, match="map 1 does not map the lines onto themselves"):
+        certify_collineations(pis, 15, lines, blocks)
+    with pytest.raises(ArithmeticError, match="not a permutation of the 15 vertices"):
+        certify_collineations([[0] * 15], 15, lines, blocks)
 
 
 def test_certificate_refuses_a_singular_generator():
-    verts, _, _ = certified_setup(3, 4, 2)
+    f = make_field(3)
+    points = enumerate_k_subspaces(4, 1, f)
     keep = tuple(((j, 1),) for j in range(4))
     singular = (keep[0], keep[0]) + keep[2:]  # coordinate 1 of the image repeats x0
     with pytest.raises(ArithmeticError, match="off the vertices"):
-        gl_vertex_maps(verts, [gl_generators(4, verts[0].field)[0], singular])
+        gl_vertex_maps(points, [gl_generators(4, f)[0], singular])
 
 
-def test_certificate_refuses_a_map_with_two_vertices_swapped():
-    verts, classes, perms = certified_setup(2, 4, 2)
-    perms[1][5], perms[1][9] = perms[1][9], perms[1][5]
-    with pytest.raises(ArithmeticError, match=r"map 1 does not preserve dim\(a ∩ b\) >= 1"):
-        certify_maps(perms, len(verts), classes)
-    with pytest.raises(ArithmeticError, match="not a permutation"):
-        certify_maps([[0] * len(verts)], len(verts), classes)
+def test_certificate_refuses_maps_that_are_not_transitive():
+    _, pis, lines, blocks = point_setup(3, 4, 2)
+    # diag(w, 1, 1, 1) fixes every point of x0 = 0
+    with pytest.raises(ArithmeticError, match="every vertex"):
+        certify_collineations(pis[-1:], 40, lines, blocks)
+    with pytest.raises(ArithmeticError, match="every vertex"):
+        certify_collineations([], 40, lines, blocks)
+
+
+def test_certificate_refuses_a_singer_cycle_that_is_transitive_on_points_only():
+    # x -> x α in F_16 = F_2[α]/(α^4 + α + 1), on the basis 1, α, α², α³:
+    # transitive on the 15 points, but its orbits on the 35 lines have 15,
+    # 15 and 5 lines: the lines check passes, and the vertex orbit refuses it
+    singer = (((3, 1),), ((0, 1), (3, 1)), ((1, 1),), ((2, 1),))
+    _, _, lines, blocks = point_setup(2, 4, 2)
+    pis = gl_vertex_maps(enumerate_k_subspaces(4, 1, F2), [singer])
+    certify_maps(pis, 15, (), lines)
+    with pytest.raises(ArithmeticError, match="every vertex"):
+        certify_collineations(pis, 15, lines, blocks)
+
+
+def test_certificate_refuses_a_point_map_that_breaks_one_line_at_k_3():
+    # the one 3-subspace of F_2^3 holds every point, so any permutation of
+    # the points maps it onto itself: only the lines show a broken map
+    _, pis, lines, blocks = point_setup(2, 3, 3)
+    pis[2][0], pis[2][1] = pis[2][1], pis[2][0]
+    assert certify_collineations(pis, 7, [], blocks) == [[0]] * 3
+    with pytest.raises(ArithmeticError, match="map 2 does not map the lines onto themselves"):
+        certify_collineations(pis, 7, lines, blocks)
+
+
+def test_certificate_refuses_an_image_that_is_no_block():
+    _, pis, lines, blocks = point_setup(2, 4, 2)
+    # the image of the last block is no block, so no induced map is a permutation
+    with pytest.raises(ArithmeticError, match="map 0 is not a permutation of the 34 vertices"):
+        certify_collineations(pis, 15, lines, blocks[:-1])
 
 
 @pytest.mark.parametrize("s", [1, 2])
 def test_certificate_refuses_a_class_list_that_is_not_preserved(s):
-    verts, classes, perms = certified_setup(2, 5, 3)
+    verts, pis, lines, blocks = point_setup(2, 5, 3)
+    sigmas = certify_collineations(pis, 31, lines, blocks)
+    classes = class_lists(verts)
     # flip whether planes 0 and 7 meet in dimension >= s, symmetrically
     masks = classes[s - 1][1]
     masks[0] ^= 1 << 7
     masks[7] ^= 1
     with pytest.raises(ArithmeticError, match=rf"does not preserve dim\(a ∩ b\) >= {s}"):
-        certify_maps(perms, len(verts), classes)
+        certify_maps(sigmas, len(verts), classes)
 
 
 def test_verdict_k421():

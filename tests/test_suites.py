@@ -206,17 +206,19 @@ def test_pair_count_q3_report_matches_the_pinned_digest():
 
 
 def _corrupt_vertex_0_meet_row(monkeypatch, change):
-    """Apply ``change`` to vertex 0's meet row at t = k: the one-row
-    union_masks call (the class lists have a row per vertex)."""
-    real = suites.union_masks
+    """Apply ``change`` to the first row of each union_masks call of the
+    census, and return the calls' row counts.  At k = 2 the census makes
+    one call, for vertex 0's one meet row at t = k."""
+    real, calls = suites.union_masks, []
 
     def corrupt(numbers, containing):
         rows = real(numbers, containing)
-        if len(numbers) == 1:
-            rows[0] = change(rows[0])
+        calls.append(len(rows))
+        rows[0] = change(rows[0])
         return rows
 
     monkeypatch.setattr(suites, "union_masks", corrupt)
+    return calls
 
 
 def test_vertex_census_refuses_a_count_above_the_meet(monkeypatch):
@@ -224,28 +226,60 @@ def test_vertex_census_refuses_a_count_above_the_meet(monkeypatch):
         skew = ~row & ((1 << 35) - 1)
         return row | (skew & -skew)  # a plane skew to plane 0 "meets" it in a line
 
-    _corrupt_vertex_0_meet_row(monkeypatch, add_a_skew_plane)
+    calls = _corrupt_vertex_0_meet_row(monkeypatch, add_a_skew_plane)
     with pytest.raises(ArithmeticError, match=r"meet above dim\(a ∩ b\) = 0"):
         vertex_census(enumerate_k_subspaces(4, 2, make_field(2)))
+    assert calls == [1]
 
 
 def test_vertex_census_refuses_a_negative_count(monkeypatch):
     # plane 0 no longer "meets" itself in a line, while it still holds itself
-    _corrupt_vertex_0_meet_row(monkeypatch, lambda row: row & ~1)
+    calls = _corrupt_vertex_0_meet_row(monkeypatch, lambda row: row & ~1)
     with pytest.raises(ArithmeticError, match="negative count"):
         vertex_census(enumerate_k_subspaces(4, 2, make_field(2)))
+    assert calls == [1]
 
 
-def test_vertex_census_refuses_an_uncertified_map(monkeypatch):
-    def swapped(verts, generators):
-        perms = real(verts, generators)
-        perms[0][3], perms[0][4] = perms[0][4], perms[0][3]
-        return perms
+@pytest.mark.parametrize("q,n,k", [(2, 4, 2), (2, 4, 3), (2, 3, 3), (3, 5, 3)])
+def test_vertex_census_refuses_a_point_map_with_two_points_swapped(monkeypatch, q, n, k):
+    # at (2, 3, 3) the one vertex holds every point, so only the lines show it
+    def swapped(points, generators):
+        pis = real(points, generators)
+        pis[0][3], pis[0][4] = pis[0][4], pis[0][3]
+        return pis
 
     real = suites.gl_vertex_maps
     monkeypatch.setattr(suites, "gl_vertex_maps", swapped)
-    with pytest.raises(ArithmeticError, match="does not preserve"):
-        vertex_census(enumerate_k_subspaces(4, 2, make_field(2)))
+    with pytest.raises(ArithmeticError, match="map 0 does not map the lines onto themselves"):
+        vertex_census(enumerate_k_subspaces(n, k, make_field(q)))
+
+
+def test_vertex_census_refuses_a_singular_generator(monkeypatch):
+    keep = tuple(((j, 1),) for j in range(4))
+    singular = (keep[0], keep[0]) + keep[2:]  # coordinate 1 of the image repeats x0
+    monkeypatch.setattr(suites, "gl_generators", lambda n, f: [singular])
+    with pytest.raises(ArithmeticError, match="off the vertices"):
+        vertex_census(enumerate_k_subspaces(4, 2, make_field(3)))
+
+
+def test_vertex_census_refuses_the_diagonal_alone(monkeypatch):
+    real = suites.gl_generators
+    monkeypatch.setattr(suites, "gl_generators", lambda n, f: real(n, f)[-1:])
+    with pytest.raises(ArithmeticError, match="every vertex"):
+        vertex_census(enumerate_k_subspaces(4, 2, make_field(3)))
+
+
+def test_vertex_census_refuses_vertices_that_miss_points(monkeypatch):
+    # three lines of PG(3,2) hold 6 of its 15 points: the generators take
+    # one of them off the held points, and maps that keep the 6 held points
+    # (the identity) are no permutation of all 15
+    lines = enumerate_k_subspaces(4, 2, make_field(2))[:3]
+    with pytest.raises(ArithmeticError, match="off the vertices"):
+        vertex_census(lines)
+    identity = tuple(((j, 1),) for j in range(4))
+    monkeypatch.setattr(suites, "gl_generators", lambda n, f: [identity])
+    with pytest.raises(ArithmeticError, match="map 0 is not a permutation of the 15 vertices"):
+        vertex_census(lines)
 
 
 def test_pair_count_budget_fails_before_enumeration(monkeypatch):
