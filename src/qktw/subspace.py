@@ -9,14 +9,19 @@ Enumeration walks Schubert cells: choose the pivot columns, then fill the
 free entries.  :func:`subspaces_of` is the one lister of the t-subspaces
 (and so of the projective points) inside a given subspace: it lifts the
 enumeration of F_q^k, made once per (k, t, q), through the subspace's
-RREF basis, and the lifts are RREF and sorted as they come.  Sub-subspaces
-pass between functions as these RREF row tuples, not as Subspace values.
-Whole incidence relations ("meets in dimension >= t") come from shared
-t-subspaces as bitmasks, without a per-pair elimination; the shared
-t-subspaces are numbered in one place, :func:`held_subspaces`.  The
-image of a subspace under a linear map is :func:`linear_image`.  The
-pairwise rank in :func:`intersect_dim` gets a bit-packed fast path for
-q = 2, where rows are machine ints and elimination is XOR.
+RREF basis, and the lifts are RREF and sorted as they come.  A subspace
+is determined by its point set, so :func:`held_subspaces` lifts only the
+points of a list of spaces, numbers them once, and knows every held
+subspace of dimension 2 and up by its point mask; which points of F_q^k
+each t-subspace holds is one table per (k, t, q).  Sub-subspaces come
+out of :func:`subspaces_of` as RREF row tuples; :func:`held_subspaces`
+keeps only its points that way and passes the larger ones as point
+masks.  Whole incidence relations ("meets in dimension >= t") come from
+shared t-subspaces as bitmasks, without a per-pair elimination
+(:func:`meet_masks`).  The image of a subspace under a linear map is
+:func:`linear_image`.  The pairwise rank in :func:`intersect_dim` gets a
+bit-packed fast path for q = 2, where rows are machine ints and
+elimination is XOR.
 """
 
 from __future__ import annotations
@@ -32,8 +37,8 @@ from .qbinom import gauss_binom
 
 DEFAULT_ENUMERATION_CAP = 2_000_000
 
-# Entries kept by _coefficient_rows, one per (dim u, t, q) that
-# subspaces_of has lifted from; verify-all lifts from 10.
+# Entries kept by _coefficient_rows and by _point_sets, each one per
+# (dim u, t, q) asked for; verify-all asks them for 6 and 3.
 COEFFICIENT_CACHE_SIZE = 64
 
 _HEX = "0123456789abcdef"
@@ -229,46 +234,54 @@ def subspaces_of(u: Subspace, t: int) -> list[tuple[tuple[int, ...], ...]]:
     return out
 
 
+@lru_cache(maxsize=COEFFICIENT_CACHE_SIZE)
+def _point_sets(k: int, t: int, f: FieldSpec) -> tuple[tuple[int, ...], ...]:
+    """Per t-subspace of F_q^k, in enumeration order, the enumeration
+    numbers of its points among the 1-subspaces of F_q^k."""
+    number = {p: j for j, p in enumerate(_coefficient_rows(k, 1, f))}
+    return tuple(
+        tuple(number[p] for p in subspaces_of(Subspace(f, k, w), 1))
+        for w in _coefficient_rows(k, t, f)
+    )
+
+
 def held_subspaces(
-    spaces: Sequence[Subspace], t: int
-) -> tuple[list[tuple[tuple[int, ...], ...]], list[list[int]]]:
-    """Number the t-subspaces that the spaces hold, in first-seen order.
+    spaces: Sequence[Subspace], top: int
+) -> tuple[list[tuple[tuple[int, ...], ...]], list[tuple[list[int], list[list[int]]]]]:
+    """Number the subspaces of dimension 0..top that the spaces hold, by
+    their point masks.
 
-    Returns the held t-subspaces as RREF row tuples, listed by number, and
-    per space the numbers of its own t-subspaces in :func:`subspaces_of`
-    order.  Every space needs dimension >= t and one ambient space.
+    Each space's points are lifted once by :func:`subspaces_of` and
+    numbered in first-seen order; bit p of a point mask is point p.  A
+    subspace is its point set, so a t-subspace of a space is keyed by the
+    OR of its points' bits, found through :func:`_point_sets`, and the
+    t-subspaces are numbered in first-seen order of those masks.  Returns
+    the held points as RREF row tuples, listed by number, and per t =
+    0..top the held masks, listed by number, with per space the numbers of
+    its own t-subspaces in :func:`subspaces_of` order.  Level 0 is the
+    zero space, mask 0, held by every space; top = 0 lifts nothing.  Every
+    space needs dimension >= top and one ambient space.
     """
+    f, n = spaces[0].field, spaces[0].n
     number: dict[tuple[tuple[int, ...], ...], int] = {}
-    numbers = []
+    on_points = []
     for u in spaces:
-        if u.field != spaces[0].field or u.n != spaces[0].n:
+        if u.field != f or u.n != n:
             raise AmbientMismatchError("subspaces live in different ambient spaces")
-        numbers.append([number.setdefault(w, len(number)) for w in subspaces_of(u, t)])
-    return list(number), numbers
-
-
-def containing_masks(numbers: Sequence[Sequence[int]], count: int) -> list[int]:
-    """Per numbered subspace, the mask of the spaces that hold it: bit i
-    of entry x is set iff x is in ``numbers[i]``, the numbers that
-    :func:`held_subspaces` gives space i out of ``count``."""
-    containing = [0] * count
-    for i, mine in enumerate(numbers):
-        bit = 1 << i
-        for x in mine:
-            containing[x] |= bit
-    return containing
-
-
-def union_masks(numbers: Sequence[Sequence[int]], containing: Sequence[int]) -> list[int]:
-    """Per entry of ``numbers``, the OR of the containing masks of its
-    numbered subspaces: the spaces that share one of them."""
-    masks = []
-    for mine in numbers:
-        mask = 0
-        for x in mine:
-            mask |= containing[x]
-        masks.append(mask)
-    return masks
+        if not 0 <= top <= u.k:
+            raise ValueError(f"need 0 <= top <= dim, got top={top}, dim={u.k}")
+        lifts = subspaces_of(u, 1) if top else ()
+        on_points.append([number.setdefault(p, len(number)) for p in lifts])
+    levels = [([0], [[0] for _ in spaces]), ([1 << p for p in range(len(number))], on_points)]
+    for t in range(2, top + 1):
+        held: dict[int, int] = {}
+        numbers = []
+        for u, mine in zip(spaces, on_points):
+            bits = [1 << p for p in mine]
+            masks = (sum(map(bits.__getitem__, ps)) for ps in _point_sets(u.k, t, f))
+            numbers.append([held.setdefault(m, len(held)) for m in masks])
+        levels.append((list(held), numbers))
+    return list(number), levels[: top + 1]
 
 
 def meet_masks(spaces: Sequence[Subspace], t: int) -> list[int]:
@@ -282,8 +295,19 @@ def meet_masks(spaces: Sequence[Subspace], t: int) -> list[int]:
     :func:`intersect_dim` is the elimination-based oracle the tests
     compare against.
     """
-    held, numbers = held_subspaces(spaces, t)
-    return union_masks(numbers, containing_masks(numbers, len(held)))
+    held, numbers = held_subspaces(spaces, t)[1][t]
+    containing = [0] * len(held)
+    for i, mine in enumerate(numbers):
+        bit = 1 << i
+        for x in mine:
+            containing[x] |= bit
+    masks = []
+    for mine in numbers:
+        mask = 0
+        for x in mine:
+            mask |= containing[x]
+        masks.append(mask)
+    return masks
 
 
 # A linear map of F_q^n on row vectors as the images of the coordinates:

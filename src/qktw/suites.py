@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import random
 import tempfile
-from itertools import chain
 from pathlib import Path
 from typing import Sequence
 
@@ -25,7 +24,6 @@ from .graph import (
     Graph,
     certify_collineations,
     complete_graph,
-    iter_bits,
     path_graph,
     petersen_graph,
 )
@@ -54,13 +52,7 @@ from .quadric import (
     verify_klein_isomorphism,
 )
 from .report import CheckCase, SuiteReport
-from .subspace import (
-    Subspace,
-    containing_masks,
-    enumerate_k_subspaces,
-    held_subspaces,
-    union_masks,
-)
+from .subspace import Subspace, enumerate_k_subspaces, held_subspaces
 from .treedec import (
     pace_read_gr,
     pace_read_td,
@@ -113,65 +105,46 @@ def vertex_census(verts: Sequence[Subspace]) -> tuple[list[list[int]], list[list
     t = 1..k and i = 0..t, is the number of pairs (x, y) of t-subspaces
     x of verts[0] and y of verts[b] with dim(x ∩ y) = i.
 
+    :func:`held_subspaces` lifts each vertex's points once and knows every
+    subspace the vertices hold by its point mask; nothing else is lifted.
+    The points of x ∩ y are the common points of x and y, so x ∩ y has
+    dimension d exactly when popcount(P(x) & P(y)) = [d,1]_q = (q^d -
+    1)/(q - 1).  This gives dim(verts[0] ∩ verts[b]) from the vertices'
+    point masks, and per t the histogram, by dimension, of each held y's
+    meets with vertex 0's t-subspaces; a column is the sum of the
+    histograms over b's t-subspaces.  x ∩ y lies in verts[0] ∩ verts[b],
+    so a count above that dimension raises ArithmeticError.
+    ``oracle_pair_censuses`` in the tests, one :func:`intersect_dim` per
+    pair of t-subspaces, is the oracle.
+
     The census runs only after :func:`graph.certify_collineations` shows
     that each point map of :func:`kneser.gl_generators` (by
     :func:`kneser.gl_vertex_maps` on the held points) permutes all [n,1]_q
-    points and maps every held line (the vertices at k = 2, the census's
-    t = 2, i = 1 table past it) onto a line: a collineation (Hirschfeld,
-    "Projective Geometries over Finite Fields", OUP 1998), which keeps
-    every census.  The vertex maps read off the point masks must carry
-    vertex 0 to every vertex.  At k = 1 there is no line, and any
+    points and maps every held line onto a line: a collineation
+    (Hirschfeld, "Projective Geometries over Finite Fields", OUP 1998),
+    which keeps every census.  The vertex maps, read off the vertices' own
+    point masks, must carry vertex 0 to every vertex; a repeated vertex
+    makes them no permutation.  At k = 1 there is no line, and any
     permutation keeps the census.
-
-    Per t, :func:`held_subspaces` numbers the t-subspaces the vertices
-    hold, and X are vertex 0's.  For x in X and 0 < i < t, the meet row
-    M_i[x] is the mask of the held y with dim(x ∩ y) >= i: the OR of the
-    containing masks, among the held t-subspaces, of x's i-subspaces.  Rows
-    are built for the [k,t]_q subspaces in X only; M_t[x] is x alone, since
-    the held t-subspaces are distinct, and M_0[x] is everything.  The
-    weight of y is the number of x whose row holds it, and V_i[b], the sum
-    of the weights over b's t-subspaces, is the number of pairs meeting in
-    dimension >= i; the counts are E_i = V_i - V_{i+1}, with V_{t+1} = 0.
-    E_t[b] is the number of t-subspaces b shares with vertex 0, nonzero
-    exactly when dim(verts[0] ∩ b) >= t, which gives the classes.  x ∩ y
-    lies in verts[0] ∩ verts[b], so a count above min(s, t), or a negative
-    count, raises ArithmeticError.  ``oracle_pair_censuses`` in the tests,
-    one :func:`intersect_dim` per pair of t-subspaces, is the oracle.
     """
-    f, n, k, count = verts[0].field, verts[0].n, verts[0].k, len(verts)
-    tables = [held_subspaces(verts, t) for t in range(1, k + 1)]
-    points, on_vertex = tables[0]
-    on_line = on_vertex if k == 2 else []
-    if k > 2:  # the lines' points: the census's t = 2, i = 1 table, renumbered as points
-        inner, parts = held_subspaces([Subspace(f, n, y) for y in tables[1][0]], 1)
-        at = {p: x for x, p in enumerate(points)}
-        on_line = [[at[inner[x]] for x in xs] for xs in parts]
+    f, n, k = verts[0].field, verts[0].n, verts[0].k
+    points, levels = held_subspaces(verts, k)
+    blocks = [sum(1 << p for p in mine) for mine in levels[1][1]]
     pis = gl_vertex_maps([Subspace(f, n, p) for p in points], gl_generators(n, f))
-    lines = [sum(1 << x for x in xs) for xs in on_line]
-    blocks = [sum(1 << x for x in xs) for xs in on_vertex]
     # each point map must permute all [n,1]_q points, not just the held ones
-    certify_collineations(pis, gauss_binom(n, 1, f.q), lines, blocks)
+    certify_collineations(pis, gauss_binom(n, 1, f.q), levels[2][0] if k > 1 else (), blocks)
+    dim = {(f.q**d - 1) // (f.q - 1): d for d in range(k + 1)}  # a d-subspace's point count
+    dims = [dim[(blocks[0] & block).bit_count()] for block in blocks]
     columns = []
-    for t, (held, subs) in enumerate(tables, start=1):
-        mine = subs[0]
-        spaces = [Subspace(f, n, y) for y in held]
-        at_least = [[len(mine) * len(xs) for xs in subs]]
-        for i in range(1, t + 1):
-            if i < t:  # the vertices' own tables at t = k, the lines' points at t = 2
-                known = tables[i - 1] if t == k else (points, on_line) if t == 2 else None
-                inner, parts = known or held_subspaces(spaces, i)
-                rows = union_masks([parts[x] for x in mine], containing_masks(parts, len(inner)))
-            else:
-                rows = [1 << x for x in mine]
-            weights = [0] * len(held)
-            for y in chain.from_iterable(map(iter_bits, rows)):
-                weights[y] += 1
-            at_least.append([sum(map(weights.__getitem__, xs)) for xs in subs])
-        at_least.append([0] * count)
-        columns.append([[u - v for u, v in zip(*at_least[i : i + 2])] for i in range(t + 1)])
-    if min(min(col) for cols in columns for col in cols) < 0:
-        raise ArithmeticError("a negative count of t-subspace pairs")
-    dims = [max((t for t, c in enumerate(columns, 1) if c[-1][b]), default=0) for b in range(count)]
+    for t, (held, numbers) in enumerate(levels[1:], start=1):
+        mine = [held[x] for x in numbers[0]]
+        meets = []
+        for y in held:
+            meet = [0] * (t + 1)
+            for x in mine:
+                meet[dim[(x & y).bit_count()]] += 1
+            meets.append(meet)
+        columns.append([[sum(meets[y][i] for y in ys) for ys in numbers] for i in range(t + 1)])
     for b, s in enumerate(dims):
         if any(cols[i][b] for cols in columns for i in range(s + 1, len(cols))):
             raise ArithmeticError(f"t-subspaces meet above dim(a ∩ b) = {s}")

@@ -12,6 +12,7 @@ from qktw.quadric import QuadricModel
 from qktw.subspace import (
     Subspace,
     enumerate_k_subspaces,
+    held_subspaces,
     intersect_dim,
     meet_masks,
     orthogonal_complement,
@@ -206,8 +207,9 @@ def test_subspaces_of_matches_the_reducing_oracle(q, n):
 
 
 def test_coefficient_subspaces_are_enumerated_once_per_shape(monkeypatch):
-    # one enumeration for the vertices of K_2(6,3,2) and one for the 2-subspaces
-    # of F_2^3 that every vertex lifts, not one per vertex
+    # one enumeration for the vertices of K_2(6,3,2), one for the points of
+    # F_2^3 that every vertex lifts, and for _point_sets one each for the
+    # 2-subspaces of F_2^3 and the points of F_2^2: not one per vertex
     calls = []
     real = subspace.enumerate_k_subspaces
 
@@ -218,9 +220,11 @@ def test_coefficient_subspaces_are_enumerated_once_per_shape(monkeypatch):
     for module in (subspace, kneser):
         monkeypatch.setattr(module, "enumerate_k_subspaces", counted)
     subspace._coefficient_rows.cache_clear()
+    subspace._point_sets.cache_clear()
     build_kneser_graph(KneserParams(2, 6, 3, 2))
-    assert calls == [(6, 3), (3, 2)]
-    assert subspace._coefficient_rows.cache_info().maxsize == subspace.COEFFICIENT_CACHE_SIZE
+    assert calls == [(6, 3), (3, 1), (3, 2), (2, 1)]
+    for cache in (subspace._coefficient_rows, subspace._point_sets):
+        assert cache.cache_info().maxsize == subspace.COEFFICIENT_CACHE_SIZE
 
 
 def test_is_rref_rejects_each_defect():
@@ -316,6 +320,59 @@ def test_rank_bounds(args):
                 assert other[pivots[i]] == 0
 
 
+# -- held_subspaces against the RREF-row numbering -----------------------------
+
+
+def oracle_held_subspaces(spaces, t):
+    """The t-subspaces the spaces hold, numbered in first-seen order of
+    their RREF row tuples, and per space its numbers in subspaces_of order."""
+    number = {}
+    numbers = [[number.setdefault(w, len(number)) for w in subspaces_of(u, t)] for u in spaces]
+    return list(number), numbers
+
+
+def assert_point_masks_match_the_oracle(spaces, top):
+    """Every level of held_subspaces numbers the oracle's subspaces in the
+    same order, each by the mask of its own points, and gives each space the
+    oracle's numbers."""
+    f, n = spaces[0].field, spaces[0].n
+    points, levels = held_subspaces(spaces, top)
+    assert points == (oracle_held_subspaces(spaces, 1)[0] if top else [])
+    at = {p: x for x, p in enumerate(points)}
+    assert len(levels) == top + 1
+    for t, (held, numbers) in enumerate(levels):
+        rows, expected = oracle_held_subspaces(spaces, t)
+        assert numbers == expected
+        assert held == [
+            sum(1 << at[p] for p in subspaces_of(Subspace(f, n, w), 1)) if w else 0 for w in rows
+        ]
+
+
+@pytest.mark.parametrize(
+    "q,n,k", [(2, 4, 2), (2, 5, 3), (2, 6, 3), (2, 4, 4), (3, 4, 2), (3, 5, 3), (4, 4, 2), (4, 3, 3)]
+)
+def test_held_subspaces_match_the_rref_row_numbering(q, n, k):
+    verts = enumerate_k_subspaces(n, k, make_field(q))
+    assert_point_masks_match_the_oracle(verts, k)
+    assert_point_masks_match_the_oracle([orthogonal_complement(u) for u in verts], n - k)
+
+
+def test_held_subspaces_at_t_0_lift_nothing(monkeypatch):
+    def refuse(u, t):
+        raise AssertionError("lifted at t = 0")
+
+    spaces = [Subspace(F2, 3, ()), span(F2, unit(3, 0))]
+    monkeypatch.setattr(subspace, "subspaces_of", refuse)
+    assert held_subspaces(spaces, 0) == ([], [([0], [[0], [0]])])
+    assert meet_masks(spaces, 0) == [0b11, 0b11]
+
+
+@pytest.mark.parametrize("top", [-1, 2])
+def test_held_subspaces_refuse_a_level_outside_a_space(top):
+    with pytest.raises(ValueError, match=f"got top={top}, dim="):
+        held_subspaces([span(F2, unit(3, 0), unit(3, 1)), span(F2, unit(3, 2))], top)
+
+
 # -- meet_masks against the elimination oracle --------------------------------
 
 
@@ -381,6 +438,7 @@ def test_meet_masks_on_random_subsets(args):
     f = make_field(q)
     pool = [s for k in range(t, n + 1) for s in enumerate_k_subspaces(n, k, f)]
     spaces = [pool[i % len(pool)] for i in picks]  # mixed dimensions, repeats
+    assert_point_masks_match_the_oracle(spaces, t)
     masks = meet_masks(spaces, t)
     assert masks == oracle_meet_masks(spaces, t)
     for i, m in enumerate(masks):

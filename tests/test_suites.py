@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from qktw import suites
+from qktw import subspace, suites
 from qktw.errors import BudgetExceededError
 from qktw.gf import make_field
 from qktw.kneser import KneserParams, treewidth_verdict
@@ -205,39 +205,40 @@ def test_pair_count_q3_report_matches_the_pinned_digest():
     assert hashlib.sha256(text.encode()).hexdigest() == _PAIR_COUNT_Q3_DIGEST
 
 
-def _corrupt_vertex_0_meet_row(monkeypatch, change):
-    """Apply ``change`` to the first row of each union_masks call of the
-    census, and return the calls' row counts.  At k = 2 the census makes
-    one call, for vertex 0's one meet row at t = k."""
-    real, calls = suites.union_masks, []
+@pytest.mark.parametrize("q,n,k", [(2, 4, 2), (2, 5, 3), (2, 3, 3), (3, 4, 2)])
+def test_vertex_census_lifts_each_vertex_s_points_once(monkeypatch, q, n, k):
+    # the coefficient tables are cached by the first run; the second lifts
+    # only the vertices' points, and no held subspace
+    verts = enumerate_k_subspaces(n, k, make_field(q))
+    expected = vertex_census(verts)
+    real, calls = subspace.subspaces_of, []
 
-    def corrupt(numbers, containing):
-        rows = real(numbers, containing)
-        calls.append(len(rows))
-        rows[0] = change(rows[0])
-        return rows
+    def counted(u, t):
+        calls.append((u, t))
+        return real(u, t)
 
-    monkeypatch.setattr(suites, "union_masks", corrupt)
-    return calls
+    monkeypatch.setattr(subspace, "subspaces_of", counted)
+    assert vertex_census(verts) == expected
+    assert calls == [(v, 1) for v in verts]
 
 
 def test_vertex_census_refuses_a_count_above_the_meet(monkeypatch):
-    def add_a_skew_plane(row):
-        skew = ~row & ((1 << 35) - 1)
-        return row | (skew & -skew)  # a plane skew to plane 0 "meets" it in a line
+    # vertex 0's 2-subspace read as one skew to it: vertex 0 then "meets"
+    # that vertex in a 2-subspace, while their point masks share no point
+    real, calls = suites.held_subspaces, []
 
-    calls = _corrupt_vertex_0_meet_row(monkeypatch, add_a_skew_plane)
+    def corrupt(spaces, top):
+        points, levels = real(spaces, top)
+        blocks = [sum(1 << p for p in mine) for mine in levels[1][1]]
+        # at k = 2 the held 2-subspaces are the vertices, numbered in vertex order
+        levels[2][1][0] = [next(b for b, block in enumerate(blocks) if not block & blocks[0])]
+        calls.append(top)
+        return points, levels
+
+    monkeypatch.setattr(suites, "held_subspaces", corrupt)
     with pytest.raises(ArithmeticError, match=r"meet above dim\(a ∩ b\) = 0"):
         vertex_census(enumerate_k_subspaces(4, 2, make_field(2)))
-    assert calls == [1]
-
-
-def test_vertex_census_refuses_a_negative_count(monkeypatch):
-    # plane 0 no longer "meets" itself in a line, while it still holds itself
-    calls = _corrupt_vertex_0_meet_row(monkeypatch, lambda row: row & ~1)
-    with pytest.raises(ArithmeticError, match="negative count"):
-        vertex_census(enumerate_k_subspaces(4, 2, make_field(2)))
-    assert calls == [1]
+    assert calls == [2]
 
 
 @pytest.mark.parametrize("q,n,k", [(2, 4, 2), (2, 4, 3), (2, 3, 3), (3, 5, 3)])
@@ -252,6 +253,13 @@ def test_vertex_census_refuses_a_point_map_with_two_points_swapped(monkeypatch, 
     monkeypatch.setattr(suites, "gl_vertex_maps", swapped)
     with pytest.raises(ArithmeticError, match="map 0 does not map the lines onto themselves"):
         vertex_census(enumerate_k_subspaces(n, k, make_field(q)))
+
+
+@pytest.mark.parametrize("q,n,k", [(2, 4, 2), (2, 4, 3), (3, 3, 1)])
+def test_vertex_census_refuses_a_repeated_vertex(q, n, k):
+    verts = enumerate_k_subspaces(n, k, make_field(q))
+    with pytest.raises(ArithmeticError, match=f"not a permutation of the {len(verts) + 1} vertices"):
+        vertex_census(verts + verts[1:2])
 
 
 def test_vertex_census_refuses_a_singular_generator(monkeypatch):
