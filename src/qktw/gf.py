@@ -9,13 +9,18 @@ canonical forms need.
 Fields with q <= 64 get full add/mul/inv lookup tables, since subspace
 enumeration and rank computations hit them in their innermost loops.
 Larger prime q falls back to modular arithmetic; larger non-prime q is
-rejected.
+rejected.  The vector kernels (the lifts, row reduction and linear maps
+of :mod:`qktw.subspace`) go through one primitive, :meth:`FieldSpec.axpy`
+(x + c*y over whole rows), and :meth:`FieldSpec.scale`: with tables,
+each reads the row mul[c] once per vector instead of calling ``mul`` and
+``add`` per coordinate.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
+from typing import Sequence
 
 from .errors import NotAPrimePowerError, SizeLimitError, UnsupportedFieldError
 
@@ -228,6 +233,29 @@ class FieldSpec:
     def mul(self, a: int, b: int) -> int:
         t = self._mul
         return t[a][b] if t is not None else (a * b) % self.q
+
+    def axpy(self, x: Sequence[int], c: int, y: Sequence[int]) -> list[int]:
+        """x + c*y coordinatewise: with tables, one pass over the rows
+        mul[c] and add[a]; a tableless field is prime, so plain integers
+        reduced mod q.  c must be an element, 0..q-1."""
+        q = self.q
+        if not 0 <= c < q:
+            raise ValueError(f"scalar {c} is not an element of GF({q})")
+        t = self._mul
+        if t is None:
+            return [(a + c * b) % q for a, b in zip(x, y)]
+        row, add = t[c], self._add
+        return [add[a][row[b]] for a, b in zip(x, y)]
+
+    def scale(self, c: int, x: Sequence[int]) -> list[int]:
+        """c*x coordinatewise; c must be an element, 0..q-1."""
+        q = self.q
+        if not 0 <= c < q:
+            raise ValueError(f"scalar {c} is not an element of GF({q})")
+        t = self._mul
+        if t is None:
+            return [c * b % q for b in x]
+        return list(map(t[c].__getitem__, x))
 
     def inv(self, a: int) -> int:
         if a == 0:

@@ -154,15 +154,16 @@ def build_kneser_graph(p: KneserParams) -> Graph:
 
 
 def gl_generators(n: int, f: FieldSpec) -> list[LinearMap]:
-    """Generators of GL(n,q) on row vectors: the n-cycle of the coordinates,
-    the swap of coordinates 0 and 1, the transvection x1 += x0 and, for
-    q > 2, diag(w, 1, ..., 1) with w primitive.  Nothing here is trusted:
+    """Generators of GL(n,q) on row vectors, as matrix rows (row i is the
+    image of e_i): the n-cycle of the coordinates, the swap of coordinates
+    0 and 1, the transvection x1 += x0 and, for q > 2, diag(w, 1, ..., 1)
+    with w primitive.  Nothing here is trusted:
     :func:`graph.certify_collineations` checks what they do."""
-    keep = tuple(((j, 1),) for j in range(n))
-    cycle, swap = keep[-1:] + keep[:-1], (keep[1], keep[0]) + keep[2:]
-    gens = [cycle, swap, (keep[0], ((1, 1), (0, 1))) + keep[2:]]
+    eye = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    cycle, swap = eye[1:] + eye[:1], (eye[1], eye[0]) + eye[2:]
+    gens = [cycle, swap, ((1, 1) + eye[0][2:],) + eye[1:]]
     if f.q > 2:
-        gens.append((((0, primitive_element(f)),),) + keep[1:])
+        gens.append(((primitive_element(f),) + eye[0][1:],) + eye[1:])
     return gens
 
 

@@ -215,20 +215,20 @@ def _polar_vector(p: ProjPoint) -> tuple[int, ...]:
 
 
 def _isometry_generators(f) -> list[LinearMap]:
-    """Isometries of x0x1 + x2x3 + x4x5 on row vectors: the swap x0 <-> x1,
-    the rotation of the three coordinate pairs, the Siegel map
-    x0 -> x0 - x3, x2 -> x2 + x1, and for q > 2 diag(w, 1/w, 1, 1, 1, 1)
-    with w primitive.  Nothing here is trusted: the certificate checks what
-    they do to the points."""
-    keep = tuple(((j, 1),) for j in range(6))
+    """Isometries of x0x1 + x2x3 + x4x5 on row vectors, as matrix rows (row
+    i is the image of e_i): the swap x0 <-> x1, the rotation of the three
+    coordinate pairs, the Siegel map x0 -> x0 - x3, x2 -> x2 + x1, and for
+    q > 2 diag(w, 1/w, 1, 1, 1, 1) with w primitive.  Nothing here is
+    trusted: the certificate checks what they do to the points."""
+    eye = tuple(tuple(int(i == j) for j in range(6)) for i in range(6))
     gens = [
-        (((1, 1),), ((0, 1),)) + keep[2:],
-        tuple((((j + 2) % 6, 1),) for j in range(6)),
-        (((0, 1), (3, f.neg(1))), keep[1], ((2, 1), (1, 1))) + keep[3:],
+        (eye[1], eye[0]) + eye[2:],
+        eye[4:] + eye[:4],
+        (eye[0], (0, 1, 1, 0, 0, 0), eye[2], (f.neg(1), 0, 0, 1, 0, 0)) + eye[4:],
     ]
     if f.q > 2:
         w = primitive_element(f)
-        gens.append((((0, w),), ((1, f.inv(w)),)) + keep[2:])
+        gens.append(((w, 0, 0, 0, 0, 0), (0, f.inv(w), 0, 0, 0, 0)) + eye[2:])
     return gens
 
 

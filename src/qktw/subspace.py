@@ -19,9 +19,16 @@ keeps only its points that way and passes the larger ones as point
 masks.  Whole incidence relations ("meets in dimension >= t") come from
 shared t-subspaces as bitmasks, without a per-pair elimination
 (:func:`meet_masks`).  The image of a subspace under a linear map is
-:func:`linear_image`.  The pairwise rank in :func:`intersect_dim` gets a
-bit-packed fast path for q = 2, where rows are machine ints and
-elimination is XOR.
+:func:`linear_image`, with the map as its matrix rows.  The pairwise rank
+in :func:`intersect_dim` gets a bit-packed fast path for q = 2, where
+rows are machine ints and elimination is XOR.
+
+The field arithmetic runs on whole rows: the lifts, Gauss-Jordan
+(:func:`_row_reduce`, under :func:`rref_canonical`, :func:`nullspace_rows`,
+:func:`orthogonal_complement` and :func:`intersect_dim` at q > 2) and
+:func:`linear_image` make every row operation one
+:meth:`FieldSpec.axpy` or ``scale``, never one ``add`` or ``mul`` per
+coordinate.
 """
 
 from __future__ import annotations
@@ -37,8 +44,8 @@ from .qbinom import gauss_binom
 
 DEFAULT_ENUMERATION_CAP = 2_000_000
 
-# Entries kept by _coefficient_rows and by _point_sets, each one per
-# (dim u, t, q) asked for; verify-all asks them for 6 and 3.
+# Entries kept by _coefficient_rows, _lift_plan and _point_sets, each one
+# per (dim u, t, q) asked for; verify-all asks them for 6, 3 and 3.
 COEFFICIENT_CACHE_SIZE = 64
 
 _HEX = "0123456789abcdef"
@@ -97,6 +104,7 @@ def _rank_bits(rows: Iterable[int]) -> int:
 
 def _row_reduce(rows: Iterable[Sequence[int]], f: FieldSpec) -> list[list[int]]:
     """Full Gauss-Jordan; returns the nonzero RREF rows, pivots ascending.
+    Every row operation is one :meth:`FieldSpec.axpy` or ``scale``.
 
     Invariant: every stored pivot row is zero at all other pivot columns,
     so a single reduction pass per incoming row suffices.
@@ -107,17 +115,17 @@ def _row_reduce(rows: Iterable[Sequence[int]], f: FieldSpec) -> list[list[int]]:
         for col, prow in pivots:
             coef = r[col]
             if coef:
-                r = [f.sub(x, f.mul(coef, y)) for x, y in zip(r, prow)]
+                r = f.axpy(r, f.neg(coef), prow)
         lead = next((j for j, x in enumerate(r) if x), None)
         if lead is None:
             continue
         c = f.inv(r[lead])
         if c != 1:
-            r = [f.mul(c, x) for x in r]
+            r = f.scale(c, r)
         for _, prow in pivots:
             c2 = prow[lead]
             if c2:
-                prow[:] = [f.sub(x, f.mul(c2, y)) for x, y in zip(prow, r)]
+                prow[:] = f.axpy(prow, f.neg(c2), r)
         pivots.append((lead, r))
     pivots.sort(key=lambda cp: cp[0])
     return [row for _, row in pivots]
@@ -206,6 +214,37 @@ def _coefficient_rows(k: int, t: int, f: FieldSpec) -> tuple[tuple[tuple[int, ..
     return tuple(w.rows for w in enumerate_k_subspaces(k, t, f))
 
 
+@lru_cache(maxsize=COEFFICIENT_CACHE_SIZE)
+def _lift_plan(
+    k: int, t: int, f: FieldSpec
+) -> tuple[tuple[tuple[int, int, int], ...], tuple[tuple[int, ...], ...]]:
+    """How :func:`subspaces_of` lifts the t-subspaces of F_q^k: steps that
+    build each distinct row of their RREF bases, and per t-subspace, in
+    enumeration order, the step numbers of its rows.
+
+    A row whose only nonzero entry is its leading 1, at j, is step
+    (-1, j, 1): its lift is row j of u, with no arithmetic.  Any other row
+    is its parent, the same row with its last nonzero entry c (at j) made
+    0, plus c times e_j: step (parent's step, j, c).  A parent keeps the
+    leading 1 and comes before its children, so each lift is one axpy.
+    """
+    at: dict[tuple[int, ...], int] = {}
+    steps: list[tuple[int, int, int]] = []
+
+    def step(coords: tuple[int, ...]) -> int:
+        s = at.get(coords)
+        if s is None:
+            nonzero = [j for j, c in enumerate(coords) if c]
+            j = nonzero[-1]
+            parent = step(coords[:j] + (0,) * (k - j)) if len(nonzero) > 1 else -1
+            s = at[coords] = len(steps)
+            steps.append((parent, j, coords[j]))
+        return s
+
+    slots = tuple(tuple(map(step, w)) for w in _coefficient_rows(k, t, f))
+    return tuple(steps), slots
+
+
 def subspaces_of(u: Subspace, t: int) -> list[tuple[tuple[int, ...], ...]]:
     """The t-dimensional subspaces of u, as the RREF row tuples of
     subspaces of the ambient space, sorted lexicographically.
@@ -215,23 +254,20 @@ def subspaces_of(u: Subspace, t: int) -> list[tuple[tuple[int, ...], ...]]:
     entries and is zero before the first of them: the lift is already
     RREF.  Two coefficient rows that first differ at index j give lifts
     that first differ at u's j-th pivot column, by the same values, so the
-    lifts keep the enumeration's order.  Nothing is re-reduced or sorted,
-    and the coefficient subspaces are enumerated once per (k, t, q).
+    lifts keep the enumeration's order.  Nothing is re-reduced or sorted.
+    The lifts run on whole table rows: each distinct coefficient row is
+    lifted once, by :func:`_lift_plan`, starting from the row of u at its
+    leading 1 and adding the rest one :meth:`FieldSpec.axpy` at a time.
+    The coefficient subspaces and the plan are made once per (k, t, q).
     """
     if not 0 <= t <= u.k:
         raise ValueError(f"need 0 <= t <= dim, got t={t}, dim={u.k}")
-    f = u.field
-    out = []
-    for w in _coefficient_rows(u.k, t, f):
-        lifted = []
-        for coords in w:
-            vec = [0] * u.n
-            for c, row in zip(coords, u.rows):
-                if c:
-                    vec = [f.add(x, f.mul(c, y)) for x, y in zip(vec, row)]
-            lifted.append(tuple(vec))
-        out.append(tuple(lifted))
-    return out
+    steps, slots = _lift_plan(u.k, t, u.field)
+    axpy, rows = u.field.axpy, u.rows
+    lifts: list[tuple[int, ...]] = []
+    for parent, j, c in steps:
+        lifts.append(rows[j] if parent < 0 else tuple(axpy(lifts[parent], c, rows[j])))
+    return [tuple(map(lifts.__getitem__, s)) for s in slots]
 
 
 @lru_cache(maxsize=COEFFICIENT_CACHE_SIZE)
@@ -310,23 +346,21 @@ def meet_masks(spaces: Sequence[Subspace], t: int) -> list[int]:
     return masks
 
 
-# A linear map of F_q^n on row vectors as the images of the coordinates:
-# entry j lists the pairs (i, c) with coordinate j of x M equal to the sum
-# of c * x_i.
-LinearMap = tuple[tuple[tuple[int, int], ...], ...]
+# A linear map of F_q^n on row vectors as its matrix M, one row per unit
+# vector: row i is the image of e_i, so x M is the sum of x_i (row i).
+LinearMap = tuple[tuple[int, ...], ...]
 
 
 def linear_image(m: LinearMap, rows: Sequence[Sequence[int]], f: FieldSpec) -> Subspace:
     """The span of ``rows`` times M, canonical: the image of their span
-    under the map, of lower dimension when M is singular on it."""
+    under the map, of lower dimension when M is singular on it.  Each
+    image is the sum of x_i (row i of M), one axpy per nonzero x_i."""
     images = []
     for x in rows:
-        image = []
-        for terms in m:
-            value = 0
-            for i, c in terms:
-                value = f.add(value, f.mul(c, x[i]))
-            image.append(value)
+        image = [0] * len(m[0])
+        for c, image_row in zip(x, m):
+            if c:
+                image = f.axpy(image, c, image_row)
         images.append(image)
     return rref_canonical(images, f)
 

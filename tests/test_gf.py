@@ -173,3 +173,30 @@ def test_sampled_axioms_bigger_fields(q, data):
     assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
     assert f.mul(f.mul(a, b), c) == f.mul(a, f.mul(b, c))
     assert f.sub(f.add(a, b), b) == a
+
+
+@pytest.mark.parametrize("q", ALL_TABLE_FIELDS + [67, 251])
+@given(data=st.data())
+def test_axpy_and_scale_match_the_scalar_ops(q, data):
+    # every table field and two tableless primes, entry by entry
+    f = make_field(q)
+    elem = st.integers(0, q - 1)
+    n = data.draw(st.integers(0, 7))
+    x = data.draw(st.lists(elem, min_size=n, max_size=n))
+    y = data.draw(st.lists(elem, min_size=n, max_size=n))
+    c = data.draw(elem)
+    assert f.axpy(x, c, y) == [f.add(a, f.mul(c, b)) for a, b in zip(x, y)]
+    assert f.scale(c, x) == [f.mul(c, a) for a in x]
+
+
+@pytest.mark.parametrize("q", [2, 4, 7, 64, 67, 251])
+def test_vector_ops_refuse_a_scalar_outside_the_field(q):
+    # a table row read at -1 would be row q - 1: in GF(4) that makes
+    # "-1 * 3" equal 2, but -1 = 1 there and 1 * 3 = 3
+    f = make_field(q)
+    for c in (-1, q):
+        with pytest.raises(ValueError, match=f"scalar {c} is not an element of GF"):
+            f.axpy([1, 0], c, [1, 1])
+        with pytest.raises(ValueError, match=f"scalar {c} is not an element of GF"):
+            f.scale(c, [1, 1])
+    assert make_field(4).axpy([0], 1, [3]) == [3]

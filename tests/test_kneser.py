@@ -430,8 +430,8 @@ def test_certificate_refuses_a_point_map_with_two_points_swapped():
 def test_certificate_refuses_a_singular_generator():
     f = make_field(3)
     points = enumerate_k_subspaces(4, 1, f)
-    keep = tuple(((j, 1),) for j in range(4))
-    singular = (keep[0], keep[0]) + keep[2:]  # coordinate 1 of the image repeats x0
+    eye = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+    singular = ((1, 1, 0, 0), (0, 0, 0, 0)) + eye[2:]  # coordinate 1 of the image repeats x0
     with pytest.raises(ArithmeticError, match="off the vertices"):
         gl_vertex_maps(points, [gl_generators(4, f)[0], singular])
 
@@ -449,7 +449,7 @@ def test_certificate_refuses_a_singer_cycle_that_is_transitive_on_points_only():
     # x -> x α in F_16 = F_2[α]/(α^4 + α + 1), on the basis 1, α, α², α³:
     # transitive on the 15 points, but its orbits on the 35 lines have 15,
     # 15 and 5 lines: the lines check passes, and the vertex orbit refuses it
-    singer = (((3, 1),), ((0, 1), (3, 1)), ((1, 1),), ((2, 1),))
+    singer = ((0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (1, 1, 0, 0))  # row i: α^i · α
     _, _, lines, blocks = point_setup(2, 4, 2)
     pis = gl_vertex_maps(enumerate_k_subspaces(4, 1, F2), [singer])
     certify_maps(pis, 15, (), lines)

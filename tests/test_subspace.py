@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -14,7 +16,9 @@ from qktw.subspace import (
     enumerate_k_subspaces,
     held_subspaces,
     intersect_dim,
+    linear_image,
     meet_masks,
+    nullspace_rows,
     orthogonal_complement,
     rref_canonical,
     subspaces_of,
@@ -175,23 +179,13 @@ def is_rref(s):
 
 def oracle_subspaces_of(u, t):
     """The t-subspaces of u by lifting, re-reducing and sorting: each RREF
-    t-subspace of F_q^k is lifted through u's rows, the lift is put in RREF
-    by rref_canonical, and the list is sorted by rows."""
+    t-subspace of F_q^k is lifted through u's rows (:func:`oracle_lifts`),
+    the lift is put in RREF by rref_canonical, and the list is sorted by
+    rows."""
     f = u.field
     if t == 0:
         return [Subspace(f, u.n, ())]
-    out = []
-    for w in enumerate_k_subspaces(u.k, t, f):
-        lifted = []
-        for coords in w.rows:
-            vec = [0] * u.n
-            for j, c in enumerate(coords):
-                if c:
-                    vec = [f.add(x, f.mul(c, y)) for x, y in zip(vec, u.rows[j])]
-            lifted.append(vec)
-        out.append(rref_canonical(lifted, f))
-    out.sort(key=lambda s: s.rows)
-    return out
+    return sorted((rref_canonical(w, f) for w in oracle_lifts(u, t)), key=lambda s: s.rows)
 
 
 @pytest.mark.parametrize("q,n", [(2, 5), (3, 4), (4, 4), (5, 3)])
@@ -219,11 +213,12 @@ def test_coefficient_subspaces_are_enumerated_once_per_shape(monkeypatch):
 
     for module in (subspace, kneser):
         monkeypatch.setattr(module, "enumerate_k_subspaces", counted)
-    subspace._coefficient_rows.cache_clear()
-    subspace._point_sets.cache_clear()
+    caches = (subspace._coefficient_rows, subspace._lift_plan, subspace._point_sets)
+    for cache in caches:
+        cache.cache_clear()
     build_kneser_graph(KneserParams(2, 6, 3, 2))
     assert calls == [(6, 3), (3, 1), (3, 2), (2, 1)]
-    for cache in (subspace._coefficient_rows, subspace._point_sets):
+    for cache in caches:
         assert cache.cache_info().maxsize == subspace.COEFFICIENT_CACHE_SIZE
 
 
@@ -318,6 +313,135 @@ def test_rank_bounds(args):
         for j, other in enumerate(u.rows):
             if i != j:
                 assert other[pivots[i]] == 0
+
+
+# -- the row kernels against their per-coordinate oracles -----------------------
+
+# every field shape: prime and extension tables, the largest table, and two
+# tableless primes
+ROW_KERNEL_FIELDS = [2, 3, 4, 5, 7, 8, 9, 16, 27, 64, 67, 251]
+
+
+def oracle_row_reduce(rows, f):
+    """Gauss-Jordan one coordinate at a time, every entry through the
+    scalar f.sub and f.mul: the nonzero RREF rows, pivots ascending."""
+    pivots = []
+    for raw in rows:
+        r = list(raw)
+        for col, prow in pivots:
+            coef = r[col]
+            if coef:
+                r = [f.sub(x, f.mul(coef, y)) for x, y in zip(r, prow)]
+        lead = next((j for j, x in enumerate(r) if x), None)
+        if lead is None:
+            continue
+        c = f.inv(r[lead])
+        if c != 1:
+            r = [f.mul(c, x) for x in r]
+        for _, prow in pivots:
+            c2 = prow[lead]
+            if c2:
+                prow[:] = [f.sub(x, f.mul(c2, y)) for x, y in zip(prow, r)]
+        pivots.append((lead, r))
+    pivots.sort(key=lambda cp: cp[0])
+    return [row for _, row in pivots]
+
+
+def oracle_lifts(u, t):
+    """Each t-subspace of F_q^k, in enumeration order, lifted through u's
+    rows one coordinate at a time with the scalar f.add and f.mul."""
+    f = u.field
+    out = []
+    for w in enumerate_k_subspaces(u.k, t, f):
+        lifted = []
+        for coords in w.rows:
+            vec = [0] * u.n
+            for c, row in zip(coords, u.rows):
+                if c:
+                    vec = [f.add(x, f.mul(c, y)) for x, y in zip(vec, row)]
+            lifted.append(tuple(vec))
+        out.append(tuple(lifted))
+    return out
+
+
+def oracle_linear_image(m, rows, f):
+    """The rows times M one coordinate at a time, coordinate j of x M the
+    scalar sum of x_i M[i][j], reduced by :func:`oracle_row_reduce`."""
+    n = len(m[0])
+    images = []
+    for x in rows:
+        image = []
+        for j in range(n):
+            value = 0
+            for xi, mrow in zip(x, m):
+                value = f.add(value, f.mul(xi, mrow[j]))
+            image.append(value)
+        images.append(image)
+    return Subspace(f, n, tuple(tuple(r) for r in oracle_row_reduce(images, f)))
+
+
+def random_rows(rng, f, count, n):
+    """count random vectors of F_q^n; a few are zero or repeat another, so
+    dependent rows show up at every q."""
+    rows = [[rng.randrange(f.q) for _ in range(n)] for _ in range(count)]
+    if count > 1 and rng.random() < 0.3:
+        rows[-1] = list(rows[0])
+    if rng.random() < 0.1:
+        rows[0] = [0] * n
+    return rows
+
+
+def oracle_dims(q):
+    """(n, largest k) small enough to lift every t-subspace at this q."""
+    return (5, 4) if q <= 3 else (4, 3) if q <= 27 else (3, 2)
+
+
+@pytest.mark.parametrize("q", ROW_KERNEL_FIELDS)
+def test_row_reduce_and_nullspace_match_the_per_coordinate_oracle(q):
+    f, rng = make_field(q), random.Random(q)
+    n, _ = oracle_dims(q)
+    for _ in range(40):
+        rows = random_rows(rng, f, rng.randint(1, n + 1), n)
+        reduced = oracle_row_reduce(rows, f)
+        assert subspace._row_reduce(rows, f) == reduced
+        assert rref_canonical(rows, f).rows == tuple(map(tuple, reduced))
+        # RREF, of dimension n - rank and orthogonal to every row: the null space
+        null = Subspace(f, n, tuple(nullspace_rows(rows, f, n)))
+        assert is_rref(null) and null.k == n - len(reduced)
+        for x in null.rows:
+            for r in rows:
+                dot = 0
+                for a, b in zip(x, r):
+                    dot = f.add(dot, f.mul(a, b))
+                assert dot == 0
+        u, v = rref_canonical(rows, f), rref_canonical(random_rows(rng, f, 2, n), f)
+        assert intersect_dim(u, v) == u.k + v.k - len(oracle_row_reduce(u.rows + v.rows, f))
+
+
+@pytest.mark.parametrize("q", ROW_KERNEL_FIELDS)
+def test_subspaces_of_matches_the_per_coordinate_lift(q):
+    # random subspaces of every dimension up to the largest k, every t
+    f, rng = make_field(q), random.Random(q)
+    n, top = oracle_dims(q)
+    for k in range(top + 1):
+        for _ in range(2):
+            u = Subspace(f, n, ())
+            while u.k < k:
+                u = rref_canonical(list(u.rows) + random_rows(rng, f, 1, n), f)
+            for t in range(k + 1):
+                assert subspaces_of(u, t) == oracle_lifts(u, t)
+
+
+@pytest.mark.parametrize("q", ROW_KERNEL_FIELDS)
+def test_linear_image_matches_the_per_coordinate_map(q):
+    # random maps, singular ones included, on random subspaces
+    f, rng = make_field(q), random.Random(q)
+    n, top = oracle_dims(q)
+    maps = [tuple(map(tuple, random_rows(rng, f, n, n))) for _ in range(20)]
+    for m in maps + kneser.gl_generators(n, f):
+        for _ in range(3):
+            rows = random_rows(rng, f, rng.randint(1, top), n)
+            assert linear_image(m, rows, f) == oracle_linear_image(m, rows, f)
 
 
 # -- held_subspaces against the RREF-row numbering -----------------------------

@@ -263,8 +263,8 @@ def test_vertex_census_refuses_a_repeated_vertex(q, n, k):
 
 
 def test_vertex_census_refuses_a_singular_generator(monkeypatch):
-    keep = tuple(((j, 1),) for j in range(4))
-    singular = (keep[0], keep[0]) + keep[2:]  # coordinate 1 of the image repeats x0
+    eye = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+    singular = ((1, 1, 0, 0), (0, 0, 0, 0)) + eye[2:]  # coordinate 1 of the image repeats x0
     monkeypatch.setattr(suites, "gl_generators", lambda n, f: [singular])
     with pytest.raises(ArithmeticError, match="off the vertices"):
         vertex_census(enumerate_k_subspaces(4, 2, make_field(3)))
@@ -284,7 +284,7 @@ def test_vertex_census_refuses_vertices_that_miss_points(monkeypatch):
     lines = enumerate_k_subspaces(4, 2, make_field(2))[:3]
     with pytest.raises(ArithmeticError, match="off the vertices"):
         vertex_census(lines)
-    identity = tuple(((j, 1),) for j in range(4))
+    identity = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
     monkeypatch.setattr(suites, "gl_generators", lambda n, f: [identity])
     with pytest.raises(ArithmeticError, match="map 0 is not a permutation of the 15 vertices"):
         vertex_census(lines)
