@@ -2,12 +2,12 @@
 
 Maximum independent set (branch and bound on the complement's clique
 problem with a greedy coloring bound), exact treewidth (dynamic
-programming over vertex subsets, with each subset's components kept in
-tables and the elimination order recovered along one path of subsets),
-minimum balanced separator (exhaustive over subsets by increasing size),
-and the all-orderings treewidth oracle (depth-first over elimination
-orderings with the width cut) that ``verify-all`` checks the subset DP
-against.  The slower brute-force oracles live in the tests.
+programming over vertex subsets, with the component of each subset's
+highest vertex kept in a table and the elimination order recovered along
+one path of subsets), minimum balanced separator (exhaustive over subsets
+by increasing size), and the all-orderings treewidth oracle (depth-first
+over elimination orderings with the width cut) that ``verify-all`` checks
+the subset DP against.  The slower brute-force oracles live in the tests.
 
 All solvers are deterministic: fixed vertex order, lowest-index
 tie-breaking.  Exceeded budgets raise, they never return a wrong answer.
@@ -26,14 +26,14 @@ from .treedec import TreeDecomposition
 
 MIS_VERTEX_CAP = 200
 TREEWIDTH_VERTEX_CAP = 18
-# The subset DP keeps 13 bytes per subset past 16 vertices (a one-byte
-# width and three four-byte masks): 104 MiB at 23 vertices, within the
-# 128 MiB memory budget of graph.GRAPH_MAX_VERTICES, and 208 MiB at 24.
+# The subset DP keeps 9 bytes per subset past 16 vertices (a one-byte
+# width and two four-byte masks): 72 MiB at 23 vertices, within the
+# 128 MiB memory budget of graph.GRAPH_MAX_VERTICES, and 144 MiB at 24.
 # No budget admits more.
 TREEWIDTH_TABLE_MAX_VERTICES = 23
 # tw-exact refuses, before solving, a graph whose subset DP would tick more
-# nodes (one per nonempty subset) than this: G(22, 1/2) takes about 11 s
-# and 68 MiB peak RSS.
+# nodes (one per nonempty subset) than this: G(22, 1/2) takes about 12 s
+# and 52 MiB peak RSS.
 TREEWIDTH_NODE_BUDGET = 2**22 - 1
 SEPARATOR_VERTEX_CAP = 20
 
@@ -95,7 +95,9 @@ def mis_exact(g: Graph, budget: SolveBudget | None = None) -> tuple[int, tuple[i
 
     Runs Tomita-style branch and bound for a maximum clique of the
     complement graph: candidates are greedily colored and pruned when the
-    color bound cannot beat the incumbent.
+    color bound cannot beat the incumbent.  As in San Segundo,
+    Rodriguez-Losada and Jimenez's BBMC, only the colors that could beat
+    the incumbent on entry are queued for branching.
     """
     budget = _check_vertex_cap(g, budget, MIS_VERTEX_CAP)
     clock = _BudgetClock(budget)
@@ -110,9 +112,20 @@ def mis_exact(g: Graph, budget: SolveBudget | None = None) -> tuple[int, tuple[i
             if rsize > best_size:
                 best_size, best_mask = rsize, rmask
             return
-        order: list[tuple[int, int]] = []
+        # a vertex of color <= kmin cannot beat the incumbent, which only
+        # grows: its class is colored, since the later classes depend on
+        # it, but not queued, as the loop below would return at it
+        kmin = best_size - rsize
         rest = cand
         color = 0
+        while rest and color < kmin:
+            color += 1
+            avail = rest
+            while avail:
+                bit = avail & -avail
+                avail &= ~(comp[bit.bit_length() - 1] | bit)
+                rest ^= bit
+        order: list[tuple[int, int]] = []
         while rest:
             color += 1
             avail = rest
@@ -173,12 +186,12 @@ def _decomposition_from_order(g: Graph, order: list[int]) -> TreeDecomposition:
     return TreeDecomposition(tuple(tuple(sorted(b)) for b in bags), tuple(edges))
 
 
-def _subset_tables(n: int) -> tuple[bytearray, array, array, array]:
+def _subset_tables(n: int) -> tuple[bytearray, array, array]:
     """The subset DP's tables, zeroed: one byte per subset for the width,
-    and one mask per subset for low, high and nb."""
+    and one mask per subset for high and nb."""
     size = 1 << n
     zeros = array("H" if n <= 16 else "I", [0])
-    return bytearray(size), zeros * size, zeros * size, zeros * size
+    return bytearray(size), zeros * size, zeros * size
 
 
 def treewidth_exact(
@@ -192,11 +205,15 @@ def treewidth_exact(
     fill degree of v after S - v).  That fill degree counts the vertices
     outside S reached from v through S - v, which are exactly N(K) - S
     for v's component K in G[S].  Hence a disconnected S takes the larger
-    TW of its lowest vertex's component C and of S - C, and a connected S
+    TW of its highest vertex's component C and of S - C, and a connected S
     takes max(|N(S) - S|, min over v of TW(S - v)).
 
-    Per subset, in O(1) from smaller subsets: low[S] and high[S], the
-    components of S's lowest and highest vertex in G[S], and nb[S] = N(S).
+    Per subset, from smaller subsets: nb[S] = N(S), and high[S], the
+    component of S's highest vertex h in G[S].  That is h joined with the
+    components of G[S - h] that h touches; they are peeled off S - h from
+    the top through high, and the peel stops once every neighbour of h in
+    S - h is covered.
+
     The order is recovered along one path of n subsets, taking at each
     the lowest v with max(TW(S - v), |N(K) - S|) = TW(S), the choice of a
     plain ascending scan that keeps only strict improvements; it is
@@ -206,36 +223,37 @@ def treewidth_exact(
     budget = _check_vertex_cap(g, budget, TREEWIDTH_VERTEX_CAP)
     if g.n > TREEWIDTH_TABLE_MAX_VERTICES:
         raise BudgetExceededError(
-            f"{g.n} vertices need 2^{g.n} subsets of 13 table bytes each; "
+            f"{g.n} vertices need 2^{g.n} subsets of 9 table bytes each; "
             f"they are limited to {TREEWIDTH_TABLE_MAX_VERTICES} vertices (128 MiB)"
         )
     tick = _BudgetClock(budget).tick
     n = g.n
     adj = g.adjacency
-    best, low, high, nb = _subset_tables(n)
+    best, high, nb = _subset_tables(n)
     for h in range(n):
         # the subsets whose highest vertex is h, in increasing order
         hb = 1 << h
         ah = adj[h]
         tick()
-        low[hb] = high[hb] = hb
+        high[hb] = hb
         nb[hb] = ah
         best[hb] = ah.bit_count()
         for s in range(hb + 1, hb << 1):
             tick()
-            ns = nb[s ^ hb] | ah
+            x = s ^ hb
+            ns = nb[x] | ah
             nb[s] = ns
-            # high: drop the lowest vertex, then merge through it
-            lo = s & -s
-            c = high[s ^ lo]
-            if adj[lo.bit_length() - 1] & c:
-                c |= low[s ^ c]
+            # peel the components of G[S - h] from the top, merging those
+            # that h touches, until all of h's neighbours there are covered
+            c = hb
+            need = ah & x
+            while need:
+                k = high[x]
+                x ^= k
+                if k & need:
+                    c |= k
+                    need &= ~k
             high[s] = c
-            # low: drop h, then merge through it
-            c = low[s ^ hb]
-            if ah & c:
-                c |= high[s ^ c]
-            low[s] = c
             if c != s:
                 a = best[c]
                 b = best[s ^ c]
@@ -364,18 +382,18 @@ def min_balanced_separator(
     clock = _BudgetClock(budget)
     full = (1 << g.n) - 1
     adj = g.adjacency
+    # the bits 1 << v come in ascending v, so the combinations of the bits
+    # come in the same lexicographic order as those of the vertices
+    bits = [1 << v for v in range(g.n)]
     for size in range(g.n + 1):
-        for p in combinations(range(g.n), size):
+        for p in combinations(bits, size):
             clock.tick()
-            pmask = 0
-            for v in p:
-                pmask |= 1 << v
-            ymask = full & ~pmask
+            ymask = full ^ sum(p)
             if _balanced(adj, ymask, g.n - size):
                 sizes = [c.bit_count() for c in components(adj, ymask)]
                 return SeparatorSearchResult(
                     size=size,
-                    witness=p,
+                    witness=tuple(b.bit_length() - 1 for b in p),
                     component_sizes=tuple(sorted(sizes, reverse=True)),
                 )
     raise AssertionError("unreachable: P = V is always balanced")

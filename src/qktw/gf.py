@@ -216,23 +216,67 @@ class FieldSpec:
 
     # -- operations ----------------------------------------------------
 
+    # The scalar ops take elements only, 0..q-1, and raise ValueError for
+    # anything else: a table would read a negative element as a wrong row,
+    # and a tableless prime would reduce q or more silently.  With tables,
+    # a | b >= 0 iff both are nonnegative, and an element past q has no
+    # table entry; the try costs nothing when nothing is raised.
+
+    def _not_elements(self, *xs: int) -> ValueError:
+        bad = next(x for x in xs if not 0 <= x < self.q)
+        return ValueError(f"{bad} is not an element of GF({self.q})")
+
     def add(self, a: int, b: int) -> int:
         t = self._add
-        return t[a][b] if t is not None else (a + b) % self.q
+        if t is None:
+            q = self.q
+            if 0 <= a < q and 0 <= b < q:
+                return (a + b) % q
+        elif (a | b) >= 0:
+            try:
+                return t[a][b]
+            except IndexError:
+                pass
+        raise self._not_elements(a, b)
 
     def neg(self, a: int) -> int:
         t = self._neg
-        return t[a] if t is not None else (-a) % self.q
+        if t is None:
+            q = self.q
+            if 0 <= a < q:
+                return -a % q
+        elif a >= 0:
+            try:
+                return t[a]
+            except IndexError:
+                pass
+        raise self._not_elements(a)
 
     def sub(self, a: int, b: int) -> int:
         t = self._add
-        if t is not None:
-            return t[a][self._neg[b]]
-        return (a - b) % self.q
+        if t is None:
+            q = self.q
+            if 0 <= a < q and 0 <= b < q:
+                return (a - b) % q
+        elif (a | b) >= 0:
+            try:
+                return t[a][self._neg[b]]
+            except IndexError:
+                pass
+        raise self._not_elements(a, b)
 
     def mul(self, a: int, b: int) -> int:
         t = self._mul
-        return t[a][b] if t is not None else (a * b) % self.q
+        if t is None:
+            q = self.q
+            if 0 <= a < q and 0 <= b < q:
+                return a * b % q
+        elif (a | b) >= 0:
+            try:
+                return t[a][b]
+            except IndexError:
+                pass
+        raise self._not_elements(a, b)
 
     def axpy(self, x: Sequence[int], c: int, y: Sequence[int]) -> list[int]:
         """x + c*y coordinatewise: with tables, one pass over the rows

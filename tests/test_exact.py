@@ -17,6 +17,7 @@ from qktw.exact import (
 from qktw.graph import (
     Graph,
     complete_graph,
+    component,
     components,
     cycle_graph,
     iter_bits,
@@ -85,6 +86,28 @@ def test_mis_budget():
         mis_exact(g, SolveBudget(node_limit=2))
 
 
+# (n, p, seed, search nodes, witness): the search tree of the greedy-color
+# branch and bound, which the color-class cut must leave as it is
+MIS_SEARCH_TREES = [
+    (12, 0.3, 1, 10, (2, 4, 5, 7, 10, 11)),
+    (20, 0.5, 2, 6, (2, 4, 9, 15, 19)),
+    (25, 0.7, 7, 5, (11, 12, 22, 24)),
+    (30, 0.3, 3, 39, (1, 2, 3, 4, 6, 9, 19, 20, 24, 26)),
+    (40, 0.2, 4, 110, (4, 8, 12, 14, 21, 27, 28, 30, 33, 37, 38, 39)),
+    (40, 0.5, 5, 36, (0, 4, 10, 16, 21, 32, 34)),
+    (60, 0.1, 6, 1946, (0, 2, 4, 6, 7, 10, 12, 16, 23, 24, 26, 34, 35, 39, 44, 47, 49, 51, 53,
+                        56, 57, 58)),
+]
+
+
+@pytest.mark.parametrize("n, p, seed, nodes, witness", MIS_SEARCH_TREES)
+def test_mis_search_tree_is_pinned(n, p, seed, nodes, witness):
+    g = random_graph(n, p, seed)
+    assert mis_exact(g, SolveBudget(node_limit=nodes)) == (len(witness), witness)
+    with pytest.raises(BudgetExceededError, match="search-node limit"):
+        mis_exact(g, SolveBudget(node_limit=nodes - 1))
+
+
 def test_treewidth_named_graphs():
     assert treewidth_exact(complete_graph(5))[0] == 4
     assert treewidth_exact(path_graph(6))[0] == 1
@@ -122,10 +145,10 @@ def test_treewidth_table_budget_fails_before_allocating(monkeypatch):
     def allocate(n):
         raise Allocated(n)
 
-    # 13 table bytes per subset past 16 vertices: 2^23 subsets fit 128 MiB
+    # 9 table bytes per subset past 16 vertices: 2^23 subsets fit 128 MiB
     tables = exact._subset_tables(17)
-    assert sum(len(t) * getattr(t, "itemsize", 1) for t in tables) == 13 * 2**17
-    assert 13 * 2**23 <= 2**27 < 13 * 2**24
+    assert sum(len(t) * getattr(t, "itemsize", 1) for t in tables) == 9 * 2**17
+    assert 9 * 2**23 <= 2**27 < 9 * 2**24
     # the subset tables are the first allocation; 23 vertices reach it
     monkeypatch.setattr(exact, "_subset_tables", allocate)
     assert exact.TREEWIDTH_TABLE_MAX_VERTICES == 23
@@ -382,10 +405,10 @@ def test_treewidth_reads_one_component_split_or_a_scan_up_to_d(monkeypatch, seed
     widths = bytes(logs[0])
     adj = g.adjacency
     for s in range(1, 2**g.n):
-        comps = components(adj, s)
-        if len(comps) > 1:
-            # the lowest vertex's component and the rest
-            expected = [comps[0], s ^ comps[0]]
+        top = component(adj, 1 << s.bit_length() - 1, s)
+        if top != s:
+            # the highest vertex's component and the rest
+            expected = [top, s ^ top]
         elif s & (s - 1):
             # TW(S - v) in ascending v up to the first one within d
             reach = 0
@@ -400,6 +423,35 @@ def test_treewidth_reads_one_component_split_or_a_scan_up_to_d(monkeypatch, seed
         else:
             expected = []
         assert logs[0].reads[s] == expected, s
+
+
+HIGH_TABLE_GRAPHS = {
+    "edgeless": Graph(12),
+    "path": path_graph(12),
+    "matching": Graph.from_edges(12, [(v, v + 1) for v in range(0, 12, 2)]),
+    "star": Graph.from_edges(12, [(0, v) for v in range(1, 12)]),
+    "star-centred-on-top": Graph.from_edges(12, [(11, v) for v in range(11)]),
+    "complete": complete_graph(12),
+} | {
+    f"gnp-{n}-{p}": random_graph(n, p, seed)
+    for seed, (n, p) in enumerate([(9, 0.2), (10, 0.3), (11, 0.15), (12, 0.25), (12, 0.5)])
+}
+
+
+@pytest.mark.parametrize("g", HIGH_TABLE_GRAPHS.values(), ids=HIGH_TABLE_GRAPHS.keys())
+def test_high_table_is_the_highest_vertex_component(monkeypatch, g):
+    tables = exact._subset_tables
+    kept = []
+
+    def logged(n):
+        kept.append(tables(n))
+        return kept[-1]
+
+    monkeypatch.setattr(exact, "_subset_tables", logged)
+    assert treewidth_exact(g) == reference_treewidth(g)
+    _, high, _ = kept[0]
+    for s in range(1, 2**g.n):
+        assert high[s] == component(g.adjacency, 1 << s.bit_length() - 1, s), s
 
 
 def test_separator_node_limit_is_one_node_per_candidate():

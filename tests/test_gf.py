@@ -200,3 +200,21 @@ def test_vector_ops_refuse_a_scalar_outside_the_field(q):
         with pytest.raises(ValueError, match=f"scalar {c} is not an element of GF"):
             f.scale(c, [1, 1])
     assert make_field(4).axpy([0], 1, [3]) == [3]
+
+
+@pytest.mark.parametrize("q", ALL_TABLE_FIELDS + [67, 251])
+def test_scalar_ops_refuse_an_element_outside_the_field(q):
+    # the scalar ops read the same table rows as axpy and scale
+    f = make_field(q)
+    for bad in (-1, q, -q):
+        for op, args in (
+            (f.add, (bad, 1)), (f.add, (1, bad)),
+            (f.sub, (bad, 1)), (f.sub, (1, bad)),
+            (f.mul, (bad, 1)), (f.mul, (1, bad)),
+            (f.neg, (bad,)),
+        ):
+            with pytest.raises(ValueError, match=f"^{bad} is not an element of GF\\({q}\\)$"):
+                op(*args)
+    top = q - 1
+    assert f.add(top, 0) == f.sub(top, 0) == f.mul(top, 1) == f.neg(f.neg(top)) == top
+    assert make_field(4).mul(1, 3) == 3
