@@ -320,9 +320,6 @@ class FieldSpec:
             m >>= 1
         return out
 
-    def elements(self) -> range:
-        return range(self.q)
-
     # -- identity ------------------------------------------------------
 
     def __repr__(self) -> str:

@@ -5,15 +5,14 @@ pair censuses, component searches, and the exact solvers fast without any
 dependencies.  Graphs are built once and then treated as immutable.
 ``component`` grows one connected component; ``components`` and the tree
 checks of ``treedec.validate_td`` are built on it.  ``certify_maps`` is
-the generic half of a symmetry certificate, on ``permute_masks`` and
-``orbit``: a vertex permutation is an automorphism when it maps a mask
-list onto itself (a collineation when it maps lines onto lines), and a
+the one symmetry certificate, on ``permute_mask`` and ``orbit``: a vertex
+permutation is a collineation when it maps the lines onto lines, and a
 set of them is transitive when the orbit of one vertex is every vertex.
+The pair-count census and the quadric both rest on it.
 """
 
 from __future__ import annotations
 
-from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 # Budget for graphs built from subspaces or read from files: n masks of
@@ -83,30 +82,6 @@ def permute_mask(mask: int, perm: Sequence[int]) -> int:
     return out
 
 
-def permute_masks(masks: Sequence[int], perm: Sequence[int]) -> list[int]:
-    """Image of a mask list under the permutation ``perm`` of its vertices:
-    the mask of vertex v, permuted, becomes the mask of perm[v].  ``perm``
-    is an automorphism of the relation the masks hold exactly when the
-    image equals the list, which compares every bit, the diagonal included.
-
-    Each mask is permuted as its binary digit string, at C speed: digit
-    n-1-u of the string is bit u, and bit w of the image is bit v of the
-    mask for perm[v] = w.  ``permute_mask``, per set bit, suits single
-    sparse masks.  Every mask must lie below 2**len(masks).
-    """
-    n = len(masks)
-    if not n:
-        return []
-    order = [0] * n  # digit j of an image is digit order[j] of its mask
-    for v, w in enumerate(perm):
-        order[n - 1 - w] = n - 1 - v
-    pick = itemgetter(*order)
-    out = [0] * n
-    for v, mask in enumerate(masks):
-        out[perm[v]] = int("".join(pick(format(mask, f"0{n}b"))), 2)
-    return out
-
-
 def orbit(start: int, perms: Sequence[Sequence[int]]) -> int:
     """Orbit of vertex ``start`` under the group the permutations generate,
     as a mask: breadth-first search along every permutation."""
@@ -124,24 +99,19 @@ def orbit(start: int, perms: Sequence[Sequence[int]]) -> int:
     return seen
 
 
-def certify_maps(perms: Sequence[Sequence[int]], count: int, relations, lines=()) -> None:
+def certify_maps(perms: Sequence[Sequence[int]], count: int, lines=()) -> None:
     """Raise ArithmeticError unless every map is a permutation of the
-    ``count`` vertices that carries every relation onto itself and every
-    line onto a line, and the maps together carry vertex 0 to every vertex.
+    ``count`` vertices that carries every line onto a line, and the maps
+    together carry vertex 0 to every vertex.
 
-    ``relations`` yields (name, masks) pairs, one mask list alive at a
-    time; each list is compared whole, every bit, with its image under
-    every map (:func:`permute_masks`).  ``lines`` are vertex masks, and
-    the orbit comes from :func:`orbit`.  No verdict is transferred along a
-    map that fails.
+    ``lines`` are vertex masks, each mapped by :func:`permute_mask`; a
+    permutation maps the finite set of lines into itself injectively, so
+    onto itself.  The orbit comes from :func:`orbit`.  No verdict is
+    transferred along a map that fails.
     """
     for g, perm in enumerate(perms):
         if sorted(perm) != list(range(count)):
             raise ArithmeticError(f"map {g} is not a permutation of the {count} vertices")
-    for name, masks in relations:
-        for g, perm in enumerate(perms):
-            if permute_masks(masks, perm) != list(masks):
-                raise ArithmeticError(f"map {g} does not preserve {name}")
     line_set = frozenset(lines)
     for g, perm in enumerate(perms):
         if any(permute_mask(line, perm) not in line_set for line in line_set):
@@ -156,10 +126,10 @@ def certify_collineations(perms, count: int, lines, blocks: Sequence[int]) -> li
     ``blocks``, point masks: block b goes to the block whose mask is the
     image of b's, else to -1, which :func:`certify_maps` refuses as no
     permutation.  The induced maps must carry block 0 to every block."""
-    certify_maps(perms, count, (), lines)
+    certify_maps(perms, count, lines)
     index = {mask: b for b, mask in enumerate(blocks)}
     induced = [[index.get(permute_mask(mask, perm), -1) for mask in blocks] for perm in perms]
-    certify_maps(induced, len(blocks), ())
+    certify_maps(induced, len(blocks))
     return induced
 
 

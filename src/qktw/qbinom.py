@@ -164,9 +164,6 @@ class Quadratic:
     def vertex(self) -> Fraction:
         return Fraction(self.b, 2)
 
-    def vertex_value(self) -> Fraction:
-        return Fraction(self.b * self.b, 4) + self.c
-
 
 def _horner(q: int, exponents) -> tuple[int, int]:
     """The sum of q**e over integer exponents e as (m, low), the sum being

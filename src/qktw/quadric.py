@@ -10,10 +10,11 @@ trusted.
 
 Projective points are 1-subspaces and have no code of their own: the
 model's points are the 1-subspaces of F_q^6 from
-:func:`subspace.enumerate_k_subspaces` that lie on the form, a quadric
-line's points and a subspace's section are the one-row tuples of
-:func:`subspace.subspaces_of`, and a Klein image is scaled to a leading 1
-by :func:`subspace.rref_canonical`.
+:func:`subspace.enumerate_k_subspaces` that lie on the form, a subspace's
+section is the one-row tuples of :func:`subspace.subspaces_of`, and a
+Klein image is scaled to a leading 1 by :func:`subspace.rref_canonical`.
+A quadric line is read off the perp masks alone, as the polar of the
+polar of two perpendicular points.
 
 Besides the model itself, this module verifies the geometric facts the
 K_q(4,2,1) treewidth argument rests on: the grid classification of large
@@ -21,9 +22,12 @@ collinearity-closed point sets in Q+(3,q), and a census of perpendicular
 sections (conic planes, grid solids, two-line planes and their induced
 graphs).  The census is exhaustive at point 0 and transferred to every
 point by :attr:`QuadricModel.automorphisms`: point permutations of
-isometries of the form, each certified to preserve perpendicularity and
-the lines, and together to be transitive, before any verdict rests on
-them.
+isometries of the form, each certified to map the lines onto lines, and
+together to be transitive, before any verdict rests on them.  In a polar
+space two singular points are perpendicular exactly when they are equal
+or lie on a common totally singular line, which :attr:`QuadricModel.lines`
+checks on every perp mask, so a map that keeps the lines keeps
+perpendicularity too.
 """
 
 from __future__ import annotations
@@ -136,24 +140,37 @@ class QuadricModel:
 
     @cached_property
     def lines(self) -> tuple[int, ...]:
-        """All lines contained in the quadric, as point masks."""
-        f = self.field
+        """All lines contained in the quadric, as point masks.
+
+        Two perpendicular points i and j span a totally singular line L.
+        L^perp is a solid whose quadric points span it (two planes through
+        L), and L^perp^perp = L, so L's points are
+        ``polar_section(iter_bits(polar_section((i, j))))``.
+
+        Raises ArithmeticError unless every point's perp mask is its own
+        bit ORed with the lines through it: singular points are
+        perpendicular exactly when they are equal or on a common line
+        (Hirschfeld & Thas, *General Galois Geometries*, OUP 1991).  That
+        is what lets the line check of :func:`graph.certify_maps` stand in
+        for perpendicularity.
+        """
+        perp = self.perp_masks
         covered = [0] * len(self.points)  # per point: its lines found so far
         found = []
-        for i in range(len(self.points)):
-            for off in iter_bits(self.perp_masks[i] >> (i + 1)):
+        for i, row in enumerate(perp):
+            for off in iter_bits(row >> (i + 1)):
                 j = i + 1 + off
                 if (covered[i] >> j) & 1:
                     continue
-                line = rref_canonical((self.points[i], self.points[j]), f)
-                mask = 0
-                for (p,) in subspaces_of(line, 1):
-                    mask |= 1 << self.index[p]
+                mask = self.polar_section(iter_bits(self.polar_section((i, j))))
                 if mask.bit_count() != self.q + 1:
                     raise ArithmeticError("a quadric line must have q + 1 points")
                 for p in iter_bits(mask):
                     covered[p] |= mask
                 found.append(mask)
+        for i, row in enumerate(perp):
+            if row != covered[i] | (1 << i):
+                raise ArithmeticError(f"the perp mask of point {i} is not the lines through it")
         return tuple(sorted(found, key=lambda m: list(iter_bits(m))))
 
     @cached_property
@@ -174,11 +191,15 @@ class QuadricModel:
         """Point permutations induced by the isometries of
         :func:`_isometry_generators`, mapped by :func:`kneser.gl_vertex_maps`
         with the points as 1-subspaces, and certified by
-        :func:`certify_automorphisms` when first asked for: each maps the
-        perp masks and the lines onto themselves, and together they carry
-        point 0 to every point."""
+        :func:`graph.certify_maps` when first asked for: each maps the
+        lines onto lines, and so, by the check in :attr:`lines`, the perp
+        masks onto themselves, and together they carry point 0 to every
+        point.  A failed check raises ArithmeticError: a verdict is never
+        transferred along an uncertified map."""
         points = [Subspace(self.field, 6, (p,)) for p in self.points]
-        return certify_automorphisms(self, gl_vertex_maps(points, _isometry_generators(self.field)))
+        perms = gl_vertex_maps(points, _isometry_generators(self.field))
+        certify_maps(perms, len(self.points), self.line_set)
+        return tuple(tuple(perm) for perm in perms)
 
     def polar_section(self, point_indices) -> int:
         """Mask of the quadric points in the polar of the span of the given
@@ -230,22 +251,6 @@ def _isometry_generators(f) -> list[LinearMap]:
         w = primitive_element(f)
         gens.append(((w, 0, 0, 0, 0, 0), (0, f.inv(w), 0, 0, 0, 0)) + eye[2:])
     return gens
-
-
-def certify_automorphisms(model: QuadricModel, perms) -> tuple[tuple[int, ...], ...]:
-    """The permutations, once each is shown to be an automorphism of the
-    model and all of them together to be transitive on the points.
-
-    :func:`graph.certify_maps` requires each to be a permutation of the
-    points that maps the whole ``perp_masks`` list onto itself, every bit
-    compared, and each line of ``line_set`` onto a line, and the orbit of
-    point 0 under them to be every point.  Any failed check raises
-    ArithmeticError: a verdict is never transferred along an uncertified
-    map.
-    """
-    perp = [("perpendicularity", model.perp_masks)]
-    certify_maps(perms, len(model.points), perp, model.line_set)
-    return tuple(tuple(perm) for perm in perms)
 
 
 # -- the Klein map -------------------------------------------------------------
@@ -495,12 +500,13 @@ def perp_section_census(q: int, claims: tuple[str, ...] | None = None) -> Census
     The census is exhaustive at one representative, point 0: every triple
     and pair through it, every two lines through it.  The verdicts are
     transferred to every point by the model's certified automorphisms
-    (:attr:`QuadricModel.automorphisms`), which preserve perpendicularity
-    and the lines, and so every section and verdict, and carry point 0 to
-    every point; a failed certificate raises ArithmeticError.  ``checked``
-    stays the count over all points, as exact integers: N c / 3 for claim
-    i (each triple has three points), the edge count for claim ii and N c
-    for claims iii and iv, with c the count at point 0.
+    (:attr:`QuadricModel.automorphisms`), which map the lines onto lines,
+    hence perpendicularity, every section and every verdict onto
+    themselves, and carry point 0 to every point; a failed certificate
+    raises ArithmeticError.  ``checked`` stays the count over all points,
+    as exact integers: N c / 3 for claim i (each triple has three points),
+    the edge count for claim ii and N c for claims iii and iv, with c the
+    count at point 0.
 
     Every section is a point mask: the quadric points of the polar of a
     point set are the AND of those points' perp masks

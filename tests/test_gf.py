@@ -120,7 +120,7 @@ def test_small_inverses():
 def test_identity_is_neutral():
     for q in SMALL_FIELDS:
         f = make_field(q)
-        for a in f.elements():
+        for a in range(f.q):
             assert f.mul(a, 1) == a
             assert f.add(a, 0) == a
 
@@ -128,7 +128,7 @@ def test_identity_is_neutral():
 @pytest.mark.parametrize("q", SMALL_FIELDS)
 def test_field_axioms_exhaustive(q):
     f = make_field(q)
-    elems = list(f.elements())
+    elems = list(range(f.q))
     for a in elems:
         assert f.add(a, f.neg(a)) == 0
         if a:
@@ -145,7 +145,7 @@ def test_field_axioms_exhaustive(q):
 @pytest.mark.parametrize("q", SMALL_FIELDS)
 def test_frobenius(q):
     f = make_field(q)
-    for a in f.elements():
+    for a in range(f.q):
         assert f.pow(a, q) == a
 
 
@@ -153,7 +153,7 @@ def test_frobenius(q):
 def test_no_zero_divisors_and_group_order(q):
     # zero-divisor-freeness certifies that each modulus is irreducible
     f = make_field(q)
-    nonzero = [a for a in f.elements() if a]
+    nonzero = [a for a in range(f.q) if a]
     assert len(nonzero) == q - 1
     for a in nonzero:
         assert f.mul(a, f.inv(a)) == 1

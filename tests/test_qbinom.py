@@ -437,7 +437,7 @@ def test_counting_exponent_identities():
                 for i in range(-2, 6):
                     assert quad.value(i) == (t - i) * (i + 3 * k - 2 * t - n) - i
                 assert quad.vertex() == Fraction(n - 3 * k + 3 * t - 1, 2)
-                assert 4 * quad.vertex_value() == (3 * k + 1 - t - n) ** 2 - 4 * t
+                assert 4 * (Fraction(quad.b * quad.b, 4) + quad.c) == (3 * k + 1 - t - n) ** 2 - 4 * t
 
 
 def test_upper_bound_product_stays_under_seven_halves():

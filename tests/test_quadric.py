@@ -6,7 +6,7 @@ import pytest
 from qktw import quadric
 from qktw.errors import BudgetExceededError, NotALineError
 from qktw.gf import make_field
-from qktw.graph import iter_bits, permute_mask
+from qktw.graph import certify_maps, iter_bits, permute_mask
 from qktw.kneser import intersection_counts
 from qktw.qbinom import gauss_binom
 from qktw.quadric import (
@@ -286,10 +286,10 @@ def test_certificate_refuses_a_map_with_two_points_swapped():
     m = QuadricModel(3)
     perms = [list(g) for g in m.automorphisms]
     perms[0][5], perms[0][9] = perms[0][9], perms[0][5]
-    with pytest.raises(ArithmeticError, match="perpendicularity"):
-        quadric.certify_automorphisms(m, perms)
+    with pytest.raises(ArithmeticError, match="map 0 does not map the lines onto themselves"):
+        certify_maps(perms, len(m.points), m.line_set)
     with pytest.raises(ArithmeticError, match="not a permutation"):
-        quadric.certify_automorphisms(m, [[0] * len(m.points)])
+        certify_maps([[0] * len(m.points)], len(m.points), m.line_set)
 
 
 @pytest.mark.parametrize("q", [2, 3])
@@ -297,11 +297,46 @@ def test_certificate_refuses_maps_that_fix_point_0(q):
     m = QuadricModel(q)
     fixing = [g for g in m.automorphisms if g[0] == 0]
     assert fixing and len(fixing) < len(m.automorphisms)
-    assert quadric.certify_automorphisms(m, m.automorphisms) == m.automorphisms
+    certify_maps(m.automorphisms, len(m.points), m.line_set)
     with pytest.raises(ArithmeticError, match="every vertex"):
-        quadric.certify_automorphisms(m, fixing)
+        certify_maps(fixing, len(m.points), m.line_set)
     with pytest.raises(ArithmeticError, match="every vertex"):
-        quadric.certify_automorphisms(m, [])
+        certify_maps([], len(m.points), m.line_set)
+
+
+def test_lines_refuse_perp_masks_that_are_not_the_lines_through_each_point():
+    m = QuadricModel(3)
+
+    def lines_after_flips(*pairs):
+        perp = list(m.perp_masks)
+        for a, b in pairs:
+            perp[a] ^= 1 << b
+        broken = QuadricModel(3)
+        broken.perp_masks = tuple(perp)
+        return broken.lines
+
+    # un-perpendicular two points on a common line, symmetrically: the
+    # double polar through either of them then misses the other
+    a, b = list(iter_bits(m.lines[0]))[:2]
+    with pytest.raises(ArithmeticError, match="q \\+ 1 points"):
+        lines_after_flips((a, b), (b, a))
+    # one bit only, below the diagonal: no line joins 69 to 36, so the line
+    # check could not stand in for perpendicularity
+    assert not (m.perp_masks[69] >> 36) & 1
+    with pytest.raises(ArithmeticError, match="perp mask of point 69 is not the lines"):
+        lines_after_flips((69, 36))
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_lines_are_read_off_the_perp_masks_alone(monkeypatch, q):
+    expected = QuadricModel(q).lines
+
+    def refuse(*args):
+        raise AssertionError("the lines need no subspace of their own")
+
+    monkeypatch.setattr(quadric, "rref_canonical", refuse)
+    monkeypatch.setattr(quadric, "subspaces_of", refuse)
+    assert QuadricModel(q).lines == expected
 
 
 def test_a_missing_line_makes_the_census_fail_not_pass():

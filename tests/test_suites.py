@@ -133,6 +133,9 @@ def test_verdict_suite():
 # SHA-256 of `qktw verify pair-count -q 3` (85 cases), taken before the census
 # moved to one vertex under certified maps.
 _PAIR_COUNT_Q3_DIGEST = "248a52b2ff2cdaf9c2f94e25ec1e79429952057e83dea212d10dbf269d193e36"
+# SHA-256 of `qktw verify perp-census -q 4` (claims ii and iii), taken before
+# the quadric's maps were certified on its lines alone; verify-all stops at q = 3.
+_PERP_CENSUS_Q4_DIGEST = "a6e21a8bf58143615451e32f9ae707da7a81ab12969cba4da1cab3852fbe388f"
 
 
 def oracle_pair_censuses(verts, bases=None):
@@ -203,6 +206,11 @@ def test_pair_count_suite_matches_the_oracle_over_every_pair(q, max_n, max_k):
 def test_pair_count_q3_report_matches_the_pinned_digest():
     text = json.dumps(pair_count_suite(q=3).to_json(), indent=2) + "\n"
     assert hashlib.sha256(text.encode()).hexdigest() == _PAIR_COUNT_Q3_DIGEST
+
+
+def test_perp_census_q4_report_matches_the_pinned_digest():
+    text = json.dumps(perp_census_suite(q=4).to_json(), indent=2) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == _PERP_CENSUS_Q4_DIGEST
 
 
 @pytest.mark.parametrize("q,n,k", [(2, 4, 2), (2, 5, 3), (2, 3, 3), (3, 4, 2)])
