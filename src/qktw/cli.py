@@ -6,7 +6,8 @@ Subcommands:
   alpha        independence number: formula and (budget permitting) exact search
   td-build     star decomposition from the canonical independent set, write .td
   td-validate  validate a .td against a .gr, print width and violations
-  tw-exact     exact treewidth of a small .gr input
+  tw-exact     exact treewidth of a small .gr input (subset DP or, when the
+               min-degree width is at least n/2, the decision DP)
   verify       run one named verification suite, emit a JSON report
   verify-all   the full verification matrix
 
@@ -29,7 +30,9 @@ from .exact import (
     TREEWIDTH_TABLE_MAX_VERTICES,
     TREEWIDTH_VERTEX_CAP,
     SolveBudget,
+    min_degree_width,
     mis_exact,
+    treewidth_by_decision,
     treewidth_exact,
 )
 from .gf import is_prime_power
@@ -217,16 +220,31 @@ def _cmd_td_validate(args) -> int:
 
 def _cmd_tw_exact(args) -> int:
     g = pace_read_gr(args.graph)
-    # Larger graphs are refused by treewidth_exact's table limit before it
-    # allocates anything.
     subsets = (1 << g.n) - 1
-    if g.n <= TREEWIDTH_TABLE_MAX_VERTICES and subsets > TREEWIDTH_NODE_BUDGET:
-        raise SizeLimitError(
-            f"{g.n} vertices give 2^{g.n} - 1 = {subsets} subset-DP nodes, over the "
-            f"tw-exact budget of {TREEWIDTH_NODE_BUDGET} "
-            f"(at most {TREEWIDTH_NODE_BUDGET.bit_length()} vertices)"
-        )
-    tw, td = treewidth_exact(g, SolveBudget(max_vertices=args.max_vertices))
+    solved = None
+    # Where the width is high, the decision path beats the subset DP; its
+    # node count is not known before the run, so the node budget is its
+    # limit.  Past --max-vertices, no bound is computed: both refuse.
+    if g.n <= args.max_vertices and 2 * min_degree_width(g) >= g.n:
+        try:
+            solved = treewidth_by_decision(
+                g, SolveBudget(max_vertices=args.max_vertices, node_limit=TREEWIDTH_NODE_BUDGET)
+            )
+        except BudgetExceededError:
+            # a graph within the subset DP's budget is still solved
+            if subsets > TREEWIDTH_NODE_BUDGET:
+                raise
+    if solved is None:
+        # Larger graphs are refused by treewidth_exact's table limit before
+        # it allocates anything.
+        if g.n <= TREEWIDTH_TABLE_MAX_VERTICES and subsets > TREEWIDTH_NODE_BUDGET:
+            raise SizeLimitError(
+                f"{g.n} vertices give 2^{g.n} - 1 = {subsets} subset-DP nodes, over the "
+                f"tw-exact budget of {TREEWIDTH_NODE_BUDGET} "
+                f"(at most {TREEWIDTH_NODE_BUDGET.bit_length()} vertices)"
+            )
+        solved = treewidth_exact(g, SolveBudget(max_vertices=args.max_vertices))
+    tw, td = solved
     if args.output:
         pace_write_td(td, g.n, args.output)
     _emit({"vertices": g.n, "treewidth": tw, "bags": td.node_count}, None)

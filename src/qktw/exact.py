@@ -4,8 +4,11 @@ Maximum independent set (branch and bound on the complement's clique
 problem with a greedy coloring bound), exact treewidth (dynamic
 programming over vertex subsets, with the component of each subset's
 highest vertex kept in a table and the elimination order recovered along
-one path of subsets), minimum balanced separator (exhaustive over subsets
-by increasing size), and the all-orderings treewidth oracle (depth-first
+one path of subsets), its decision form (the sets of at most n - w - 1
+vertices that can be eliminated first within width w, built level by
+level), which gives the same treewidth and decomposition where the width
+is high, minimum balanced separator (exhaustive over subsets by
+increasing size), and the all-orderings treewidth oracle (depth-first
 over elimination orderings with the width cut) that ``verify-all`` checks
 the subset DP against.  The slower brute-force oracles live in the tests.
 
@@ -18,6 +21,7 @@ from __future__ import annotations
 import time
 from array import array
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from itertools import combinations
 
 from .errors import BudgetExceededError
@@ -33,8 +37,12 @@ TREEWIDTH_VERTEX_CAP = 18
 TREEWIDTH_TABLE_MAX_VERTICES = 23
 # tw-exact refuses, before solving, a graph whose subset DP would tick more
 # nodes (one per nonempty subset) than this: G(22, 1/2) takes about 12 s
-# and 52 MiB peak RSS.
+# and 52 MiB peak RSS.  Its decision path, whose node count (one per set
+# expanded) is known only as it runs, takes this as its node limit.
 TREEWIDTH_NODE_BUDGET = 2**22 - 1
+# The decision path holds each level as a set of masks, about 64 bytes a
+# set: 16 MiB at this many sets, past which a level is refused.
+TREEWIDTH_LEVEL_BUDGET = 2**18
 SEPARATOR_VERTEX_CAP = 20
 
 
@@ -282,6 +290,169 @@ def treewidth_exact(
         for v in iter_bits(s):
             bit = 1 << v
             if best[s ^ bit] <= w and (nb[component(adj, bit, s)] & ~s).bit_count() <= w:
+                break
+        order[pos] = v
+        s ^= bit
+    td = _decomposition_from_order(g, order)
+    if td.width() != width:
+        raise AssertionError("reconstructed decomposition does not match the optimum")
+    return width, td
+
+
+def min_degree_width(g: Graph) -> int:
+    """Width of the min-degree elimination order, the lowest vertex first
+    on ties: an upper bound on the treewidth.
+
+    A heap of (degree, vertex) entries, one pushed whenever a degree
+    changes and stale ones skipped, keeps it near linear on sparse graphs
+    of thousands of vertices."""
+    adj = list(g.adjacency)
+    degree = [m.bit_count() for m in adj]
+    heap = [(d, v) for v, d in enumerate(degree)]
+    heapify(heap)
+    alive = (1 << g.n) - 1
+    width = 0
+    while heap:
+        d, v = heappop(heap)
+        if not alive >> v & 1 or d != degree[v]:
+            continue
+        alive ^= 1 << v
+        nb = adj[v] & alive
+        width = max(width, d)
+        for u in iter_bits(nb):
+            adj[u] = (adj[u] | nb) & ~(1 << u)
+            degree[u] = (adj[u] & alive).bit_count()
+            heappush(heap, (degree[u], u))
+    return width
+
+
+def _neighbourhood(adj: list[int], mask: int) -> int:
+    """N(mask): the vertices adjacent to some vertex of ``mask``."""
+    out = 0
+    for u in iter_bits(mask):
+        out |= adj[u]
+    return out
+
+
+def _width_levels(adj: list[int], part: int, w: int, tick) -> list[set[int]]:
+    """Levels 0..|part|-w-1 of the sets T inside ``part``, a component of
+    the graph, with TW(T) <= w, as masks; the list ends early at the first
+    empty level.
+
+    Level j + 1 is every T + v, T in level j and v in part - T, whose fill
+    set Q(T, v) = (N(v) | N(components of G[T] that v touches)) - T - v
+    has at most w vertices: each component K of G[T] adds N(K) - T to the
+    fill set of every vertex of N(K) - T, which are the vertices that
+    touch it.  One ``tick`` per set expanded; a level that grows past
+    TREEWIDTH_LEVEL_BUDGET sets is refused as it grows."""
+    levels = [{0}]
+    for j in range(1, part.bit_count() - w):
+        grown = set()
+        for t in levels[-1]:
+            tick()
+            out = part ^ t
+            fill = list(adj)
+            for k in components(adj, t):
+                reach = _neighbourhood(adj, k) & out
+                rest = reach
+                while rest:
+                    bit = rest & -rest
+                    rest ^= bit
+                    fill[bit.bit_length() - 1] |= reach
+            rest = out
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                if (fill[bit.bit_length() - 1] & (out ^ bit)).bit_count() <= w:
+                    grown.add(t | bit)
+            if len(grown) > TREEWIDTH_LEVEL_BUDGET:
+                raise BudgetExceededError(
+                    f"level {j} of the width-{w} decision holds more than "
+                    f"{TREEWIDTH_LEVEL_BUDGET} sets"
+                )
+        levels.append(grown)
+        if not grown:
+            break
+    return levels
+
+
+def treewidth_at_most(g: Graph, w: int, budget: SolveBudget | None = None) -> bool:
+    """Whether the treewidth is at most ``w``, by the decision form of the
+    subset DP (Bodlaender, Fomin, Koster, Kratsch and Thilikos).
+
+    A fill set stays inside one component C of the graph, and a vertex of
+    C eliminated after j others of C reaches at most |C| - j - 1 vertices.
+    So tw <= w iff in each C some set of |C| - w - 1 vertices can be
+    eliminated first with every fill degree at most w: iff level
+    |C| - w - 1 of :func:`_width_levels` is not empty.  One budget node
+    per set expanded."""
+    budget = _check_vertex_cap(g, budget, TREEWIDTH_VERTEX_CAP)
+    tick = _BudgetClock(budget).tick
+    adj = g.adjacency
+    return all(
+        _width_levels(adj, part, w, tick)[-1] for part in components(adj, (1 << g.n) - 1)
+    )
+
+
+def treewidth_by_decision(
+    g: Graph, budget: SolveBudget | None = None
+) -> tuple[int, TreeDecomposition]:
+    """Exact treewidth with an optimal decomposition, equal to
+    :func:`treewidth_exact`'s, ``.td`` bytes included, from level
+    families of :func:`_width_levels` instead of a table over all 2^n
+    subsets: faster where the width is high, as on dense graphs.
+
+    TW(X) is the largest TW(X & C) over the components C of the graph,
+    and TW(X & C) <= w iff X & C lies in level |X & C| when that is at
+    most |C| - w - 1, and else iff X & C holds a set of the top level
+    |C| - w - 1: every later fill degree is at most w by itself.  The
+    treewidth is the least w at which V is decided, searched down from
+    :func:`min_degree_width`.  The order is recovered as the subset DP
+    recovers it, from V down: w is lowered to TW(S) while S is still
+    decided at w - 1, then the lowest v with TW(S - v) <= w and
+    |N(K) - S| <= w is eliminated last, K its component in G[S].  One
+    level family is kept per component and width; one budget node per
+    set expanded, and no table cap.
+    """
+    budget = _check_vertex_cap(g, budget, TREEWIDTH_VERTEX_CAP)
+    tick = _BudgetClock(budget).tick
+    n = g.n
+    adj = g.adjacency
+    parts = components(adj, (1 << n) - 1)
+    families: dict[tuple[int, int], list[set[int]]] = {}
+
+    def within(s: int, w: int) -> bool:
+        """TW(s) <= w."""
+        for part in parts:
+            top = part.bit_count() - w - 1
+            if top <= 0:
+                continue
+            if (part, w) not in families:
+                families[part, w] = _width_levels(adj, part, w, tick)
+            levels = families[part, w]
+            x = s & part
+            size = x.bit_count()
+            if size <= top:
+                if size >= len(levels) or x not in levels[size]:
+                    return False
+            elif top >= len(levels) or all(t & ~x for t in levels[top]):
+                return False
+        return True
+
+    s = (1 << n) - 1
+    width = min_degree_width(g)
+    while width and within(s, width - 1):
+        width -= 1
+    order = [0] * n
+    w = width
+    for pos in range(n - 1, -1, -1):
+        while w and within(s, w - 1):
+            w -= 1
+        for v in iter_bits(s):
+            bit = 1 << v
+            if within(s ^ bit, w) and (
+                _neighbourhood(adj, component(adj, bit, s)) & ~s
+            ).bit_count() <= w:
                 break
         order[pos] = v
         s ^= bit

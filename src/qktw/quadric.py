@@ -143,9 +143,12 @@ class QuadricModel:
         """All lines contained in the quadric, as point masks.
 
         Two perpendicular points i and j span a totally singular line L.
-        L^perp is a solid whose quadric points span it (two planes through
-        L), and L^perp^perp = L, so L's points are
-        ``polar_section(iter_bits(polar_section((i, j))))``.
+        L^perp is a solid whose quadric points S = ``polar_section((i, j))``
+        lie on two planes through L, and L^perp^perp = L.  A point a of S
+        that some point of S is not perpendicular to lies off L, on one
+        plane, and b, the lowest point of S not perpendicular to a, on the
+        other; so i, j, a and b span L^perp, and L's points are
+        ``polar_section((i, j, a, b))``, four ANDs.
 
         Raises ArithmeticError unless every point's perp mask is its own
         bit ORed with the lines through it: singular points are
@@ -162,7 +165,13 @@ class QuadricModel:
                 j = i + 1 + off
                 if (covered[i] >> j) & 1:
                     continue
-                mask = self.polar_section(iter_bits(self.polar_section((i, j))))
+                solid = self.polar_section((i, j))
+                a = next((p for p in iter_bits(solid) if solid & ~perp[p]), None)
+                if a is None:
+                    raise ArithmeticError("the polar solid of a quadric line must hold two planes")
+                other = solid & ~perp[a]
+                b = (other & -other).bit_length() - 1
+                mask = self.polar_section((i, j, a, b))
                 if mask.bit_count() != self.q + 1:
                     raise ArithmeticError("a quadric line must have q + 1 points")
                 for p in iter_bits(mask):

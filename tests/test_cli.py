@@ -2,6 +2,8 @@ import hashlib
 import importlib.util
 import json
 import os
+import random
+import re
 import subprocess
 import sys
 import time
@@ -9,13 +11,19 @@ from pathlib import Path
 
 import pytest
 
-from qktw import cli, suites
+from qktw import cli, exact, suites
 from qktw.cli import run
-from qktw.exact import TREEWIDTH_NODE_BUDGET, SolveBudget
+from qktw.exact import TREEWIDTH_NODE_BUDGET, SolveBudget, treewidth_at_most, treewidth_exact
 from qktw.report import CheckCase, SuiteReport, verify_all_json
 from qktw.suites import counting_suite, perp_census_suite
-from qktw.graph import path_graph, petersen_graph
-from qktw.treedec import TreeDecomposition, pace_write_gr
+from qktw.graph import Graph, path_graph, petersen_graph
+from qktw.treedec import (
+    TreeDecomposition,
+    pace_read_td,
+    pace_write_gr,
+    pace_write_td,
+    validate_td,
+)
 
 
 def run_json(capsys, argv):
@@ -335,6 +343,93 @@ def test_tw_exact_node_budget_fails_fast(tmp_path, capsys, monkeypatch):
     pace_write_gr(path_graph(22), gr)
     assert run(["tw-exact", str(gr), "--max-vertices", "26"]) == 0
     assert solved == [22]
+
+
+def gnp(n, p, seed):
+    rng = random.Random(seed)
+    return Graph.from_edges(
+        n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+    )
+
+
+@pytest.mark.parametrize("p, path", [(0.7, "treewidth_by_decision"), (0.25, "treewidth_exact")])
+def test_tw_exact_writes_the_subset_dp_td_on_either_path(tmp_path, capsys, monkeypatch, p, path):
+    g = gnp(14, p, seed=7)
+    gr, td, expected = tmp_path / "g.gr", tmp_path / "g.td", tmp_path / "expected.td"
+    pace_write_gr(g, gr)
+    taken = []
+    solver = getattr(cli, path)
+    monkeypatch.setattr(cli, path, lambda g, budget: taken.append(path) or solver(g, budget))
+    code, payload = run_json(capsys, ["tw-exact", str(gr), "-o", str(td)])
+    assert code == 0 and taken == [path]
+    tw, decomposition = treewidth_exact(g)
+    pace_write_td(decomposition, g.n, expected)
+    assert td.read_bytes() == expected.read_bytes()
+    assert payload == {"vertices": 14, "treewidth": tw, "bags": decomposition.node_count}
+
+
+def test_tw_exact_decides_a_dense_graph_past_the_subset_dp(tmp_path, capsys):
+    g = gnp(24, 0.5, seed=24)
+    gr, td = tmp_path / "g24.gr", tmp_path / "g24.td"
+    pace_write_gr(g, gr)
+    assert run(["tw-exact", str(gr), "-o", str(td)]) == 3
+    assert "24 vertices exceeds the budget of 18" in capsys.readouterr().err
+    start = time.monotonic()
+    code, payload = run_json(capsys, ["tw-exact", str(gr), "-o", str(td), "--max-vertices", "24"])
+    assert code == 0 and time.monotonic() - start < 5
+    decomposition, declared = pace_read_td(td)
+    report = validate_td(g, decomposition)
+    assert declared == 24 and report.passed and report.width == payload["treewidth"]
+    assert not treewidth_at_most(g, payload["treewidth"] - 1, SolveBudget(max_vertices=24))
+
+
+def test_tw_exact_decision_path_stops_at_the_node_budget(tmp_path, capsys, monkeypatch):
+    gr = tmp_path / "g.gr"
+    pace_write_gr(gnp(16, 0.6, seed=3), gr)
+    # 2^16 - 1 subsets are past this budget too, so no subset DP follows
+    monkeypatch.setattr(cli, "TREEWIDTH_NODE_BUDGET", 50)
+    assert run(["tw-exact", str(gr)]) == 3
+    assert capsys.readouterr().err == (
+        "error: search-node limit 50 exceeded after 50 search nodes explored\n"
+    )
+
+
+class _SizeLog(set):
+    """A set that records the largest size any instance reached."""
+
+    largest = 0
+
+    def add(self, item):
+        super().add(item)
+        _SizeLog.largest = max(_SizeLog.largest, len(self))
+
+
+def test_tw_exact_level_budget_trips_as_the_level_grows(tmp_path, capsys, monkeypatch):
+    gr = tmp_path / "g.gr"
+    pace_write_gr(gnp(24, 0.5, seed=24), gr)
+    monkeypatch.setattr(exact, "TREEWIDTH_LEVEL_BUDGET", 20)
+    monkeypatch.setattr(exact, "set", _SizeLog, raising=False)
+    monkeypatch.setattr(_SizeLog, "largest", 0)
+    assert run(["tw-exact", str(gr), "--max-vertices", "24"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(
+        r"error: level \d+ of the width-\d+ decision holds more than 20 sets\n", captured.err
+    )
+    # refused within the one expansion that passed the budget
+    assert 20 < _SizeLog.largest <= 20 + 24
+
+
+def test_tw_exact_falls_back_to_the_subset_dp_within_its_budget(tmp_path, capsys, monkeypatch):
+    g = gnp(16, 0.6, seed=3)
+    gr, td, expected = tmp_path / "g.gr", tmp_path / "g.td", tmp_path / "expected.td"
+    pace_write_gr(g, gr)
+    monkeypatch.setattr(exact, "TREEWIDTH_LEVEL_BUDGET", 20)
+    code, payload = run_json(capsys, ["tw-exact", str(gr), "-o", str(td)])
+    assert code == 0
+    tw, decomposition = treewidth_exact(g)
+    pace_write_td(decomposition, g.n, expected)
+    assert payload["treewidth"] == tw and td.read_bytes() == expected.read_bytes()
 
 
 # q = 128 is past the field tables too: the budget is checked first

@@ -1,4 +1,6 @@
+import inspect
 import random
+import textwrap
 from itertools import combinations, permutations
 
 import pytest
@@ -10,8 +12,11 @@ from qktw import exact
 from qktw.exact import (
     SolveBudget,
     min_balanced_separator,
+    min_degree_width,
     mis_exact,
     treewidth_all_orderings,
+    treewidth_at_most,
+    treewidth_by_decision,
     treewidth_exact,
 )
 from qktw.graph import (
@@ -485,3 +490,179 @@ def test_negative_limits_are_refused(field):
     with pytest.raises(ValueError, match=f"{field} must not be negative"):
         SolveBudget(**{field: -1})
     assert getattr(SolveBudget(**{field: 0}), field) == 0
+
+
+# -- the decision path -----------------------------------------------------------
+
+
+def reference_min_degree_width(g):
+    """Min-degree elimination by a scan over the live vertices per step."""
+    adj = list(g.adjacency)
+    alive = (1 << g.n) - 1
+    width = 0
+    while alive:
+        v = min(iter_bits(alive), key=lambda u: (adj[u] & alive).bit_count())
+        nb = adj[v] & alive & ~(1 << v)
+        width = max(width, nb.bit_count())
+        for u in iter_bits(nb):
+            adj[u] |= nb & ~(1 << u)
+        alive ^= 1 << v
+    return width
+
+
+@given(g=graphs(max_n=12))
+def test_min_degree_width_matches_the_scan_and_bounds_the_treewidth(g):
+    assert min_degree_width(g) == reference_min_degree_width(g) >= treewidth_exact(g)[0]
+
+
+def assert_decision_matches_the_subset_dp(g, every_width=True):
+    """The decision path against ``treewidth_exact``: the width, the
+    decomposition (so the .td bytes) and, optionally, every decision."""
+    tw, td = treewidth_exact(g)
+    assert exact.treewidth_by_decision(g) == (tw, td)
+    if every_width:
+        for w in range(-1, g.n + 1):
+            assert exact.treewidth_at_most(g, w) == (tw <= w), w
+
+
+@pytest.mark.parametrize("g", NAMED_GRAPHS, ids=lambda g: f"n{g.n}-m{g.edge_count}")
+def test_decision_path_matches_the_subset_dp_on_named_graphs(g):
+    assert_decision_matches_the_subset_dp(g)
+
+
+@given(g=graphs(max_n=10))
+def test_decision_path_matches_the_subset_dp(g):
+    assert_decision_matches_the_subset_dp(g)
+
+
+@given(a=graphs(max_n=6), b=graphs(max_n=6))
+def test_decision_path_matches_the_subset_dp_on_disjoint_unions(a, b):
+    assert_decision_matches_the_subset_dp(disjoint_union(a, b))
+
+
+DECISION_GNP = [
+    (n, p, seed)
+    for n in (8, 11, 13, 16)
+    for p in (0.2, 0.35, 0.5, 0.65, 0.8, 0.9)
+    for seed in (0, 1)
+]
+
+
+@pytest.mark.parametrize("n, p, seed", DECISION_GNP)
+def test_decision_order_is_the_subset_dp_order(n, p, seed):
+    assert_decision_matches_the_subset_dp(random_graph(n, p, seed), every_width=False)
+
+
+def _mutant(name, old, new):
+    """``exact.<name>`` rebuilt from its source with ``old`` replaced once
+    by ``new``."""
+    source = textwrap.dedent(inspect.getsource(getattr(exact, name)))
+    assert source.count(old) == 1, old
+    namespace = dict(vars(exact))
+    exec(source.replace(old, new), namespace)
+    return namespace[name]
+
+
+MUTATIONS = {
+    "fill-degree-plus-one": ("_width_levels", ".bit_count() <= w:", ".bit_count() <= w + 1:"),
+    "fill-degree-minus-one": ("_width_levels", ".bit_count() <= w:", ".bit_count() < w:"),
+    "levels-cut-one-short": (
+        "_width_levels", "range(1, part.bit_count() - w)", "range(1, part.bit_count() - w - 1)"
+    ),
+    "top-level-one-short": (
+        "treewidth_by_decision", "top = part.bit_count() - w - 1", "top = part.bit_count() - w - 2"
+    ),
+    "component-not-merged": ("_width_levels", "components(adj, t)", "components(adj, t)[1:]"),
+    "recovery-keeps-the-parent-width": (
+        "treewidth_by_decision", "while w and within(s, w - 1):", "while False:"
+    ),
+}
+
+
+@pytest.mark.parametrize("name, old, new", MUTATIONS.values(), ids=MUTATIONS.keys())
+def test_each_mutation_of_the_decision_path_is_caught(monkeypatch, name, old, new):
+    monkeypatch.setattr(exact, name, _mutant(name, old, new))
+    with pytest.raises(AssertionError):
+        for g in NAMED_GRAPHS:
+            assert_decision_matches_the_subset_dp(g)
+        for n, p, seed in DECISION_GNP:
+            assert_decision_matches_the_subset_dp(random_graph(n, p, seed), every_width=False)
+
+
+def _families(monkeypatch):
+    """Patch ``_width_levels`` to keep every level family it builds."""
+    levels_of = exact._width_levels
+    built = []
+
+    def logged(adj, part, w, tick):
+        built.append(levels_of(adj, part, w, tick))
+        return built[-1]
+
+    monkeypatch.setattr(exact, "_width_levels", logged)
+    return built
+
+
+def _expanded(families):
+    """Sets expanded: every level of a family but the last, the top or an
+    empty one."""
+    return sum(len(level) for levels in families for level in levels[:-1])
+
+
+def test_decision_node_limit_is_one_node_per_set_expanded(monkeypatch):
+    g = random_graph(14, 0.6, seed=4)
+    families = _families(monkeypatch)
+    result = treewidth_by_decision(g)
+    nodes = _expanded(families)
+    assert len(families) >= 2 and nodes > 100
+    assert treewidth_by_decision(g, SolveBudget(node_limit=nodes)) == result
+    with pytest.raises(BudgetExceededError) as info:
+        treewidth_by_decision(g, SolveBudget(node_limit=nodes - 1))
+    limit = nodes - 1
+    assert str(info.value) == f"search-node limit {limit} exceeded after {limit} search nodes explored"
+    families.clear()
+    assert treewidth_at_most(g, result[0]) and len(families) == 1
+    nodes = _expanded(families)
+    assert treewidth_at_most(g, result[0], SolveBudget(node_limit=nodes))
+    with pytest.raises(BudgetExceededError, match="search-node limit"):
+        treewidth_at_most(g, result[0], SolveBudget(node_limit=nodes - 1))
+
+
+@pytest.mark.parametrize("limit", [0, 1e-9])
+def test_decision_time_limit_is_polled_every_1024_sets(limit):
+    g = random_graph(24, 0.5, seed=24)
+    with pytest.raises(BudgetExceededError) as info:
+        treewidth_by_decision(g, SolveBudget(max_vertices=24, time_limit=limit))
+    assert str(info.value) == f"time limit of {limit} s exceeded after 1023 search nodes explored"
+
+
+def test_decision_path_takes_the_vertex_cap_but_no_table_cap():
+    g = random_graph(24, 0.5, seed=24)
+    with pytest.raises(BudgetExceededError, match="24 vertices exceeds the budget of 18"):
+        treewidth_by_decision(g)
+    with pytest.raises(BudgetExceededError, match="24 vertices exceeds the budget of 23"):
+        treewidth_at_most(g, 20, SolveBudget(max_vertices=23))
+    tw, td = treewidth_by_decision(g, SolveBudget(max_vertices=24))
+    assert validate_td(g, td).passed and td.width() == tw
+    assert not treewidth_at_most(g, tw - 1, SolveBudget(max_vertices=24))
+
+
+def test_decision_path_decides_each_component_apart():
+    # as one vertex set, the width-10 levels would hold every mix of
+    # clique and isolated vertices: 263,950 sets expanded
+    g = disjoint_union(complete_graph(11), Graph(9))
+    assert treewidth_by_decision(g, SolveBudget(max_vertices=20, node_limit=100)) == (
+        treewidth_exact(g, SolveBudget(max_vertices=20))
+    )
+    assert not treewidth_at_most(g, 9, SolveBudget(max_vertices=20, node_limit=1))
+
+
+def test_level_budget_is_the_largest_level(monkeypatch):
+    g = random_graph(14, 0.6, seed=4)
+    families = _families(monkeypatch)
+    result = treewidth_by_decision(g)
+    budget = max(len(level) for levels in families for level in levels)
+    monkeypatch.setattr(exact, "TREEWIDTH_LEVEL_BUDGET", budget)
+    assert treewidth_by_decision(g) == result
+    monkeypatch.setattr(exact, "TREEWIDTH_LEVEL_BUDGET", budget - 1)
+    with pytest.raises(BudgetExceededError, match=f"decision holds more than {budget - 1} sets"):
+        treewidth_by_decision(g)

@@ -316,7 +316,7 @@ def test_lines_refuse_perp_masks_that_are_not_the_lines_through_each_point():
         return broken.lines
 
     # un-perpendicular two points on a common line, symmetrically: the
-    # double polar through either of them then misses the other
+    # line read off the four ANDs through either of them then misses the other
     a, b = list(iter_bits(m.lines[0]))[:2]
     with pytest.raises(ArithmeticError, match="q \\+ 1 points"):
         lines_after_flips((a, b), (b, a))
@@ -325,6 +325,24 @@ def test_lines_refuse_perp_masks_that_are_not_the_lines_through_each_point():
     assert not (m.perp_masks[69] >> 36) & 1
     with pytest.raises(ArithmeticError, match="perp mask of point 69 is not the lines"):
         lines_after_flips((69, 36))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_lines_from_four_ands_are_the_double_polars(q):
+    m = QuadricModel(q)
+    double_polars = {
+        m.polar_section(iter_bits(m.polar_section((i, j))))
+        for i, row in enumerate(m.perp_masks)
+        for j in iter_bits(row & ~(1 << i))
+    }
+    assert set(m.lines) == double_polars and len(m.lines) == len(double_polars)
+
+
+def test_lines_refuse_a_polar_solid_of_mutually_perpendicular_points():
+    broken = QuadricModel(2)
+    broken.perp_masks = ((1 << len(broken.points)) - 1,) * len(broken.points)
+    with pytest.raises(ArithmeticError, match="two planes"):
+        broken.lines
 
 
 @pytest.mark.parametrize("q", [2, 3])
