@@ -6,8 +6,8 @@ Subcommands:
   alpha        independence number: formula and (budget permitting) exact search
   td-build     star decomposition from the canonical independent set, write .td
   td-validate  validate a .td against a .gr, print width and violations
-  tw-exact     exact treewidth of a small .gr input (subset DP or, when the
-               min-degree width is at least n/2, the decision DP)
+  tw-exact     exact treewidth of a small .gr input (the decision DP, and the
+               subset DP where the decision DP runs out of budget)
   verify       run one named verification suite, emit a JSON report
   verify-all   the full verification matrix
 
@@ -27,10 +27,8 @@ from .errors import BudgetExceededError, PaceParseError, SizeLimitError
 from .exact import (
     MIS_VERTEX_CAP,
     TREEWIDTH_NODE_BUDGET,
-    TREEWIDTH_TABLE_MAX_VERTICES,
     TREEWIDTH_VERTEX_CAP,
     SolveBudget,
-    min_degree_width,
     mis_exact,
     treewidth_by_decision,
     treewidth_exact,
@@ -220,29 +218,17 @@ def _cmd_td_validate(args) -> int:
 
 def _cmd_tw_exact(args) -> int:
     g = pace_read_gr(args.graph)
-    subsets = (1 << g.n) - 1
-    solved = None
-    # Where the width is high, the decision path beats the subset DP; its
-    # node count is not known before the run, so the node budget is its
-    # limit.  Past --max-vertices, no bound is computed: both refuse.
-    if g.n <= args.max_vertices and 2 * min_degree_width(g) >= g.n:
-        try:
-            solved = treewidth_by_decision(
-                g, SolveBudget(max_vertices=args.max_vertices, node_limit=TREEWIDTH_NODE_BUDGET)
-            )
-        except BudgetExceededError:
-            # a graph within the subset DP's budget is still solved
-            if subsets > TREEWIDTH_NODE_BUDGET:
-                raise
-    if solved is None:
-        # Larger graphs are refused by treewidth_exact's table limit before
-        # it allocates anything.
-        if g.n <= TREEWIDTH_TABLE_MAX_VERTICES and subsets > TREEWIDTH_NODE_BUDGET:
-            raise SizeLimitError(
-                f"{g.n} vertices give 2^{g.n} - 1 = {subsets} subset-DP nodes, over the "
-                f"tw-exact budget of {TREEWIDTH_NODE_BUDGET} "
-                f"(at most {TREEWIDTH_NODE_BUDGET.bit_length()} vertices)"
-            )
+    # The decision path refuses a graph past --max-vertices before it runs.
+    # Its node count is not known before the run, so the node budget is its
+    # limit; where it runs out, the subset DP solves a graph whose 2^n - 1
+    # subsets, one node each, are within that budget.
+    try:
+        solved = treewidth_by_decision(
+            g, SolveBudget(max_vertices=args.max_vertices, node_limit=TREEWIDTH_NODE_BUDGET)
+        )
+    except BudgetExceededError:
+        if g.n > args.max_vertices or (1 << g.n) - 1 > TREEWIDTH_NODE_BUDGET:
+            raise
         solved = treewidth_exact(g, SolveBudget(max_vertices=args.max_vertices))
     tw, td = solved
     if args.output:

@@ -6,11 +6,12 @@ programming over vertex subsets, with the component of each subset's
 highest vertex kept in a table and the elimination order recovered along
 one path of subsets), its decision form (the sets of at most n - w - 1
 vertices that can be eliminated first within width w, built level by
-level), which gives the same treewidth and decomposition where the width
-is high, minimum balanced separator (exhaustive over subsets by
-increasing size), and the all-orderings treewidth oracle (depth-first
-over elimination orderings with the width cut) that ``verify-all`` checks
-the subset DP against.  The slower brute-force oracles live in the tests.
+level, and a memoized search from a set down), which gives the same
+treewidth and decomposition, minimum balanced separator (exhaustive over
+subsets by increasing size), and the all-orderings treewidth oracle
+(depth-first over elimination orderings with the width cut) that
+``verify-all`` checks the subset DP against.  The slower brute-force
+oracles live in the tests.
 
 All solvers are deterministic: fixed vertex order, lowest-index
 tie-breaking.  Exceeded budgets raise, they never return a wrong answer.
@@ -21,6 +22,7 @@ from __future__ import annotations
 import time
 from array import array
 from dataclasses import dataclass
+from functools import partial
 from heapq import heapify, heappop, heappush
 from itertools import combinations
 
@@ -35,14 +37,22 @@ TREEWIDTH_VERTEX_CAP = 18
 # 128 MiB memory budget of graph.GRAPH_MAX_VERTICES, and 144 MiB at 24.
 # No budget admits more.
 TREEWIDTH_TABLE_MAX_VERTICES = 23
-# tw-exact refuses, before solving, a graph whose subset DP would tick more
-# nodes (one per nonempty subset) than this: G(22, 1/2) takes about 12 s
-# and 52 MiB peak RSS.  Its decision path, whose node count (one per set
-# expanded) is known only as it runs, takes this as its node limit.
+# tw-exact's node limit.  Its decision path's node count (the vertices
+# each of its passes goes over) is known only as it runs; the subset DP,
+# its fallback, is refused before solving where it would tick more nodes
+# (one per nonempty subset): G(22, 1/2) takes about 12 s and 52 MiB peak
+# RSS there.
 TREEWIDTH_NODE_BUDGET = 2**22 - 1
-# The decision path holds each level as a set of masks, about 64 bytes a
-# set: 16 MiB at this many sets, past which a level is refused.
+# The decision path holds each level, and each width's search memo, as
+# masks, about 64 bytes a set: 16 MiB at this many sets, past which a
+# level or a memo is refused.
 TREEWIDTH_LEVEL_BUDGET = 2**18
+# Its masks take n bits: past this many vertices a level or a memo of
+# TREEWIDTH_LEVEL_BUDGET sets would hold more than 64 MiB of them, so
+# larger graphs are refused.  The node budget bounds its time: at this
+# size a path is solved in 2.1 million nodes, 1.9 s, and a ladder with
+# shuffled labels trips the budget after 2.1 s (2 vCPU, in process).
+_DECISION_MAX_VERTICES = 2048
 SEPARATOR_VERTEX_CAP = 20
 
 
@@ -72,19 +82,21 @@ class _BudgetClock:
         )
         self.nodes = 0
 
-    def tick(self) -> None:
-        self.nodes += 1
+    def tick(self, cost: int = 1) -> None:
+        """Count ``cost`` nodes: one for a node of most solvers, and for
+        the decision path the vertices a pass goes over."""
+        explored = self.nodes
+        self.nodes += cost
         if self.node_limit is not None and self.nodes > self.node_limit:
-            self._exceeded(f"search-node limit {self.node_limit}")
-        if self.deadline is not None and self.nodes % 1024 == 0:
+            self._exceeded(f"search-node limit {self.node_limit}", explored)
+        # the clock is read once every 1,024 nodes
+        if self.deadline is not None and self.nodes >> 10 != explored >> 10:
             if time.monotonic() > self.deadline:
-                self._exceeded(f"time limit of {self.time_limit} s")
+                self._exceeded(f"time limit of {self.time_limit} s", explored)
 
-    def _exceeded(self, limit: str) -> None:
-        # the node being ticked is not explored
-        raise BudgetExceededError(
-            f"{limit} exceeded after {self.nodes - 1} search nodes explored"
-        )
+    def _exceeded(self, limit: str, explored: int) -> None:
+        # the nodes being ticked are not explored
+        raise BudgetExceededError(f"{limit} exceeded after {explored} search nodes explored")
 
 
 def _check_vertex_cap(g: Graph, budget: SolveBudget | None, default_cap: int) -> SolveBudget:
@@ -176,21 +188,20 @@ def _decomposition_from_order(g: Graph, order: list[int]) -> TreeDecomposition:
             adj[u] |= nb
         alive ^= 1 << v
 
-    bags: list[set[int]] = []
-    edges: list[tuple[int, int]] = []
-
-    def build(i: int) -> None:
-        if i == n - 1:
-            bags.append({order[i]})
-            return
-        v, nb = cliques[i]
-        build(i + 1)
+    # each clique goes under the first bag made that holds it: that of its
+    # first-eliminated vertex, which the bags made earlier, of vertices
+    # eliminated later, miss (an empty clique goes under the first bag).
+    # A loop, not a recursion: orders of thousands of vertices are taken.
+    position = [0] * n
+    for i, v in enumerate(order):
+        position[v] = i
+    bags = [{order[-1]}]
+    edges = []
+    for v, nb in reversed(cliques[:-1]):
         clique = set(iter_bits(nb))
-        target = next(t for t, bag in enumerate(bags) if clique <= bag)
+        target = n - 1 - min(position[u] for u in clique) if clique else 0
+        edges.append((target, len(bags)))
         bags.append(clique | {v})
-        edges.append((target, len(bags) - 1))
-
-    build(0)
     return TreeDecomposition(tuple(tuple(sorted(b)) for b in bags), tuple(edges))
 
 
@@ -289,7 +300,7 @@ def treewidth_exact(
         w = best[s]
         for v in iter_bits(s):
             bit = 1 << v
-            if best[s ^ bit] <= w and (nb[component(adj, bit, s)] & ~s).bit_count() <= w:
+            if best[s ^ bit] <= w and (component(adj, bit, s)[1] & ~s).bit_count() <= w:
                 break
         order[pos] = v
         s ^= bit
@@ -326,14 +337,6 @@ def min_degree_width(g: Graph) -> int:
     return width
 
 
-def _neighbourhood(adj: list[int], mask: int) -> int:
-    """N(mask): the vertices adjacent to some vertex of ``mask``."""
-    out = 0
-    for u in iter_bits(mask):
-        out |= adj[u]
-    return out
-
-
 def _width_levels(adj: list[int], part: int, w: int, tick) -> list[set[int]]:
     """Levels 0..|part|-w-1 of the sets T inside ``part``, a component of
     the graph, with TW(T) <= w, as masks; the list ends early at the first
@@ -352,8 +355,8 @@ def _width_levels(adj: list[int], part: int, w: int, tick) -> list[set[int]]:
             tick()
             out = part ^ t
             fill = list(adj)
-            for k in components(adj, t):
-                reach = _neighbourhood(adj, k) & out
+            for k, reach in components(adj, t):
+                reach &= out
                 rest = reach
                 while rest:
                     bit = rest & -rest
@@ -390,45 +393,187 @@ def treewidth_at_most(g: Graph, w: int, budget: SolveBudget | None = None) -> bo
     tick = _BudgetClock(budget).tick
     adj = g.adjacency
     return all(
-        _width_levels(adj, part, w, tick)[-1] for part in components(adj, (1 << g.n) - 1)
+        _width_levels(adj, part, w, tick)[-1] for part, _ in components(adj, (1 << g.n) - 1)
     )
+
+
+def _search(adj: list[int], x: int, w: int, memos: dict, stop: int, clock) -> bool | None:
+    """Whether TW(x) <= w, by a memoized search from x down; None once
+    ``clock`` has passed ``stop`` nodes.
+
+    A disconnected set is within w iff each of its components is.  A
+    connected C needs |N(C) - C| <= w, as the last vertex of C to go
+    reaches all of N(C) - C, and then holds at once if |N(C) - C| + |C| - 1
+    <= w, as no vertex of C can reach more; else it needs some v, tried
+    lowest first, whose components of C - v are all within w.  Each of
+    those touches v, so where |N(C) - C| = w, one that touches all of
+    N(C) - C refutes v before C - v is split (:func:`_refuters`).
+    ``memos[w]`` keeps each connected set's answer at width w for later
+    queries.  Each pass, the split of x, a refutation and the split of
+    C - v, ticks the vertices it goes over, and a width at which the memo
+    and the open sets would pass TREEWIDTH_LEVEL_BUDGET is refused.  The
+    open sets are frames of an explicit stack, not Python recursion, so a
+    chain of thousands of sets is taken."""
+    memo = memos.setdefault(w, {})
+    known = memo.get(x)
+    if known is not None:
+        return known
+    tick = clock.tick
+    tick(x.bit_count())
+    # a frame: the set c, its untried candidates, the attachments that
+    # refute and the sole attachments (see _refuters), N(c) - c, and the
+    # components of c - v, each with its neighbourhood, still to be
+    # decided for the candidate v in hand (None before the first); the
+    # bottom frame, c = 0, holds x's components and no candidate
+    stack = [[0, 0, 0, 0, 0, components(adj, x)]]
+    while True:
+        frame = stack[-1]
+        c, untried, attached, sole, out, pending = frame
+        if pending:
+            k, reach = pending[-1]
+            known = memo.get(k)
+            if known:
+                pending.pop()
+                continue
+            if known is None:
+                if len(memo) + len(stack) > TREEWIDTH_LEVEL_BUDGET:
+                    raise BudgetExceededError(
+                        f"the width-{w} search holds more than {TREEWIDTH_LEVEL_BUDGET} sets"
+                    )
+                out = reach & ~k
+                d = out.bit_count()
+                if d > w:
+                    memo[k] = False
+                elif d + k.bit_count() <= w + 1:
+                    memo[k] = True
+                else:
+                    stack.append([k, k, *_refuters(adj, k, out, w), out, None])
+                continue
+            # a component of c - v is not within w
+        elif pending is not None:
+            # every component of c - v is within w
+            if not c:
+                return True
+            memo[c] = True
+            stack.pop()
+            continue
+        if clock.nodes > stop:
+            return None
+        # the next candidate not refuted at once
+        while untried:
+            bit = untried & -untried
+            untried ^= bit
+            rest = c ^ bit
+            start = attached & rest
+            if bit & sole or not (start and _touches(adj, start & -start, rest, out, tick)):
+                frame[1] = untried
+                tick(rest.bit_count())
+                frame[5] = components(adj, rest)
+                break
+        else:
+            if not c:
+                return False
+            memo[c] = False
+            stack.pop()
+
+
+def _refuters(adj: list[int], c: int, out: int, w: int) -> tuple[int, int]:
+    """For a connected c with N(c) - c = ``out``: the attachments in c of
+    out's lowest vertex if |out| = w, else none, and the vertices of c
+    that are some vertex of out's only attachment.  Removing such a vertex
+    leaves no component touching all of out, so it is not refuted."""
+    if not out or out.bit_count() != w:
+        return 0, 0
+    sole = 0
+    for o in iter_bits(out):
+        a = adj[o] & c
+        if a & (a - 1) == 0:
+            sole |= a
+    return adj[(out & -out).bit_length() - 1] & c, sole
+
+
+def _touches(adj: list[int], start: int, within: int, target: int, tick) -> bool:
+    """Whether the component of the one-bit mask ``start`` in the graph
+    induced on ``within`` has all of ``target`` among its neighbours.
+
+    The breadth-first search of ``graph.component``, stopped as soon as
+    the answer is yes: a refutation then costs the few vertices between
+    an attachment and the rest of the target, not a whole component.  It
+    ticks the vertices it reached."""
+    grown = frontier = start
+    rest = within & ~start
+    while frontier:
+        nxt = 0
+        while frontier:
+            bit = frontier & -frontier
+            frontier ^= bit
+            nxt |= adj[bit.bit_length() - 1]
+        target &= ~nxt
+        if not target:
+            break
+        frontier = nxt & rest
+        rest ^= frontier
+        grown |= frontier
+    tick(grown.bit_count())
+    return not target
 
 
 def treewidth_by_decision(
     g: Graph, budget: SolveBudget | None = None
 ) -> tuple[int, TreeDecomposition]:
     """Exact treewidth with an optimal decomposition, equal to
-    :func:`treewidth_exact`'s, ``.td`` bytes included, from level
-    families of :func:`_width_levels` instead of a table over all 2^n
-    subsets: faster where the width is high, as on dense graphs.
+    :func:`treewidth_exact`'s, ``.td`` bytes included, from decisions
+    TW(X) <= w instead of a table over all 2^n subsets.
 
-    TW(X) is the largest TW(X & C) over the components C of the graph,
-    and TW(X & C) <= w iff X & C lies in level |X & C| when that is at
-    most |C| - w - 1, and else iff X & C holds a set of the top level
+    The level families of :func:`_width_levels` decide: TW(X) is the
+    largest TW(X & C) over the components C of the graph, and
+    TW(X & C) <= w iff X & C lies in level |X & C| when that is at most
+    |C| - w - 1, and else iff X & C holds a set of the top level
     |C| - w - 1: every later fill degree is at most w by itself.  The
     treewidth is the least w at which V is decided, searched down from
-    :func:`min_degree_width`.  The order is recovered as the subset DP
-    recovers it, from V down: w is lowered to TW(S) while S is still
-    decided at w - 1, then the lowest v with TW(S - v) <= w and
-    |N(K) - S| <= w is eliminated last, K its component in G[S].  One
-    level family is kept per component and width; one budget node per
-    set expanded, and no table cap.
+    :func:`min_degree_width`.
+
+    The order is recovered as the subset DP recovers it, from S = V down:
+    w is lowered to TW(S) while S is still decided at w - 1, then the
+    lowest v with TW(S - v) <= w goes last.  As TW(S) is the largest TW
+    of its components, that v is the lowest, over the components K of
+    G[S], of the lowest v of K with TW(K - v) <= w, and each K's is kept
+    until K is split or w falls.  (The subset DP's second test,
+    |N(K) - S| <= w, always holds here: it is at most TW(K).)  A
+    candidate v is refuted first as in :func:`_search`.  Below the
+    treewidth the level families, which refute, answer.  At the
+    treewidth, whose family holds most sets and is asked mostly "yes",
+    :func:`_search` answers first, unless the width search has built that
+    family already; a query gives up once the run has ticked twice its
+    nodes before the query plus 2n^2, and that width's family answers
+    from then on.
+
+    The budget counts the vertices each pass goes over: |C| for each set
+    a family of component C expands, and the vertices of each split and
+    refutation of the search and of the recovery's candidates (not the
+    recovery's n splits of S, at most n^2 vertices in all).
     """
     budget = _check_vertex_cap(g, budget, TREEWIDTH_VERTEX_CAP)
-    tick = _BudgetClock(budget).tick
+    if g.n > _DECISION_MAX_VERTICES:
+        raise BudgetExceededError(
+            f"{g.n} vertices exceed the {_DECISION_MAX_VERTICES} of the decision path"
+        )
+    clock = _BudgetClock(budget)
     n = g.n
     adj = g.adjacency
     parts = components(adj, (1 << n) - 1)
     families: dict[tuple[int, int], list[set[int]]] = {}
+    memos: dict[int, dict[int, bool]] = {}
 
     def within(s: int, w: int) -> bool:
-        """TW(s) <= w."""
-        for part in parts:
+        """TW(s) <= w, from the level families."""
+        for part, _ in parts:
             top = part.bit_count() - w - 1
             if top <= 0:
                 continue
             if (part, w) not in families:
-                families[part, w] = _width_levels(adj, part, w, tick)
+                expand = partial(clock.tick, part.bit_count())
+                families[part, w] = _width_levels(adj, part, w, expand)
             levels = families[part, w]
             x = s & part
             size = x.bit_count()
@@ -440,22 +585,56 @@ def treewidth_by_decision(
         return True
 
     s = (1 << n) - 1
-    width = min_degree_width(g)
+    upper = width = min_degree_width(g)
     while width and within(s, width - 1):
         width -= 1
+    # the search answers at the treewidth until it gives up
+    searching = width == upper
+
+    def lowest(k: int, reach: int, w: int) -> int:
+        """The lowest v of ``k``, a component of G[S] with N(k) = ``reach``,
+        with TW(k - v) <= w."""
+        nonlocal searching
+        out = reach & ~k
+        attached, sole = _refuters(adj, k, out, w)
+        for v in iter_bits(k):
+            x = k ^ (1 << v)
+            start = attached & x
+            if start and not sole >> v & 1 and _touches(adj, start & -start, x, out, clock.tick):
+                continue
+            if searching and w == width:
+                # a query may at most double the run's nodes, plus 2n^2
+                # (2n sets of n vertices): with the run's nodes counted
+                # once, a seeded sweep at n = 14-18 took 1.2-1.7 times as
+                # long, and n^2 or 4n^2 in place of 2n^2 moved neither it,
+                # the benchmark's graphs nor dense G(n, 1/2) at n = 22-26
+                # past noise (best of 3, in process)
+                found = _search(adj, x, w, memos, 2 * clock.nodes + 2 * n * n, clock)
+                if found is None:
+                    # past the give-up point: the family answers from now on
+                    searching = False
+                    found = within(x, width)
+            else:
+                found = within(x, w)
+            if found:
+                return v
+        raise AssertionError("no vertex of a component goes last within its width")
+
     order = [0] * n
     w = width
+    # each component K of G[S], with the lowest v of K that goes last
+    low = {k: lowest(k, reach, w) for k, reach in parts}
     for pos in range(n - 1, -1, -1):
-        while w and within(s, w - 1):
-            w -= 1
-        for v in iter_bits(s):
-            bit = 1 << v
-            if within(s ^ bit, w) and (
-                _neighbourhood(adj, component(adj, bit, s)) & ~s
-            ).bit_count() <= w:
-                break
+        if w and within(s, w - 1):
+            while w and within(s, w - 1):
+                w -= 1
+            low = {k: lowest(k, reach, w) for k, reach in components(adj, s)}
+        k = min(low, key=low.__getitem__)
+        v = low.pop(k)
         order[pos] = v
-        s ^= bit
+        s ^= 1 << v
+        for piece, reach in components(adj, k ^ (1 << v)):
+            low[piece] = lowest(piece, reach, w)
     td = _decomposition_from_order(g, order)
     if td.width() != width:
         raise AssertionError("reconstructed decomposition does not match the optimum")
@@ -561,7 +740,7 @@ def min_balanced_separator(
             clock.tick()
             ymask = full ^ sum(p)
             if _balanced(adj, ymask, g.n - size):
-                sizes = [c.bit_count() for c in components(adj, ymask)]
+                sizes = [c.bit_count() for c, _ in components(adj, ymask)]
                 return SeparatorSearchResult(
                     size=size,
                     witness=tuple(b.bit_length() - 1 for b in p),

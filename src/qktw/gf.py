@@ -98,6 +98,7 @@ def _exact_root(q: int, e: int) -> int | None:
     return r if r**e == q else None
 
 
+@lru_cache(maxsize=1024)
 def prime_power(q: int) -> tuple[int, int]:
     """Decompose q = p**e with p prime; raise NotAPrimePowerError otherwise.
 
@@ -105,7 +106,9 @@ def prime_power(q: int) -> tuple[int, int]:
     the first exact root r is the only candidate for p, since a composite
     r makes q have two prime divisors.  Its primality is decided exactly
     (`_is_prime`); a prime candidate too large for that raises
-    SizeLimitError instead of a probable verdict.
+    SizeLimitError instead of a probable verdict.  Answers are kept for
+    the last 1,024 orders asked (a formula sweep asks the same few orders
+    thousands of times); a refusal is not kept, so it is raised again.
     """
     if q < 2:
         raise NotAPrimePowerError(f"field order must be at least 2, got {q}")

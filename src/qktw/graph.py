@@ -28,14 +28,20 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def component(adj: Sequence[int], start: int, within: int) -> int:
-    """Component of ``start`` in the graph induced on ``within``, as a mask.
+def component(adj: Sequence[int], start: int, within: int) -> tuple[int, int]:
+    """Component of ``start`` in the graph induced on ``within``, as a mask,
+    with its neighbourhood N(component), the OR of its vertices' adjacency.
 
     ``start`` is a one-bit mask inside ``within``.  The one component
-    search of the package, apart from the inline loop of
-    ``exact._balanced``, which stops growing once a component passes half.
+    search of the package, apart from two inline loops that stop early:
+    ``exact._balanced``, which stops growing once a component passes half,
+    and ``exact._touches``, which stops once a component touches a given
+    set.  The search ORs every reached vertex's adjacency anyway, so the
+    neighbourhood costs one OR a layer; callers that need only the mask
+    drop it.
     """
     comp = frontier = start
+    reach = 0
     rest = within & ~start
     while frontier:
         nxt = 0
@@ -43,20 +49,23 @@ def component(adj: Sequence[int], start: int, within: int) -> int:
             bit = frontier & -frontier
             frontier ^= bit
             nxt |= adj[bit.bit_length() - 1]
+        reach |= nxt
         frontier = nxt & rest
         rest ^= frontier
         comp |= frontier
-    return comp
+    return comp, reach
 
 
-def components(adj: Sequence[int], subset_mask: int) -> list[int]:
-    """Connected components of the graph induced on ``subset_mask``, as masks."""
+def components(adj: Sequence[int], subset_mask: int) -> list[tuple[int, int]]:
+    """Connected components of the graph induced on ``subset_mask``, as
+    masks, lowest vertex first, each with its neighbourhood (see
+    ``component``)."""
     out = []
     rest = subset_mask
     while rest:
-        comp = component(adj, rest & -rest, subset_mask)
-        out.append(comp)
-        rest &= ~comp
+        found = component(adj, rest & -rest, rest)
+        out.append(found)
+        rest ^= found[0]
     return out
 
 

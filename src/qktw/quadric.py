@@ -721,5 +721,5 @@ def _is_point_plus_two_cycles(model: QuadricModel, z: int, union: int) -> bool:
     adj = model.adjacency_masks
     if any((adj[x] & rest).bit_count() != 2 for x in iter_bits(rest)):
         return False
-    comps = components(adj, rest)
+    comps = [c for c, _ in components(adj, rest)]
     return len(comps) == 2 and all(c.bit_count() == 4 for c in comps)

@@ -133,7 +133,7 @@ def validate_td(g: Graph, td: TreeDecomposition) -> TdValidationReport:
             f"{len(td.tree_edges)} edges on {nb} nodes (a tree needs {nb - 1})"
         )
     all_nodes = (1 << nb) - 1
-    if component(tree, 1, all_nodes) != all_nodes:
+    if component(tree, 1, all_nodes)[0] != all_nodes:
         tree_problems.append("tree is disconnected")
     is_tree = not tree_problems
 
@@ -165,7 +165,7 @@ def validate_td(g: Graph, td: TreeDecomposition) -> TdValidationReport:
         occ = occurrence[v]
         if not occ:
             missing.append(v)
-        elif is_tree and component(tree, occ & -occ, occ) != occ:
+        elif is_tree and component(tree, occ & -occ, occ)[0] != occ:
             broken.append(v)
 
     return TdValidationReport(
@@ -231,7 +231,7 @@ def balanced_separator_check(g: Graph, p_set: Iterable[int]) -> SeparatorReport:
         pmask |= 1 << v
     ymask = ((1 << g.n) - 1) & ~pmask
     ycount = g.n - len(p)
-    sizes = sorted((c.bit_count() for c in components(g.adjacency, ymask)), reverse=True)
+    sizes = sorted((c.bit_count() for c, _ in components(g.adjacency, ymask)), reverse=True)
     balanced = all(2 * s <= ycount for s in sizes)
     return SeparatorReport(
         separator_size=len(p),

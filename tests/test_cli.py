@@ -13,10 +13,10 @@ import pytest
 
 from qktw import cli, exact, suites
 from qktw.cli import run
-from qktw.exact import TREEWIDTH_NODE_BUDGET, SolveBudget, treewidth_at_most, treewidth_exact
+from qktw.exact import SolveBudget, treewidth_at_most, treewidth_exact
 from qktw.report import CheckCase, SuiteReport, verify_all_json
 from qktw.suites import counting_suite, perp_census_suite
-from qktw.graph import Graph, path_graph, petersen_graph
+from qktw.graph import Graph, cycle_graph, path_graph, petersen_graph
 from qktw.treedec import (
     TreeDecomposition,
     pace_read_td,
@@ -310,8 +310,14 @@ def test_tw_exact_command(tmp_path, capsys):
 def test_tw_exact_budget_failure_reaches_stderr(tmp_path, capsys, monkeypatch):
     gr = tmp_path / "pet.gr"
     pace_write_gr(petersen_graph(), gr)
+    # the decision path, given a node limit, trips at once; the subset DP
+    # that takes over trips at 100 nodes
     monkeypatch.setattr(
-        cli, "SolveBudget", lambda max_vertices: SolveBudget(max_vertices, node_limit=100)
+        cli,
+        "SolveBudget",
+        lambda max_vertices, node_limit=None: SolveBudget(
+            max_vertices, node_limit=100 if node_limit is None else 0
+        ),
     )
     assert run(["tw-exact", str(gr)]) == 3
     captured = capsys.readouterr()
@@ -319,9 +325,15 @@ def test_tw_exact_budget_failure_reaches_stderr(tmp_path, capsys, monkeypatch):
     assert captured.err == "error: search-node limit 100 exceeded after 100 search nodes explored\n"
 
 
-def test_tw_exact_table_budget(tmp_path, capsys):
+def test_tw_exact_table_budget(tmp_path, capsys, monkeypatch):
     gr = tmp_path / "path24.gr"
     pace_write_gr(path_graph(24), gr)
+    code, payload = run_json(capsys, ["tw-exact", str(gr), "--max-vertices", "40"])
+    assert code == 0 and payload["treewidth"] == 1
+    # where the decision path trips and the node budget admits 2^24 - 1
+    # subsets, the subset DP refuses by its table limit
+    monkeypatch.setattr(exact, "TREEWIDTH_LEVEL_BUDGET", 0)
+    monkeypatch.setattr(cli, "TREEWIDTH_NODE_BUDGET", 2**24)
     assert run(["tw-exact", str(gr), "--max-vertices", "40"]) == 3
     assert "23 vertices" in capsys.readouterr().err
 
@@ -329,12 +341,23 @@ def test_tw_exact_table_budget(tmp_path, capsys):
 def test_tw_exact_node_budget_fails_fast(tmp_path, capsys, monkeypatch):
     gr = tmp_path / "path23.gr"
     pace_write_gr(path_graph(23), gr)
+    code, payload = run_json(capsys, ["tw-exact", str(gr), "--max-vertices", "26"])
+    assert code == 0 and payload["treewidth"] == 1
+    # past a tripped decision path, 2^23 - 1 subsets are past the node
+    # budget: refused at once, and no subset DP runs
+    monkeypatch.setattr(exact, "TREEWIDTH_LEVEL_BUDGET", 0)
+    monkeypatch.setattr(cli, "treewidth_exact", None)
     start = time.monotonic()
     assert run(["tw-exact", str(gr), "--max-vertices", "26"]) == 3
     assert time.monotonic() - start < 1
-    err = capsys.readouterr().err
-    assert "23 vertices" in err and str(TREEWIDTH_NODE_BUDGET) in err
-    # 22 vertices are within the budget and reach the solver
+    assert capsys.readouterr().err == "error: the width-1 search holds more than 0 sets\n"
+    # past --max-vertices no solver runs, and the vertex cap names the
+    # refusal, as it does for 24 vertices
+    start = time.monotonic()
+    assert run(["tw-exact", str(gr), "--max-vertices", "22"]) == 3
+    assert time.monotonic() - start < 1
+    assert capsys.readouterr().err == "error: 23 vertices exceeds the budget of 22\n"
+    # 22 vertices are within the budget and reach the subset DP
     solved = []
     monkeypatch.setattr(
         cli, "treewidth_exact",
@@ -352,7 +375,7 @@ def gnp(n, p, seed):
     )
 
 
-@pytest.mark.parametrize("p, path", [(0.7, "treewidth_by_decision"), (0.25, "treewidth_exact")])
+@pytest.mark.parametrize("p, path", [(0.7, "treewidth_by_decision"), (0.25, "treewidth_by_decision")])
 def test_tw_exact_writes_the_subset_dp_td_on_either_path(tmp_path, capsys, monkeypatch, p, path):
     g = gnp(14, p, seed=7)
     gr, td, expected = tmp_path / "g.gr", tmp_path / "g.td", tmp_path / "expected.td"
@@ -386,11 +409,12 @@ def test_tw_exact_decides_a_dense_graph_past_the_subset_dp(tmp_path, capsys):
 def test_tw_exact_decision_path_stops_at_the_node_budget(tmp_path, capsys, monkeypatch):
     gr = tmp_path / "g.gr"
     pace_write_gr(gnp(16, 0.6, seed=3), gr)
-    # 2^16 - 1 subsets are past this budget too, so no subset DP follows
+    # 2^16 - 1 subsets are past this budget too, so no subset DP follows;
+    # each set the first level family expands costs 16 nodes
     monkeypatch.setattr(cli, "TREEWIDTH_NODE_BUDGET", 50)
     assert run(["tw-exact", str(gr)]) == 3
     assert capsys.readouterr().err == (
-        "error: search-node limit 50 exceeded after 50 search nodes explored\n"
+        "error: search-node limit 50 exceeded after 48 search nodes explored\n"
     )
 
 
@@ -430,6 +454,90 @@ def test_tw_exact_falls_back_to_the_subset_dp_within_its_budget(tmp_path, capsys
     tw, decomposition = treewidth_exact(g)
     pace_write_td(decomposition, g.n, expected)
     assert payload["treewidth"] == tw and td.read_bytes() == expected.read_bytes()
+
+
+def clique_with_path(k, m):
+    """K_k with a path of m more vertices hanging from its last vertex."""
+    edges = [(u, v) for u in range(k) for v in range(u + 1, k)]
+    return Graph.from_edges(k + m, edges + [(v, v + 1) for v in range(k - 1, k + m - 1)])
+
+
+def test_tw_exact_writes_the_subset_dp_td_for_a_clique_with_a_long_path(tmp_path, capsys):
+    # the path's vertices fit any mix with the clique's sets within width
+    # 2, which made the level family at the treewidth hold every such mix
+    g = clique_with_path(11, 9)
+    gr, td, expected = tmp_path / "g.gr", tmp_path / "g.td", tmp_path / "expected.td"
+    pace_write_gr(g, gr)
+    code, payload = run_json(capsys, ["tw-exact", str(gr), "-o", str(td), "--max-vertices", "20"])
+    tw, decomposition = treewidth_exact(g, SolveBudget(max_vertices=20))
+    pace_write_td(decomposition, g.n, expected)
+    assert code == 0 and payload["treewidth"] == tw == 10
+    assert td.read_bytes() == expected.read_bytes()
+
+
+def test_tw_exact_decides_a_clique_with_a_long_path_without_the_subset_dp(
+    tmp_path, capsys, monkeypatch
+):
+    g = clique_with_path(12, 10)
+    gr, td = tmp_path / "g.gr", tmp_path / "g.td"
+    pace_write_gr(g, gr)
+    monkeypatch.setattr(cli, "treewidth_exact", None)
+    code, payload = run_json(capsys, ["tw-exact", str(gr), "-o", str(td), "--max-vertices", "22"])
+    assert code == 0 and payload["treewidth"] == 11
+    decomposition, declared = pace_read_td(td)
+    report = validate_td(g, decomposition)
+    assert declared == 22 and report.passed and report.width == 11
+
+
+def _random_tree(n, seed):
+    """A random recursive tree with its labels shuffled."""
+    rng = random.Random(seed)
+    label = list(range(n))
+    rng.shuffle(label)
+    return Graph.from_edges(n, [(label[v], label[rng.randrange(v)]) for v in range(1, n)])
+
+
+@pytest.mark.parametrize(
+    "g, width",
+    [(path_graph(1500), 1), (cycle_graph(1500), 2), (_random_tree(1500, seed=1500), 1)],
+    ids=["path", "cycle", "tree"],
+)
+def test_tw_exact_takes_sparse_graphs_of_thousands_of_vertices(tmp_path, capsys, g, width):
+    gr, td = tmp_path / "g.gr", tmp_path / "g.td"
+    pace_write_gr(g, gr)
+    start = time.monotonic()
+    code, payload = run_json(capsys, ["tw-exact", str(gr), "-o", str(td), "--max-vertices", "1500"])
+    assert code == 0 and time.monotonic() - start < 10
+    decomposition, declared = pace_read_td(td)
+    report = validate_td(g, decomposition)
+    assert payload["treewidth"] == width == report.width and report.passed and declared == 1500
+
+
+def test_tw_exact_fails_fast_on_a_ladder_at_the_decision_path_vertex_limit(tmp_path, capsys):
+    # refuting a candidate of a shuffled ladder grows a component across a
+    # whole segment: the node budget, which counts those vertices, trips
+    n = 2048
+    rng = random.Random(n)
+    label = list(range(n))
+    rng.shuffle(label)
+    pairs = [(i, i + 2) for i in range(n - 2)] + [(i, i + 1) for i in range(0, n, 2)]
+    gr = tmp_path / "ladder.gr"
+    pace_write_gr(Graph.from_edges(n, [(label[u], label[v]) for u, v in pairs]), gr)
+    start = time.monotonic()
+    assert run(["tw-exact", str(gr), "--max-vertices", str(n)]) == 3
+    assert time.monotonic() - start < 10
+    assert capsys.readouterr().err.startswith("error: search-node limit 4194303 exceeded after ")
+
+
+def test_tw_exact_refuses_past_the_decision_path_vertex_limit(tmp_path, capsys):
+    gr = tmp_path / "g.gr"
+    pace_write_gr(path_graph(2049), gr)
+    start = time.monotonic()
+    assert run(["tw-exact", str(gr), "--max-vertices", "5000"]) == 3
+    assert time.monotonic() - start < 1
+    assert capsys.readouterr().err == (
+        "error: 2049 vertices exceed the 2048 of the decision path\n"
+    )
 
 
 # q = 128 is past the field tables too: the budget is checked first

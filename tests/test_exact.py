@@ -1,5 +1,6 @@
 import inspect
 import random
+import sys
 import textwrap
 from itertools import combinations, permutations
 
@@ -30,7 +31,12 @@ from qktw.graph import (
     petersen_graph,
 )
 from qktw.kneser import KneserParams, alpha_value, build_kneser_graph
-from qktw.treedec import balanced_separator_check, star_decomposition, validate_td
+from qktw.treedec import (
+    TreeDecomposition,
+    balanced_separator_check,
+    star_decomposition,
+    validate_td,
+)
 
 
 def random_graph(n, p, seed):
@@ -274,7 +280,7 @@ def reference_treewidth(g):
 
 
 def reference_balanced(g, ymask):
-    return all(2 * c.bit_count() <= ymask.bit_count() for c in components(g.adjacency, ymask))
+    return all(2 * c.bit_count() <= ymask.bit_count() for c, _ in components(g.adjacency, ymask))
 
 
 def reference_separator(g):
@@ -283,7 +289,7 @@ def reference_separator(g):
         for p in combinations(range(g.n), size):
             ymask = full & ~sum(1 << v for v in p)
             if reference_balanced(g, ymask):
-                sizes = sorted((c.bit_count() for c in components(g.adjacency, ymask)), reverse=True)
+                sizes = sorted((c.bit_count() for c, _ in components(g.adjacency, ymask)), reverse=True)
                 return size, p, tuple(sizes)
 
 
@@ -410,7 +416,7 @@ def test_treewidth_reads_one_component_split_or_a_scan_up_to_d(monkeypatch, seed
     widths = bytes(logs[0])
     adj = g.adjacency
     for s in range(1, 2**g.n):
-        top = component(adj, 1 << s.bit_length() - 1, s)
+        top = component(adj, 1 << s.bit_length() - 1, s)[0]
         if top != s:
             # the highest vertex's component and the rest
             expected = [top, s ^ top]
@@ -456,7 +462,7 @@ def test_high_table_is_the_highest_vertex_component(monkeypatch, g):
     assert treewidth_exact(g) == reference_treewidth(g)
     _, high, _ = kept[0]
     for s in range(1, 2**g.n):
-        assert high[s] == component(g.adjacency, 1 << s.bit_length() - 1, s), s
+        assert high[s] == component(g.adjacency, 1 << s.bit_length() - 1, s)[0], s
 
 
 def test_separator_node_limit_is_one_node_per_candidate():
@@ -608,17 +614,55 @@ def _expanded(families):
     return sum(len(level) for levels in families for level in levels[:-1])
 
 
-def test_decision_node_limit_is_one_node_per_set_expanded(monkeypatch):
+def _searches(monkeypatch):
+    """Patch ``_search`` to log each query's memos and answer."""
+    search = exact._search
+    log = []
+
+    def logged(adj, x, w, memos, stop, clock):
+        log.append((memos, search(adj, x, w, memos, stop, clock)))
+        return log[-1][1]
+
+    monkeypatch.setattr(exact, "_search", logged)
+    return log
+
+
+def _memos(log):
+    """The search's memos of each width, of every run logged."""
+    return [memo for memos in {id(m): m for m, _ in log}.values() for memo in memos.values()]
+
+
+def _search_passes(monkeypatch):
+    """Patch the search's splits and the refutations to log the vertices
+    each goes over."""
+    log = []
+    split, touches = exact.components, exact._touches
+
+    def logged_split(adj, mask):
+        if sys._getframe(1).f_code.co_name == "_search":
+            log.append(mask.bit_count())
+        return split(adj, mask)
+
+    def logged_touches(adj, start, within, target, tick):
+        return touches(adj, start, within, target, lambda cost: tick(log.append(cost) or cost))
+
+    monkeypatch.setattr(exact, "components", logged_split)
+    monkeypatch.setattr(exact, "_touches", logged_touches)
+    return log
+
+
+def test_decision_node_limit_counts_the_vertices_of_each_pass(monkeypatch):
     g = random_graph(14, 0.6, seed=4)
+    assert len(components(g.adjacency, (1 << g.n) - 1)) == 1
     families = _families(monkeypatch)
+    passes = _search_passes(monkeypatch)
     result = treewidth_by_decision(g)
-    nodes = _expanded(families)
-    assert len(families) >= 2 and nodes > 100
+    # each set a family expands costs the n vertices of the one component
+    nodes = g.n * _expanded(families) + sum(passes)
+    assert len(families) >= 2 and _expanded(families) > 10 and len(passes) > 10
     assert treewidth_by_decision(g, SolveBudget(node_limit=nodes)) == result
-    with pytest.raises(BudgetExceededError) as info:
+    with pytest.raises(BudgetExceededError, match=f"search-node limit {nodes - 1} exceeded"):
         treewidth_by_decision(g, SolveBudget(node_limit=nodes - 1))
-    limit = nodes - 1
-    assert str(info.value) == f"search-node limit {limit} exceeded after {limit} search nodes explored"
     families.clear()
     assert treewidth_at_most(g, result[0]) and len(families) == 1
     nodes = _expanded(families)
@@ -628,11 +672,13 @@ def test_decision_node_limit_is_one_node_per_set_expanded(monkeypatch):
 
 
 @pytest.mark.parametrize("limit", [0, 1e-9])
-def test_decision_time_limit_is_polled_every_1024_sets(limit):
+def test_decision_time_limit_is_polled_every_1024_nodes(limit):
+    # the first family expands sets of 24 nodes each, and the clock is
+    # read on the 43rd, which passes 1,024 nodes
     g = random_graph(24, 0.5, seed=24)
     with pytest.raises(BudgetExceededError) as info:
         treewidth_by_decision(g, SolveBudget(max_vertices=24, time_limit=limit))
-    assert str(info.value) == f"time limit of {limit} s exceeded after 1023 search nodes explored"
+    assert str(info.value) == f"time limit of {limit} s exceeded after 1008 search nodes explored"
 
 
 def test_decision_path_takes_the_vertex_cap_but_no_table_cap():
@@ -648,21 +694,264 @@ def test_decision_path_takes_the_vertex_cap_but_no_table_cap():
 
 def test_decision_path_decides_each_component_apart():
     # as one vertex set, the width-10 levels would hold every mix of
-    # clique and isolated vertices: 263,950 sets expanded
+    # clique and isolated vertices: 263,950 sets expanded, 20 nodes each
     g = disjoint_union(complete_graph(11), Graph(9))
-    assert treewidth_by_decision(g, SolveBudget(max_vertices=20, node_limit=100)) == (
+    assert treewidth_by_decision(g, SolveBudget(max_vertices=20, node_limit=200)) == (
         treewidth_exact(g, SolveBudget(max_vertices=20))
     )
     assert not treewidth_at_most(g, 9, SolveBudget(max_vertices=20, node_limit=1))
 
 
-def test_level_budget_is_the_largest_level(monkeypatch):
-    g = random_graph(14, 0.6, seed=4)
+@pytest.mark.parametrize(
+    "g, held",
+    [
+        (random_graph(14, 0.4, seed=2), "decision"),
+        (random_graph(14, 0.6, seed=4), "search"),
+        (path_graph(40), "search"),
+    ],
+    ids=["level", "memo", "path"],
+)
+def test_level_budget_is_the_largest_level(monkeypatch, g, held):
+    # the budget bounds each level and each width's search memo, and the
+    # larger of the two trips first
     families = _families(monkeypatch)
-    result = treewidth_by_decision(g)
-    budget = max(len(level) for levels in families for level in levels)
-    monkeypatch.setattr(exact, "TREEWIDTH_LEVEL_BUDGET", budget)
-    assert treewidth_by_decision(g) == result
-    monkeypatch.setattr(exact, "TREEWIDTH_LEVEL_BUDGET", budget - 1)
-    with pytest.raises(BudgetExceededError, match=f"decision holds more than {budget - 1} sets"):
-        treewidth_by_decision(g)
+    searches = _searches(monkeypatch)
+    budget = SolveBudget(max_vertices=40)
+    result = treewidth_by_decision(g, budget)
+    # no query gave up: the memos hold every set met
+    assert None not in (found for _, found in searches)
+    largest = max(len(s) for s in [*(lv for levels in families for lv in levels), *_memos(searches)])
+    monkeypatch.setattr(exact, "TREEWIDTH_LEVEL_BUDGET", largest)
+    assert treewidth_by_decision(g, budget) == result
+    monkeypatch.setattr(exact, "TREEWIDTH_LEVEL_BUDGET", largest - 1)
+    with pytest.raises(BudgetExceededError, match=f"{held} holds more than {largest - 1} sets"):
+        treewidth_by_decision(g, budget)
+
+
+def star_graph(n):
+    return Graph.from_edges(n, [(0, v) for v in range(1, n)])
+
+
+def grid_graph(rows, cols):
+    return Graph.from_edges(
+        rows * cols,
+        [(r * cols + c, r * cols + c + 1) for r in range(rows) for c in range(cols - 1)]
+        + [(r * cols + c, (r + 1) * cols + c) for r in range(rows - 1) for c in range(cols)],
+    )
+
+
+def random_tree(n, seed):
+    """A random recursive tree with its labels shuffled."""
+    rng = random.Random(seed)
+    label = list(range(n))
+    rng.shuffle(label)
+    return Graph.from_edges(n, [(label[v], label[rng.randrange(v)]) for v in range(1, n)])
+
+
+def clique_with_path(k, m):
+    """K_k with a path of m more vertices hanging from its last vertex."""
+    edges = [(u, v) for u in range(k) for v in range(u + 1, k)]
+    return Graph.from_edges(k + m, edges + [(v, v + 1) for v in range(k - 1, k + m - 1)])
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        star_graph(16),
+        cycle_graph(16),
+        path_graph(16),
+        grid_graph(4, 4),
+        random_tree(16, seed=16),
+        clique_with_path(8, 8),
+    ],
+    ids=["star", "cycle", "path", "grid", "tree", "clique-path"],
+)
+def test_decision_path_matches_the_subset_dp_on_sparse_families(g):
+    assert_decision_matches_the_subset_dp(g, every_width=False)
+
+
+def test_decision_path_matches_the_subset_dp_on_300_seeded_graphs():
+    for seed in range(300):
+        rng = random.Random(seed)
+        g = random_graph(rng.randint(1, 14), rng.random(), seed)
+        assert treewidth_by_decision(g) == treewidth_exact(g), seed
+
+
+@pytest.mark.parametrize("g", [star_graph(18), cycle_graph(18)], ids=["star", "cycle"])
+def test_the_search_answers_sparse_graphs_in_a_few_nodes(g):
+    # the level family at the treewidth, which the search replaces, held
+    # 2^17 sets of the star and most sets of the cycle, 18 nodes each
+    assert treewidth_by_decision(g, SolveBudget(node_limit=g.n**2)) == treewidth_exact(g)
+
+
+def reference_subset_widths(g):
+    """TW(S) for every subset S, by the subset DP with one reachability
+    search per (subset, vertex)."""
+    best = [0] * (1 << g.n)
+    for s in range(1, 1 << g.n):
+        best[s] = min(
+            max(best[s ^ (1 << v)], _reach_degree(g.adjacency, s ^ (1 << v), v))
+            for v in iter_bits(s)
+        )
+    return best
+
+
+def assert_search_matches_the_subset_dp(g):
+    """Every query TW(X) <= w, over all subsets X and widths w in a seeded
+    order, against the reference, all on one set of memos."""
+    best = reference_subset_widths(g)
+    queries = [(x, w) for x in range(1 << g.n) for w in range(g.n)]
+    random.Random(g.n).shuffle(queries)
+    memos = {}
+    clock = exact._BudgetClock(SolveBudget())
+    for x, w in queries:
+        found = exact._search(g.adjacency, x, w, memos, 1 << 40, clock)
+        assert found == (best[x] <= w), (x, w)
+
+
+SEARCH_GRAPHS = [
+    path_graph(8),
+    cycle_graph(9),
+    star_graph(8),
+    complete_graph(6),
+    grid_graph(3, 3),
+    disjoint_union(complete_graph(4), cycle_graph(5)),
+    disjoint_union(path_graph(5), Graph(3)),
+    *(random_graph(9, p, seed=9) for p in (0.2, 0.35, 0.5, 0.7)),
+]
+
+
+@pytest.mark.parametrize("g", SEARCH_GRAPHS, ids=lambda g: f"n{g.n}-m{g.edge_count}")
+def test_search_matches_the_subset_dp_at_every_width(g):
+    assert_search_matches_the_subset_dp(g)
+
+
+@given(g=graphs(max_n=7))
+def test_search_matches_the_subset_dp_on_hypothesis_graphs(g):
+    assert_search_matches_the_subset_dp(g)
+
+
+def test_search_gives_up_past_its_limit_and_keeps_only_answers():
+    g = grid_graph(3, 3)
+    best = reference_subset_widths(g)
+    memos = {}
+    clock = exact._BudgetClock(SolveBudget())
+    x = (1 << g.n) - 1
+    assert exact._search(g.adjacency, x, 2, memos, 200, clock) is None
+    assert clock.nodes > 200 and memos[2]
+    assert all(found == (best[k] <= 2) for k, found in memos[2].items())
+    assert exact._search(g.adjacency, x, 2, memos, 1 << 40, clock) is False
+    assert exact._search(g.adjacency, x, 3, memos, 1 << 40, clock) is True
+
+
+SEARCH_MUTATIONS = {
+    "outside-neighbours-off-by-one": ("_search", "if d > w:", "if d > w + 1:"),
+    "disconnected-set-as-one": (
+        "_search",
+        "stack = [[0, 0, 0, 0, 0, components(adj, x)]]",
+        "stack = [[0, 0, 0, 0, 0, [component(adj, x, x)]]]",
+    ),
+    "memo-keyed-without-w": (
+        "_search", "memo = memos.setdefault(w, {})", "memo = memos.setdefault(0, {})"
+    ),
+    "refuted-below-the-width": (
+        "_refuters", "if not out or out.bit_count() != w:", "if not out or out.bit_count() > w:"
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "name, old, new", SEARCH_MUTATIONS.values(), ids=SEARCH_MUTATIONS.keys()
+)
+def test_each_mutation_of_the_search_is_caught(monkeypatch, name, old, new):
+    monkeypatch.setattr(exact, name, _mutant(name, old, new))
+    with pytest.raises(AssertionError):
+        for g in SEARCH_GRAPHS:
+            assert_search_matches_the_subset_dp(g)
+
+
+def _give_up(adj, x, w, memos, stop, clock):
+    return None
+
+
+def test_a_search_that_gives_up_hands_its_width_to_the_family(monkeypatch):
+    monkeypatch.setattr(exact, "_search", _give_up)
+    for g in NAMED_GRAPHS:
+        assert_decision_matches_the_subset_dp(g, every_width=False)
+    for n, p, seed in DECISION_GNP:
+        assert_decision_matches_the_subset_dp(random_graph(n, p, seed), every_width=False)
+
+
+def test_a_give_up_that_builds_the_wrong_family_is_caught(monkeypatch):
+    monkeypatch.setattr(exact, "_search", _give_up)
+    monkeypatch.setattr(
+        exact,
+        "treewidth_by_decision",
+        _mutant("treewidth_by_decision", "found = within(x, width)", "found = within(x, width - 1)"),
+    )
+    with pytest.raises(AssertionError):
+        for g in NAMED_GRAPHS:
+            assert_decision_matches_the_subset_dp(g, every_width=False)
+        for n, p, seed in DECISION_GNP:
+            assert_decision_matches_the_subset_dp(random_graph(n, p, seed), every_width=False)
+
+
+def test_search_budget_names_the_search_and_the_width(monkeypatch):
+    monkeypatch.setattr(exact, "TREEWIDTH_LEVEL_BUDGET", 5)
+    with pytest.raises(BudgetExceededError) as info:
+        treewidth_by_decision(path_graph(30), SolveBudget(max_vertices=30))
+    assert str(info.value) == "the width-1 search holds more than 5 sets"
+
+
+def reference_decomposition_from_order(g, order):
+    """The bag-attachment construction by recursion, each clique under the
+    first bag made that holds it."""
+    n = g.n
+    adj = list(g.adjacency)
+    alive = (1 << n) - 1
+    cliques = []
+    for v in order:
+        nb = adj[v] & alive & ~(1 << v)
+        cliques.append((v, nb))
+        for u in iter_bits(nb):
+            adj[u] |= nb
+        alive ^= 1 << v
+    bags, edges = [], []
+
+    def build(i):
+        if i == n - 1:
+            bags.append({order[i]})
+            return
+        v, nb = cliques[i]
+        build(i + 1)
+        clique = set(iter_bits(nb))
+        target = next(t for t, bag in enumerate(bags) if clique <= bag)
+        bags.append(clique | {v})
+        edges.append((target, len(bags) - 1))
+
+    build(0)
+    return TreeDecomposition(tuple(tuple(sorted(b)) for b in bags), tuple(edges))
+
+
+def test_decomposition_from_order_matches_the_recursive_construction():
+    for seed in range(200):
+        rng = random.Random(seed)
+        g = random_graph(rng.randint(1, 12), rng.random(), seed)
+        order = list(range(g.n))
+        rng.shuffle(order)
+        assert exact._decomposition_from_order(g, order) == (
+            reference_decomposition_from_order(g, order)
+        ), seed
+
+
+def test_decomposition_from_order_takes_thousands_of_vertices():
+    g = path_graph(2000)
+    order = list(range(0, 2000, 2)) + list(range(1, 2000, 2))
+    td = exact._decomposition_from_order(g, order)
+    assert validate_td(g, td).passed and td.width() == 2
+
+
+def test_decision_path_refuses_past_its_vertex_limit():
+    g = path_graph(exact._DECISION_MAX_VERTICES + 1)
+    with pytest.raises(BudgetExceededError, match="2049 vertices exceed the 2048 of the decision path"):
+        treewidth_by_decision(g, SolveBudget(max_vertices=5000))

@@ -218,3 +218,14 @@ def test_scalar_ops_refuse_an_element_outside_the_field(q):
     top = q - 1
     assert f.add(top, 0) == f.sub(top, 0) == f.mul(top, 1) == f.neg(f.neg(top)) == top
     assert make_field(4).mul(1, 3) == 3
+
+
+def test_prime_power_keeps_answers_but_raises_every_refusal_again():
+    prime_power.cache_clear()
+    assert prime_power(251) == prime_power(251) == (251, 1)
+    assert prime_power.cache_info().hits == 1
+    for q, error in ((12, NotAPrimePowerError), (1, NotAPrimePowerError), (2**89 - 1, SizeLimitError)):
+        for _ in range(2):
+            with pytest.raises(error):
+                prime_power(q)
+    assert prime_power.cache_info().currsize == 1

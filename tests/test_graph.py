@@ -88,10 +88,10 @@ def test_complement():
 def test_components():
     g = Graph.from_edges(5, [(0, 1), (2, 3)])
     comps = components(g.adjacency, (1 << 5) - 1)
-    assert sorted(c.bit_count() for c in comps) == [1, 2, 2]
-    # restricted to a subset mask
+    assert comps == [(0b00011, 0b00011), (0b01100, 0b01100), (0b10000, 0)]
+    # restricted to a subset mask; N(K) reaches outside it
     comps = components(g.adjacency, 0b01011)
-    assert sorted(c.bit_count() for c in comps) == [1, 2]
+    assert comps == [(0b00011, 0b00011), (0b01000, 0b00100)]
 
 
 def _bits(mask):
@@ -119,14 +119,16 @@ def test_component_and_components_match_a_set_based_search(n, density, seed):
     within = rng.getrandbits(n)
     inside = _bits(within)
     for v in inside:
-        assert _bits(component(g.adjacency, 1 << v, within)) == _search(g, v, inside)
+        comp, reach = component(g.adjacency, 1 << v, within)
+        assert _bits(comp) == _search(g, v, inside)
+        assert _bits(reach) == {u for x in _bits(comp) for u in range(n) if g.has_edge(x, u)}
     want = []
     left = set(inside)
     while left:
         comp = _search(g, min(left), inside)
         want.append(comp)
         left -= comp
-    assert [_bits(c) for c in components(g.adjacency, within)] == want
+    assert [_bits(c) for c, _ in components(g.adjacency, within)] == want
 
 
 def test_from_masks():
