@@ -7,8 +7,9 @@ highest vertex kept in a table and the elimination order recovered along
 one path of subsets), its decision form (the sets of at most n - w - 1
 vertices that can be eliminated first within width w, built level by
 level, and a memoized search from a set down), which gives the same
-treewidth and decomposition, minimum balanced separator (exhaustive over
-subsets by increasing size), and the all-orderings treewidth oracle
+treewidth and decomposition, minimum balanced separator (by increasing
+size, over the subsets that hold every vertex whose degree alone would
+leave too large a component), and the all-orderings treewidth oracle
 (depth-first over elimination orderings with the width cut) that
 ``verify-all`` checks the subset DP against.  The slower brute-force
 oracles live in the tests.
@@ -701,7 +702,8 @@ def _balanced(adj: list[int], ymask: int, ycount: int) -> bool:
     half = ycount // 2
     rest = ymask
     # inline, not graph.component: the early exit inside a component's growth
-    # keeps the benchmark's separator graphs at 0.25 s, against 0.61 s
+    # keeps the benchmark's 13 separator graphs (seed 1) at 24 ms, against
+    # 61 ms with graph.components (2 vCPU, in process)
     while rest.bit_count() > half:
         comp = frontier = rest & -rest
         while frontier:
@@ -724,26 +726,41 @@ def min_balanced_separator(
     """Smallest P such that every component of G - P has at most |V - P| / 2
     vertices.
 
-    Exhaustive over subsets by increasing size; the first hit in
-    lexicographic order is returned.  Each candidate costs one budget node
-    and one early-exit balance test (`_balanced`); the components of
-    G - P are listed only for the returned witness."""
+    Exhaustive over subsets by increasing size, apart from the subsets
+    that degrees rule out; the first hit in lexicographic order is
+    returned.  A vertex v outside P keeps at least deg(v) - |P| neighbours
+    in Y = V - P, so its component passes |Y| / 2 once deg(v) - |P| >=
+    floor(|Y| / 2): every balanced P of size s contains the forced set F_s
+    of those v, a size with |F_s| > s is skipped, and only the sets F_s +
+    R, R from the other vertices, are tried.  Among sets that contain
+    F_s, the first difference of two sorted tuples is the least vertex of
+    their symmetric difference, which lies outside F_s, so R's order is
+    the sets' order and the first hit is the one of the whole search.
+    Each candidate tried costs one budget node and one early-exit balance
+    test (`_balanced`); the components of G - P are listed only for the
+    returned witness."""
     budget = _check_vertex_cap(g, budget, SEPARATOR_VERTEX_CAP)
     clock = _BudgetClock(budget)
     full = (1 << g.n) - 1
     adj = g.adjacency
-    # the bits 1 << v come in ascending v, so the combinations of the bits
-    # come in the same lexicographic order as those of the vertices
-    bits = [1 << v for v in range(g.n)]
+    degrees = g.degrees()
     for size in range(g.n + 1):
-        for p in combinations(bits, size):
+        half = (g.n - size) // 2
+        forced = sum(1 << v for v, d in enumerate(degrees) if d - size >= half)
+        if forced.bit_count() > size:
+            continue
+        # the bits 1 << v come in ascending v, so the combinations of the
+        # bits come in the same lexicographic order as those of the vertices
+        bits = [1 << v for v in iter_bits(full ^ forced)]
+        for r in combinations(bits, size - forced.bit_count()):
             clock.tick()
-            ymask = full ^ sum(p)
+            pmask = forced | sum(r)
+            ymask = full ^ pmask
             if _balanced(adj, ymask, g.n - size):
                 sizes = [c.bit_count() for c, _ in components(adj, ymask)]
                 return SeparatorSearchResult(
                     size=size,
-                    witness=tuple(b.bit_length() - 1 for b in p),
+                    witness=tuple(iter_bits(pmask)),
                     component_sizes=tuple(sorted(sizes, reverse=True)),
                 )
     raise AssertionError("unreachable: P = V is always balanced")

@@ -185,9 +185,6 @@ class Graph:
         self._adj[u] |= 1 << v
         self._adj[v] |= 1 << u
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return (self._adj[u] >> v) & 1 == 1
-
     def adjacency_mask(self, v: int) -> int:
         return self._adj[v]
 
@@ -214,9 +211,6 @@ class Graph:
     def degrees(self) -> list[int]:
         return [self.degree(v) for v in range(self.n)]
 
-    def is_regular(self) -> bool:
-        return len(set(self.degrees())) == 1
-
     def complement(self) -> "Graph":
         g = Graph(self.n, self.labels)
         full = (1 << self.n) - 1
@@ -242,12 +236,6 @@ def complete_graph(n: int) -> Graph:
 
 def path_graph(n: int) -> Graph:
     return Graph.from_edges(n, ((i, i + 1) for i in range(n - 1)))
-
-
-def cycle_graph(n: int) -> Graph:
-    if n < 3:
-        raise ValueError("a cycle needs at least 3 vertices")
-    return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def petersen_graph() -> Graph:

@@ -25,7 +25,6 @@ from qktw.graph import (
     complete_graph,
     component,
     components,
-    cycle_graph,
     iter_bits,
     path_graph,
     petersen_graph,
@@ -37,6 +36,8 @@ from qktw.treedec import (
     star_decomposition,
     validate_td,
 )
+
+from graph_helpers import cycle_graph
 
 
 def random_graph(n, p, seed):
@@ -76,7 +77,7 @@ def test_mis_witness_is_independent():
     size, witness = mis_exact(g)
     for i, u in enumerate(witness):
         for v in witness[i + 1 :]:
-            assert not g.has_edge(u, v)
+            assert not g.adjacency[u] >> v & 1
     assert len(witness) == size
 
 
@@ -293,6 +294,26 @@ def reference_separator(g):
                 return size, p, tuple(sizes)
 
 
+def forced_set(g, size):
+    """F_s: the vertices v with deg(v) - s >= floor((n - s) / 2), which
+    every balanced separator of size s contains."""
+    half = (g.n - size) // 2
+    return {v for v in range(g.n) if g.degree(v) - size >= half}
+
+
+def separator_candidates(g):
+    """The sets the separator search tests, in its order: by size, the
+    sizes with |F_s| > s skipped, and F_s + R for R over the other
+    vertices in lexicographic order."""
+    for size in range(g.n + 1):
+        forced = forced_set(g, size)
+        if len(forced) > size:
+            continue
+        rest = [v for v in range(g.n) if v not in forced]
+        for r in combinations(rest, size - len(forced)):
+            yield tuple(sorted(forced.union(r)))
+
+
 @st.composite
 def graphs(draw, max_n):
     n = draw(st.integers(1, max_n))
@@ -364,6 +385,50 @@ def test_all_orderings_matches_the_permutation_loop(n, p, seed):
 def test_separator_matches_the_reference_search(g):
     sep = min_balanced_separator(g)
     assert (sep.size, sep.witness, sep.component_sizes) == reference_separator(g)
+
+
+def assert_every_set_missing_a_forced_vertex_is_unbalanced(g):
+    full = (1 << g.n) - 1
+    forced = [sum(1 << v for v in forced_set(g, size)) for size in range(g.n + 1)]
+    for pmask in range(full + 1):
+        size = pmask.bit_count()
+        if forced[size] & ~pmask:
+            assert not exact._balanced(g.adjacency, full ^ pmask, g.n - size), pmask
+
+
+@pytest.mark.parametrize("g", NAMED_GRAPHS, ids=lambda g: f"n{g.n}-m{g.edge_count}")
+def test_forced_vertices_are_in_every_balanced_separator_on_named_graphs(g):
+    assert_every_set_missing_a_forced_vertex_is_unbalanced(g)
+
+
+@given(g=graphs(max_n=9))
+def test_forced_vertices_are_in_every_balanced_separator(g):
+    assert_every_set_missing_a_forced_vertex_is_unbalanced(g)
+
+
+# the benchmark's separator mix: n = 12-15, p = 0.5-0.8
+SEPARATOR_GNP = [(12 + i % 4, (0.5, 0.6, 0.7, 0.8)[i // 10], i) for i in range(40)]
+
+
+@pytest.mark.parametrize("n, p, seed", SEPARATOR_GNP)
+def test_separator_matches_the_unpruned_search_on_dense_graphs(n, p, seed):
+    g = random_graph(n, p, seed)
+    sep = min_balanced_separator(g)
+    assert (sep.size, sep.witness, sep.component_sizes) == reference_separator(g)
+
+
+def test_forcing_one_short_of_the_half_is_caught(monkeypatch):
+    # forcing v at deg(v) - s >= half - 1 drops the balanced sets of size
+    # 9 and 10 here, where the unpruned search finds one of size 9
+    monkeypatch.setattr(
+        exact,
+        "min_balanced_separator",
+        _mutant("min_balanced_separator", "if d - size >= half)", "if d - size >= half - 1)"),
+    )
+    g = random_graph(13, 0.7, seed=25)
+    sep = exact.min_balanced_separator(g)
+    assert (sep.size, sep.witness, sep.component_sizes) != reference_separator(g)
+    assert reference_separator(g)[0] == 9 < sep.size
 
 
 @given(g=graphs(max_n=12), data=st.data())
@@ -466,11 +531,14 @@ def test_high_table_is_the_highest_vertex_component(monkeypatch, g):
 
 
 def test_separator_node_limit_is_one_node_per_candidate():
+    # one node per candidate tested: the sizes the degrees rule out cost
+    # none (sizes 0-3 here), and the forced vertices are never branched on
     g = random_graph(10, 0.5, seed=8)
     sep = min_balanced_separator(g)
     assert sep.size > 0
+    at_witness = list(separator_candidates(g)).index(sep.witness) + 1
     order = [p for size in range(g.n + 1) for p in combinations(range(g.n), size)]
-    at_witness = order.index(sep.witness) + 1
+    assert at_witness <= order.index(sep.witness) + 1
     assert min_balanced_separator(g, SolveBudget(node_limit=at_witness)) == sep
     with pytest.raises(BudgetExceededError, match="search-node limit"):
         min_balanced_separator(g, SolveBudget(node_limit=at_witness - 1))

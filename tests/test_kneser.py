@@ -56,14 +56,14 @@ def test_params_validation():
 def test_build_kneser_graph_2421():
     g = build_kneser_graph(KneserParams(2, 4, 2, 1))
     assert g.n == 35
-    assert g.is_regular() and g.degree(0) == 16
+    assert g.degrees() == [16] * g.n
     assert g.edge_count == 35 * 16 // 2
 
 
 def test_build_kneser_graph_2521():
     g = build_kneser_graph(KneserParams(2, 5, 2, 1))
     assert g.n == 155
-    assert g.is_regular() and g.degree(0) == 112
+    assert g.degrees() == [112] * g.n
 
 
 def test_alpha_values():

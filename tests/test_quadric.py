@@ -99,7 +99,7 @@ def test_meeting_lines_map_to_perpendicular_points():
 def test_quadric_graph_regular_of_degree_q4():
     for q in (2, 3):
         g = build_quadric_graph(q)
-        assert g.is_regular() and g.degree(0) == q**4
+        assert g.degrees() == [q**4] * g.n
         profile = intersection_counts(q, 4, 2)
         assert g.degree(0) == profile[0]
         for v in range(g.n):
