@@ -11,7 +11,7 @@ treewidth and decomposition, minimum balanced separator (by increasing
 size, over the subsets that hold every vertex whose degree alone would
 leave too large a component), and the all-orderings treewidth oracle
 (depth-first over elimination orderings with the width cut) that
-``verify-all`` checks the subset DP against.  The slower brute-force
+``verify-all`` checks the decision path against.  The slower brute-force
 oracles live in the tests.
 
 All solvers are deterministic: fixed vertex order, lowest-index
@@ -685,12 +685,6 @@ class SeparatorSearchResult:
     size: int
     witness: tuple[int, ...]
     component_sizes: tuple[int, ...]
-
-    @property
-    def implied_treewidth_lower(self) -> int:
-        """Some balanced separator always fits in a bag of an optimal
-        decomposition, so the treewidth is at least size - 1."""
-        return self.size - 1
 
 
 def _balanced(adj: list[int], ymask: int, ycount: int) -> bool:

@@ -10,8 +10,7 @@ trusted.
 
 Projective points are 1-subspaces and have no code of their own: the
 model's points are the 1-subspaces of F_q^6 from
-:func:`subspace.enumerate_k_subspaces` that lie on the form, a subspace's
-section is the one-row tuples of :func:`subspace.subspaces_of`, and a
+:func:`subspace.enumerate_k_subspaces` that lie on the form, and a
 Klein image is scaled to a leading 1 by :func:`subspace.rref_canonical`.
 A quadric line is read off the perp masks alone, as the polar of the
 polar of two perpendicular points.
@@ -51,9 +50,7 @@ from .subspace import (
     Subspace,
     enumerate_k_subspaces,
     meet_masks,
-    nullspace_rows,
     rref_canonical,
-    subspaces_of,
 )
 
 ProjPoint = tuple[int, ...]
@@ -89,13 +86,6 @@ class QuadricModel:
             f.add(f.mul(v[0], v[1]), f.mul(v[2], v[3])), f.mul(v[4], v[5])
         )
 
-    def bilinear(self, x: ProjPoint, y: ProjPoint) -> int:
-        f = self.field
-        total = 0
-        for a, b in ((0, 1), (2, 3), (4, 5)):
-            total = f.add(total, f.add(f.mul(x[a], y[b]), f.mul(x[b], y[a])))
-        return total
-
     @cached_property
     def perp_masks(self) -> tuple[int, ...]:
         """perp_masks[i] has bit j set iff point i is perpendicular to point j.
@@ -107,8 +97,8 @@ class QuadricModel:
         linear in x, so the coordinates are folded in one at a time,
         keeping per partial-sum value s the mask of the points whose terms
         so far sum to s; after the last one, the mask at s = 0 is p's perp.
-        That is at most q^2 ANDs per coordinate.  ``bilinear`` is the
-        tests' pairwise oracle.
+        That is at most q^2 ANDs per coordinate.  ``oracle_bilinear`` in
+        the tests, one form evaluation per pair, is the oracle.
         """
         f = self.field
         coord = [[0] * self.q for _ in range(6)]
@@ -217,23 +207,6 @@ class QuadricModel:
         for i in point_indices:
             mask &= self.perp_masks[i]
         return mask
-
-    def section(self, space: Subspace) -> list[int]:
-        """Indices, ascending, of the quadric points inside a projective
-        subspace.  Its points are the rows of its 1-subspaces from
-        :func:`subspaces_of`, in the model's order.  The census uses
-        :meth:`polar_section`, and the tests compare the two."""
-        if space.k == 0:
-            return []
-        found = (self.index.get(p) for (p,) in subspaces_of(space, 1))
-        return [i for i in found if i is not None]
-
-    def perp_space(self, point_indices) -> Subspace:
-        """The polar subspace of the span of the given points."""
-        f = self.field
-        rows = [_polar_vector(self.points[i]) for i in point_indices]
-        basis = nullspace_rows(rows, f, 6)
-        return Subspace(f, 6, tuple(basis))
 
 
 def _polar_vector(p: ProjPoint) -> tuple[int, ...]:

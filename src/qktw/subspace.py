@@ -19,22 +19,19 @@ keeps only its points that way and passes the larger ones as point
 masks.  Whole incidence relations ("meets in dimension >= t") come from
 shared t-subspaces as bitmasks, without a per-pair elimination
 (:func:`meet_masks`).  The image of a subspace under a linear map is
-:func:`linear_image`, with the map as its matrix rows.  The pairwise rank
-in :func:`intersect_dim` gets a bit-packed fast path for q = 2, where
-rows are machine ints and elimination is XOR.
+:func:`linear_image`, with the map as its matrix rows.
 
 The field arithmetic runs on whole rows: the lifts, Gauss-Jordan
-(:func:`_row_reduce`, under :func:`rref_canonical`, :func:`nullspace_rows`,
-:func:`orthogonal_complement` and :func:`intersect_dim` at q > 2) and
-:func:`linear_image` make every row operation one
-:meth:`FieldSpec.axpy` or ``scale``, never one ``add`` or ``mul`` per
-coordinate.
+(:func:`_row_reduce`, under :func:`rref_canonical`, :func:`nullspace_rows`
+and :func:`orthogonal_complement`) and :func:`linear_image` make every
+row operation one :meth:`FieldSpec.axpy` or ``scale``, never one ``add``
+or ``mul`` per coordinate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import combinations, product
 from typing import Iterable, Sequence
 
@@ -68,11 +65,6 @@ class Subspace:
     def k(self) -> int:
         return len(self.rows)
 
-    @cached_property
-    def bit_rows(self) -> tuple[int, ...]:
-        """Rows packed into ints, bit j = coordinate j.  Only for q = 2."""
-        return tuple(sum(v << j for j, v in enumerate(row)) for row in self.rows)
-
     def text(self) -> str:
         """Stable text form: one digit string per row, rows joined by '|'."""
         if self.field.q <= 16:
@@ -84,22 +76,6 @@ class Subspace:
 
 
 # -- elimination kernels ------------------------------------------------
-
-
-def _rank_bits(rows: Iterable[int]) -> int:
-    """Rank of bit-packed rows over F_2."""
-    pivots: dict[int, int] = {}
-    rank = 0
-    for row in rows:
-        while row:
-            hb = row.bit_length() - 1
-            p = pivots.get(hb)
-            if p is None:
-                pivots[hb] = row
-                rank += 1
-                break
-            row ^= p
-    return rank
 
 
 def _row_reduce(rows: Iterable[Sequence[int]], f: FieldSpec) -> list[list[int]]:
@@ -328,8 +304,8 @@ def meet_masks(spaces: Sequence[Subspace], t: int) -> list[int]:
     mask of the spaces containing it, and a space's mask is the OR of
     those masks over its own t-subspaces; no pair is compared.  Masks
     follow the input order, and every space needs dimension >= t.
-    :func:`intersect_dim` is the elimination-based oracle the tests
-    compare against.
+    ``oracle_intersect_dim`` in the tests, one elimination per pair, is
+    the oracle they compare against.
     """
     held, numbers = held_subspaces(spaces, t)[1][t]
     containing = [0] * len(held)
@@ -363,19 +339,6 @@ def linear_image(m: LinearMap, rows: Sequence[Sequence[int]], f: FieldSpec) -> S
                 image = f.axpy(image, c, image_row)
         images.append(image)
     return rref_canonical(images, f)
-
-
-def intersect_dim(u: Subspace, v: Subspace) -> int:
-    """dim(u ∩ v) = dim u + dim v - rank(stacked bases)."""
-    if u.field != v.field or u.n != v.n:
-        raise AmbientMismatchError("subspaces live in different ambient spaces")
-    if u.k == 0 or v.k == 0:
-        return 0
-    if u.field.q == 2:
-        rank = _rank_bits(u.bit_rows + v.bit_rows)
-    else:
-        rank = len(_row_reduce(u.rows + v.rows, u.field))
-    return u.k + v.k - rank
 
 
 def orthogonal_complement(u: Subspace) -> Subspace:

@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .errors import BudgetExceededError
-from .exact import mis_exact, treewidth_all_orderings, treewidth_exact
+from .exact import mis_exact, treewidth_all_orderings, treewidth_by_decision
 from .gf import make_field, prime_powers_up_to
 from .graph import (
     GRAPH_MAX_VERTICES,
@@ -114,8 +114,8 @@ def vertex_census(verts: Sequence[Subspace]) -> tuple[list[list[int]], list[list
     meets with vertex 0's t-subspaces; a column is the sum of the
     histograms over b's t-subspaces.  x ∩ y lies in verts[0] ∩ verts[b],
     so a count above that dimension raises ArithmeticError.
-    ``oracle_pair_censuses`` in the tests, one :func:`intersect_dim` per
-    pair of t-subspaces, is the oracle.
+    ``oracle_pair_censuses`` in the tests, one ``oracle_intersect_dim``
+    per pair of t-subspaces, is the oracle.
 
     The census runs only after :func:`graph.certify_collineations` shows
     that each point map of :func:`kneser.gl_generators` (by
@@ -385,10 +385,10 @@ def oracle_suite() -> SuiteReport:
     cases = []
     agree = 0
     for g in random_graph_corpus():
-        dp, td = treewidth_exact(g)
+        tw, td = treewidth_by_decision(g)
         brute = treewidth_all_orderings(g)
         valid = validate_td(g, td).passed
-        if dp == brute and valid:
+        if tw == brute and valid:
             agree += 1
     cases.append(
         CheckCase(
@@ -403,7 +403,7 @@ def oracle_suite() -> SuiteReport:
         ("complete-6", complete_graph(6), 5),
         ("petersen", petersen_graph(), 4),
     ):
-        tw, td = treewidth_exact(g)
+        tw, td = treewidth_by_decision(g)
         cases.append(
             CheckCase(
                 params={"graph": name},

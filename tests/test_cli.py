@@ -13,6 +13,7 @@ import pytest
 
 from qktw import cli, exact, suites
 from qktw.cli import run
+from qktw.errors import BudgetExceededError
 from qktw.exact import SolveBudget, treewidth_at_most, treewidth_exact
 from qktw.report import CheckCase, SuiteReport, verify_all_json
 from qktw.suites import counting_suite, perp_census_suite
@@ -456,6 +457,48 @@ def test_tw_exact_falls_back_to_the_subset_dp_within_its_budget(tmp_path, capsys
     tw, decomposition = treewidth_exact(g)
     pace_write_td(decomposition, g.n, expected)
     assert payload["treewidth"] == tw and td.read_bytes() == expected.read_bytes()
+
+
+def random_regular(n, d, seed):
+    """A d-regular graph on n vertices by the configuration model: n d
+    stubs shuffled and paired in order, shuffled again while a pair is a
+    loop or repeats an edge."""
+    rng = random.Random(seed)
+    stubs = [v for v in range(n) for _ in range(d)]
+    while True:
+        rng.shuffle(stubs)
+        pairs = {(min(u, v), max(u, v)) for u, v in zip(stubs[::2], stubs[1::2])}
+        if len(pairs) == n * d // 2 and all(u != v for u, v in pairs):
+            return Graph.from_edges(n, sorted(pairs))
+
+
+def test_tw_exact_falls_back_to_the_subset_dp_on_a_cubic_graph_at_the_shipped_budgets(
+    tmp_path, capsys, monkeypatch
+):
+    # the input the fallback is for, with no budget patched: the decision
+    # path runs out of its node budget on a sparse graph past the default
+    # --max-vertices, and the subset DP's 2^20 - 1 subsets are within it
+    g = random_regular(20, 3, seed=4)
+    gr, td = tmp_path / "g.gr", tmp_path / "g.td"
+    pace_write_gr(g, gr)
+    decide, refused = cli.treewidth_by_decision, []
+
+    def recording(graph, budget):
+        try:
+            return decide(graph, budget)
+        except BudgetExceededError:
+            refused.append(budget.node_limit)
+            raise
+
+    monkeypatch.setattr(cli, "treewidth_by_decision", recording)
+    start = time.monotonic()
+    code, payload = run_json(capsys, ["tw-exact", str(gr), "-o", str(td), "--max-vertices", "20"])
+    assert time.monotonic() - start < 5
+    assert refused == [exact.TREEWIDTH_NODE_BUDGET]
+    assert code == 0 and payload["treewidth"] == 5
+    decomposition, declared = pace_read_td(td)
+    report = validate_td(g, decomposition)
+    assert declared == 20 and report.passed and report.width == 5
 
 
 def clique_with_path(k, m):

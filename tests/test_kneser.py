@@ -26,7 +26,6 @@ from qktw.kneser import (
 from qktw.qbinom import gauss_binom
 from qktw.subspace import (
     enumerate_k_subspaces,
-    intersect_dim,
     meet_masks,
     orthogonal_complement,
     rref_canonical,
@@ -34,6 +33,8 @@ from qktw.subspace import (
 )
 from qktw.suites import vertex_census
 from qktw.treedec import validate_td
+
+from subspace_helpers import oracle_intersect_dim
 
 F2 = make_field(2)
 
@@ -98,12 +99,12 @@ def test_star_independent_set_is_maximum_and_independent(q, n, k, t):
     assert len(set(family)) == len(family)
     for i, u in enumerate(family):
         for v in family[i + 1 :]:
-            assert intersect_dim(u, v) >= t  # no edge
+            assert oracle_intersect_dim(u, v) >= t  # no edge
     if n >= 2 * k:
         fixed = rref_canonical(
             [[1 if j == i else 0 for j in range(n)] for i in range(t)], make_field(q)
         )
-        assert all(intersect_dim(u, fixed) == t for u in family)
+        assert all(oracle_intersect_dim(u, fixed) == t for u in family)
 
 
 @pytest.mark.parametrize("q,n,k,t", [(2, 4, 2, 1), (2, 5, 3, 2)])
@@ -123,7 +124,7 @@ def test_star_set_inside_fixed_subspace_when_n_small():
         [[1 if j == i else 0 for j in range(5)] for i in range(4)], F2
     )
     for u in star_independent_set(p):
-        assert intersect_dim(hull, u) == u.k
+        assert oracle_intersect_dim(hull, u) == u.k
 
 
 def test_intersection_counts_examples():
@@ -141,7 +142,7 @@ def intersection_census(vertices):
     verified identical for every base vertex."""
     base = None
     for u in vertices:
-        c = Counter(intersect_dim(u, v) for v in vertices)
+        c = Counter(oracle_intersect_dim(u, v) for v in vertices)
         if base is None:
             base = c
         elif c != base:
@@ -189,8 +190,8 @@ def test_duality_mismatches_match_the_pairwise_oracle(monkeypatch):
         (i, j)
         for i in range(len(verts))
         for j in range(i + 1, len(verts))
-        if (intersect_dim(verts[i], verts[j]) < p.t)
-        != (intersect_dim(images[i], images[j]) < p.dual.t)
+        if (oracle_intersect_dim(verts[i], verts[j]) < p.t)
+        != (oracle_intersect_dim(images[i], images[j]) < p.dual.t)
     ]
     rep = duality_isomorphism(p)
     assert rep.bijective and expected
@@ -416,9 +417,9 @@ def test_gl_generators_are_certified_automorphisms(q, n, k):
     for sigma in sigmas:
         for a in range(0, len(verts), 7):
             for b in range(len(verts)):
-                assert intersect_dim(verts[sigma[a]], verts[sigma[b]]) == intersect_dim(
-                    verts[a], verts[b]
-                )
+                assert oracle_intersect_dim(
+                    verts[sigma[a]], verts[sigma[b]]
+                ) == oracle_intersect_dim(verts[a], verts[b])
 
 
 def test_certificate_refuses_a_point_map_with_two_points_swapped():

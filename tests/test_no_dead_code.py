@@ -1,0 +1,83 @@
+"""Every top-level function and class of ``src/qktw``, and every method
+that is not a dunder, must be referred to from ``src/``, ``scripts/`` or
+the benchmark harness (``benchmark/*.py``, not its tests) somewhere other
+than its own definition: code that no certified path uses and that is
+not an entry point is deleted, not kept for the tests.
+
+A reference is a ``Name``, an ``Attribute`` or an import alias with the
+same bare name, so the scan is coarse: a name used for something else
+elsewhere still passes.  It reads the files; it imports nothing.
+"""
+
+import ast
+import pathlib
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "qktw"
+
+# Entries are "module.name" with the reason each is kept unreferenced.
+ALLOWED = {
+    "exact.treewidth_at_most": "G1's engine, ROADMAP T",
+}
+
+
+def _sources():
+    paths = sorted(PACKAGE.glob("*.py"))
+    paths += sorted((ROOT / "scripts").glob("*.py"))
+    paths += sorted((ROOT / "benchmark").glob("*.py"))
+    return [(path, ast.parse(path.read_text(), filename=str(path))) for path in paths]
+
+
+def _definitions(tree):
+    """(name, node) of the module's top-level functions and classes and of
+    their classes' non-dunder methods."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not (
+                    item.name.startswith("__") and item.name.endswith("__")
+                ):
+                    yield f"{node.name}.{item.name}", item
+
+
+def _references(tree):
+    """(bare name, line) of every Name, Attribute and import alias."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.alias):
+            yield node.asname or node.name.rsplit(".", 1)[-1], node.lineno
+
+
+def unreferenced():
+    sources = _sources()
+    refs: dict[str, list[tuple[pathlib.Path, int]]] = {}
+    for path, tree in sources:
+        for name, line in _references(tree):
+            refs.setdefault(name, []).append((path, line))
+    dead = []
+    for path, tree in sources:
+        if path.parent != PACKAGE:
+            continue
+        for qualname, node in _definitions(tree):
+            start = min([node.lineno] + [d.lineno for d in node.decorator_list])
+            outside = [
+                where
+                for where in refs.get(node.name, ())
+                if where[0] != path or not start <= where[1] <= node.end_lineno
+            ]
+            if not outside:
+                dead.append(f"{path.stem}.{qualname}")
+    return dead
+
+
+def test_every_src_definition_is_referenced():
+    assert [name for name in unreferenced() if name not in ALLOWED] == []
+
+
+def test_the_allow_list_names_only_unreferenced_definitions():
+    assert set(ALLOWED) <= set(unreferenced())

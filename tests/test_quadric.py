@@ -1,9 +1,8 @@
-import random
 from itertools import product
 
 import pytest
 
-from qktw import quadric
+from qktw import quadric, subspace
 from qktw.errors import BudgetExceededError, NotALineError
 from qktw.gf import make_field
 from qktw.graph import certify_maps, iter_bits, permute_mask
@@ -17,7 +16,9 @@ from qktw.quadric import (
     perp_section_census,
     verify_klein_isomorphism,
 )
-from qktw.subspace import Subspace, enumerate_k_subspaces, intersect_dim, rref_canonical
+from qktw.subspace import enumerate_k_subspaces, rref_canonical
+
+from subspace_helpers import oracle_bilinear, oracle_intersect_dim, oracle_perp_space
 
 F2 = make_field(2)
 
@@ -33,17 +34,17 @@ def test_points_are_self_perpendicular():
     m = QuadricModel(2)
     for i, p in enumerate(m.points):
         assert m.form_value(p) == 0
-        assert m.bilinear(p, p) == 0
+        assert oracle_bilinear(m.field, p, p) == 0
         assert (m.perp_masks[i] >> i) & 1
 
 
 def _perp_masks_reference(m):
-    """Pairwise ``bilinear`` tests, one per pair of points."""
+    """Pairwise ``oracle_bilinear`` tests, one per pair of points."""
     n = len(m.points)
     masks = [1 << i for i in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            if m.bilinear(m.points[i], m.points[j]) == 0:
+            if oracle_bilinear(m.field, m.points[i], m.points[j]) == 0:
                 masks[i] |= 1 << j
                 masks[j] |= 1 << i
     return tuple(masks)
@@ -91,8 +92,8 @@ def test_meeting_lines_map_to_perpendicular_points():
     lines = enumerate_k_subspaces(4, 2, F2)
     for i, a in enumerate(lines):
         for b in lines[i + 1 :]:
-            meets = intersect_dim(a, b) >= 1
-            perp = model.bilinear(klein_map(a), klein_map(b)) == 0
+            meets = oracle_intersect_dim(a, b) >= 1
+            perp = oracle_bilinear(model.field, klein_map(a), klein_map(b)) == 0
             assert meets == perp
 
 
@@ -121,8 +122,9 @@ def test_klein_check_limit():
 
 
 def test_klein_mismatches_match_the_pairwise_oracle(monkeypatch):
-    # swap the images of two lines; the per-pair loop over intersect_dim
-    # and the bilinear form says which pairs the broken map fails on
+    # swap the images of two lines; the per-pair loop over
+    # oracle_intersect_dim and the bilinear form says which pairs the
+    # broken map fails on
     model = QuadricModel(2)
     lines = enumerate_k_subspaces(4, 2, F2)
     images = [klein_map(line) for line in lines]
@@ -133,8 +135,8 @@ def test_klein_mismatches_match_the_pairwise_oracle(monkeypatch):
         (i, j)
         for i in range(len(lines))
         for j in range(i + 1, len(lines))
-        if (intersect_dim(lines[i], lines[j]) == 0)
-        != (model.bilinear(images[i], images[j]) != 0)
+        if (oracle_intersect_dim(lines[i], lines[j]) == 0)
+        != (oracle_bilinear(model.field, images[i], images[j]) != 0)
     ]
     rep = verify_klein_isomorphism(2)
     assert rep.bijective and expected
@@ -353,7 +355,7 @@ def test_lines_are_read_off_the_perp_masks_alone(monkeypatch, q):
         raise AssertionError("the lines need no subspace of their own")
 
     monkeypatch.setattr(quadric, "rref_canonical", refuse)
-    monkeypatch.setattr(quadric, "subspaces_of", refuse)
+    monkeypatch.setattr(subspace, "subspaces_of", refuse)
     assert QuadricModel(q).lines == expected
 
 
@@ -478,23 +480,6 @@ def test_klein_map_matches_the_span_oracle(q):
         assert klein_map(line) == oracle_klein_map(line)
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 5])
-def test_section_matches_the_span_oracle(q):
-    # the zero space, the whole space, and seeded spans of 1 to 5 random
-    # vectors: subspaces of every dimension, most not spanned by quadric points
-    model = QuadricModel(q)
-    f = model.field
-    rng = random.Random(q)
-    spaces = [Subspace(f, 6, ()), model.perp_space(())]
-    for k in range(1, 6):
-        for _ in range(20):
-            rows = [[rng.randrange(q) for _ in range(6)] for _ in range(k)]
-            spaces.append(rref_canonical(rows, f))
-    assert {s.k for s in spaces} == set(range(7))
-    for space in spaces:
-        assert model.section(space) == oracle_section(model, space)
-
-
 # -- mask sections against the enumerated sections ------------------------------
 
 
@@ -524,15 +509,16 @@ def test_mask_sections_match_the_enumerated_sections(q, stride):
         3: (5265, 84240, 130 * 120),
     }[q]
     for pts in pairs[::stride] + triples[::stride]:
-        assert model.polar_section(pts) == _mask(model.section(model.perp_space(pts)))
+        polar = model.polar_section(pts)
+        assert polar == _mask(oracle_section(model, oracle_perp_space(model, pts)))
     skipped = 0
     for z, p1, p2 in planes[::stride]:
         pts = (z, p1, p2)
         plane = _mask(
-            model.section(rref_canonical([model.points[i] for i in pts], model.field))
+            oracle_section(model, rref_canonical([model.points[i] for i in pts], model.field))
         )
         polar = model.polar_section(pts)
-        assert polar == _mask(model.section(model.perp_space(pts)))
+        assert polar == _mask(oracle_section(model, oracle_perp_space(model, pts)))
         skip = (model.perp_masks[p1] >> p2) & 1 == 1
         assert skip == (plane.bit_count() != 2 * q + 1)
         skipped += skip
@@ -601,6 +587,8 @@ def test_conic_plane_sections_by_hand():
     u = 0
     v = next(iter_bits(adj[u]))
     w = next(x for x in iter_bits(adj[u] & adj[v]) if x > v)
-    polar = m.perp_space((u, v, w))
+    polar = oracle_perp_space(m, (u, v, w))
     assert polar.k == 3
-    assert len(m.section(polar)) == 3
+    section = m.polar_section((u, v, w))
+    assert section.bit_count() == 3
+    assert section == _mask(oracle_section(m, polar))

@@ -10,12 +10,10 @@ from qktw.gf import make_field, prime_powers_up_to
 from qktw.graph import Graph
 from qktw.kneser import KneserParams, build_kneser_graph, star_independent_set
 from qktw.qbinom import gauss_binom
-from qktw.quadric import QuadricModel
 from qktw.subspace import (
     Subspace,
     enumerate_k_subspaces,
     held_subspaces,
-    intersect_dim,
     linear_image,
     meet_masks,
     nullspace_rows,
@@ -23,6 +21,8 @@ from qktw.subspace import (
     rref_canonical,
     subspaces_of,
 )
+
+from subspace_helpers import oracle_intersect_dim
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -38,7 +38,7 @@ def span(f, *rows):
 
 def contains(u, v):
     """Whether v lies in u, by elimination."""
-    return intersect_dim(u, v) == v.k
+    return oracle_intersect_dim(u, v) == v.k
 
 
 def test_rref_examples():
@@ -90,19 +90,6 @@ def test_enumeration_count_mismatch_raises(monkeypatch):
         enumerate_k_subspaces(4, 2, F2)
 
 
-def test_intersect_dim_examples():
-    u = span(F2, unit(4, 0), unit(4, 1))
-    v = span(F2, unit(4, 1), unit(4, 2))
-    w = span(F2, unit(4, 2), unit(4, 3))
-    assert intersect_dim(u, u) == 2
-    assert intersect_dim(u, v) == 1
-    assert intersect_dim(u, w) == 0
-    with pytest.raises(AmbientMismatchError):
-        intersect_dim(u, span(F2, unit(3, 0)))
-    with pytest.raises(AmbientMismatchError):
-        intersect_dim(u, span(F3, unit(4, 0, F3), unit(4, 1, F3)))
-
-
 def test_orthogonal_complement_examples():
     e1 = span(F2, unit(3, 0))
     assert orthogonal_complement(e1).rows == ((0, 1, 0), (0, 0, 1))
@@ -134,15 +121,15 @@ def test_complement_intersection_identity():
     subs = enumerate_k_subspaces(4, 2, f)
     for u in subs[:12]:
         for v in subs[:12]:
-            lhs = intersect_dim(orthogonal_complement(u), orthogonal_complement(v))
-            assert lhs == 4 - (u.k + v.k - intersect_dim(u, v))
+            lhs = oracle_intersect_dim(orthogonal_complement(u), orthogonal_complement(v))
+            assert lhs == 4 - (u.k + v.k - oracle_intersect_dim(u, v))
 
 
 def test_dimension_formula_exhaustive():
     subs = enumerate_k_subspaces(4, 2, F2)
     for u in subs:
         for v in subs:
-            d = intersect_dim(u, v)
+            d = oracle_intersect_dim(u, v)
             assert d >= u.k + v.k - 4
             assert d <= min(u.k, v.k)
 
@@ -251,18 +238,6 @@ def test_star_set_is_rref_and_sorted(q, n, k, t):
     family = star_independent_set(KneserParams(q, n, k, t))
     assert all(is_rref(s) for s in family)
     assert [s.rows for s in family] == sorted({s.rows for s in family})
-
-
-@pytest.mark.parametrize("q", [2, 3, 4, 5])
-def test_perp_space_is_rref(q):
-    model = QuadricModel(q)
-    n = len(model.points)
-    for i in range(0, n, 7):
-        for pts in ((), (i,), (i, (5 * i + 1) % n), (i, (3 * i + 2) % n, (11 * i + 5) % n)):
-            space = model.perp_space(pts)
-            assert is_rref(space)
-            rank = rref_canonical([model.points[j] for j in pts], model.field).k if pts else 0
-            assert space.k == 6 - rank
 
 
 def test_text_form():
@@ -414,8 +389,6 @@ def test_row_reduce_and_nullspace_match_the_per_coordinate_oracle(q):
                 for a, b in zip(x, r):
                     dot = f.add(dot, f.mul(a, b))
                 assert dot == 0
-        u, v = rref_canonical(rows, f), rref_canonical(random_rows(rng, f, 2, n), f)
-        assert intersect_dim(u, v) == u.k + v.k - len(oracle_row_reduce(u.rows + v.rows, f))
 
 
 @pytest.mark.parametrize("q", ROW_KERNEL_FIELDS)
@@ -500,12 +473,10 @@ def test_held_subspaces_refuse_a_level_outside_a_space(top):
 # -- meet_masks against the elimination oracle --------------------------------
 
 
-def oracle_meet_masks(spaces, t):
-    """meet_masks by one intersect_dim per pair."""
-    return [
-        sum(1 << j for j, v in enumerate(spaces) if intersect_dim(u, v) >= t)
-        for u in spaces
-    ]
+def oracle_meet_masks(spaces, ts):
+    """meet_masks at each t of ts, by one oracle_intersect_dim per pair."""
+    dims = [[oracle_intersect_dim(u, v) for v in spaces] for u in spaces]
+    return [[sum(1 << j for j, d in enumerate(row) if d >= t) for row in dims] for t in ts]
 
 
 def _small_kneser_ambients(limit=400):
@@ -528,24 +499,20 @@ def test_small_kneser_ambients_cover_the_edge_cases():
 
 
 @pytest.mark.parametrize("q,n,k", _small_kneser_ambients())
-def test_meet_masks_match_intersect_dim(q, n, k):
+def test_meet_masks_match_the_elimination_oracle(q, n, k):
     # every t from 0 to k, so t = k - 1 (each Kneser t here) and the
     # trivial thresholds are all covered
     verts = enumerate_k_subspaces(n, k, make_field(q))
-    dims = [[intersect_dim(u, v) for v in verts] for u in verts]
-    for t in range(k + 1):
-        expected = [
-            sum(1 << j for j, d in enumerate(row) if d >= t) for row in dims
-        ]
-        assert meet_masks(verts, t) == expected
+    ts = range(k + 1)
+    assert [meet_masks(verts, t) for t in ts] == oracle_meet_masks(verts, ts)
 
 
 @pytest.mark.parametrize("q,n,k", [(2, 5, 2), (3, 4, 2), (2, 5, 3)])
 def test_meet_masks_on_complement_images(q, n, k):
     # the duality check's input: complements, listed in source order
     images = [orthogonal_complement(u) for u in enumerate_k_subspaces(n, k, make_field(q))]
-    for t in range(n - k + 1):
-        assert meet_masks(images, t) == oracle_meet_masks(images, t)
+    ts = range(n - k + 1)
+    assert [meet_masks(images, t) for t in ts] == oracle_meet_masks(images, ts)
 
 
 @given(
@@ -564,7 +531,7 @@ def test_meet_masks_on_random_subsets(args):
     spaces = [pool[i % len(pool)] for i in picks]  # mixed dimensions, repeats
     assert_point_masks_match_the_oracle(spaces, t)
     masks = meet_masks(spaces, t)
-    assert masks == oracle_meet_masks(spaces, t)
+    assert [masks] == oracle_meet_masks(spaces, [t])
     for i, m in enumerate(masks):
         assert (m >> i) & 1  # every space meets itself
         for j in range(len(spaces)):

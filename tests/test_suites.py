@@ -12,7 +12,7 @@ from qktw.errors import BudgetExceededError
 from qktw.gf import make_field
 from qktw.kneser import KneserParams, treewidth_verdict
 from qktw.report import CheckCase, SuiteReport, exact_str
-from qktw.subspace import Subspace, enumerate_k_subspaces, intersect_dim, subspaces_of
+from qktw.subspace import Subspace, enumerate_k_subspaces, subspaces_of
 from qktw.suites import (
     bridge_suite,
     counting_suite,
@@ -25,6 +25,8 @@ from qktw.suites import (
     verdict_suite,
     vertex_census,
 )
+
+from subspace_helpers import oracle_intersect_dim
 
 
 def decimal_text(x: int) -> str:
@@ -139,8 +141,9 @@ _PERP_CENSUS_Q4_DIGEST = "a6e21a8bf58143615451e32f9ae707da7a81ab12969cba4da1cab3
 
 
 def oracle_pair_censuses(verts, bases=None):
-    """The census by one intersect_dim per pair of t-subspaces: (a, b, s,
-    counts) for every b >= a, or for every b when ``bases`` lists the a."""
+    """The census by one oracle_intersect_dim per pair of t-subspaces:
+    (a, b, s, counts) for every b >= a, or for every b when ``bases`` lists
+    the a."""
     k = verts[0].k
     subs = [
         [[Subspace(v.field, v.n, w) for w in subspaces_of(v, t)] for t in range(1, k + 1)]
@@ -148,10 +151,10 @@ def oracle_pair_censuses(verts, bases=None):
     ]
     for a in range(len(verts)) if bases is None else bases:
         for b in range(a if bases is None else 0, len(verts)):
-            s = intersect_dim(verts[a], verts[b])
+            s = oracle_intersect_dim(verts[a], verts[b])
             counts = []
             for xs, ys in zip(subs[a], subs[b]):
-                census = Counter(intersect_dim(x, y) for x in xs for y in ys)
+                census = Counter(oracle_intersect_dim(x, y) for x in xs for y in ys)
                 t = xs[0].k
                 assert max(census) <= min(s, t)
                 counts.append([census.get(i, 0) for i in range(min(s, t) + 1)])
