@@ -1,3 +1,4 @@
+import random
 from itertools import product
 
 import pytest
@@ -485,6 +486,22 @@ def test_klein_map_matches_the_span_oracle(q):
 
 def _mask(indices):
     return sum(1 << i for i in indices)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_section_matches_the_span_oracle(q):
+    # polar sections of the spans of 0 to 6 seeded random points: polars of
+    # every dimension from the whole space down to the zero space
+    model = QuadricModel(q)
+    rng = random.Random(q)
+    n = len(model.points)
+    tuples = [()] + [tuple(rng.sample(range(n), r)) for r in range(1, 7) for _ in range(20)]
+    dims = set()
+    for pts in tuples:
+        polar = oracle_perp_space(model, pts)
+        dims.add(polar.k)
+        assert model.polar_section(pts) == _mask(oracle_section(model, polar))
+    assert dims == set(range(7))
 
 
 def _census_inputs(model):

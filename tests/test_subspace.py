@@ -10,6 +10,7 @@ from qktw.gf import make_field, prime_powers_up_to
 from qktw.graph import Graph
 from qktw.kneser import KneserParams, build_kneser_graph, star_independent_set
 from qktw.qbinom import gauss_binom
+from qktw.quadric import QuadricModel
 from qktw.subspace import (
     Subspace,
     enumerate_k_subspaces,
@@ -22,7 +23,7 @@ from qktw.subspace import (
     subspaces_of,
 )
 
-from subspace_helpers import oracle_intersect_dim
+from subspace_helpers import oracle_intersect_dim, oracle_perp_space
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -88,6 +89,20 @@ def test_enumeration_count_mismatch_raises(monkeypatch):
     monkeypatch.setattr(subspace, "gauss_binom", lambda n, k, q: 36)
     with pytest.raises(ArithmeticError, match="enumerated 35 subspaces"):
         enumerate_k_subspaces(4, 2, F2)
+
+
+def test_meet_masks_examples():
+    # three lines of PG(3,2) in a chain: u meets v and v meets w in a
+    # point, u and w are disjoint; the masks follow the input order
+    u = span(F2, unit(4, 0), unit(4, 1))
+    v = span(F2, unit(4, 1), unit(4, 2))
+    w = span(F2, unit(4, 2), unit(4, 3))
+    assert meet_masks([u, v, w], 0) == [0b111, 0b111, 0b111]
+    assert meet_masks([u, v, w], 1) == [0b011, 0b111, 0b110]
+    assert meet_masks([u, v, w], 2) == [0b001, 0b010, 0b100]
+    assert meet_masks([u, u], 2) == [0b11, 0b11]
+    with pytest.raises(AmbientMismatchError):
+        meet_masks([u, span(F3, unit(4, 0, F3), unit(4, 1, F3))], 1)
 
 
 def test_orthogonal_complement_examples():
@@ -238,6 +253,20 @@ def test_star_set_is_rref_and_sorted(q, n, k, t):
     family = star_independent_set(KneserParams(q, n, k, t))
     assert all(is_rref(s) for s in family)
     assert [s.rows for s in family] == sorted({s.rows for s in family})
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_perp_space_is_rref(q):
+    # nullspace_rows on the polar vectors of quadric points: an RREF basis
+    # of dimension 6 - rank of the points
+    model = QuadricModel(q)
+    n = len(model.points)
+    for i in range(0, n, 7):
+        for pts in ((), (i,), (i, (5 * i + 1) % n), (i, (3 * i + 2) % n, (11 * i + 5) % n)):
+            space = oracle_perp_space(model, pts)
+            assert is_rref(space)
+            rank = rref_canonical([model.points[j] for j in pts], model.field).k if pts else 0
+            assert space.k == 6 - rank
 
 
 def test_text_form():
