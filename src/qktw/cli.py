@@ -218,18 +218,19 @@ def _cmd_td_validate(args) -> int:
 
 def _cmd_tw_exact(args) -> int:
     g = pace_read_gr(args.graph)
-    # The decision path refuses a graph past --max-vertices before it runs.
-    # Its node count is not known before the run, so the node budget is its
-    # limit; where it runs out, the subset DP solves a graph whose 2^n - 1
-    # subsets, one node each, are within that budget.
+    # Both solvers take one budget.  The decision path's node count is known
+    # only as it runs; where it runs out, the subset DP, which refuses before
+    # solving a graph whose 2^n - 1 subsets (one node each) pass the node
+    # limit, takes over, and where that refuses too, the decision path's
+    # refusal is the one reported.
+    budget = SolveBudget(max_vertices=args.max_vertices, node_limit=TREEWIDTH_NODE_BUDGET)
     try:
-        solved = treewidth_by_decision(
-            g, SolveBudget(max_vertices=args.max_vertices, node_limit=TREEWIDTH_NODE_BUDGET)
-        )
-    except BudgetExceededError:
-        if g.n > args.max_vertices or (1 << g.n) - 1 > TREEWIDTH_NODE_BUDGET:
-            raise
-        solved = treewidth_exact(g, SolveBudget(max_vertices=args.max_vertices))
+        solved = treewidth_by_decision(g, budget)
+    except BudgetExceededError as refused:
+        try:
+            solved = treewidth_exact(g, budget)
+        except BudgetExceededError:
+            raise refused from None
     tw, td = solved
     if args.output:
         pace_write_td(td, g.n, args.output)

@@ -14,7 +14,7 @@ class SizeLimitError(RuntimeError):
 
 
 class BudgetExceededError(RuntimeError):
-    """An exact solver hit its vertex, search-node, or time budget."""
+    """An exact solver hit its vertex, search-node, table or level budget."""
 
 
 class PaceParseError(ValueError):

@@ -20,10 +20,8 @@ tie-breaking.  Exceeded budgets raise, they never return a wrong answer.
 
 from __future__ import annotations
 
-import time
 from array import array
 from dataclasses import dataclass
-from functools import partial
 from heapq import heapify, heappop, heappush
 from itertools import combinations
 
@@ -40,9 +38,8 @@ TREEWIDTH_VERTEX_CAP = 18
 TREEWIDTH_TABLE_MAX_VERTICES = 23
 # tw-exact's node limit.  Its decision path's node count (the vertices
 # each of its passes goes over) is known only as it runs; the subset DP,
-# its fallback, is refused before solving where it would tick more nodes
-# (one per nonempty subset): G(22, 1/2) takes about 12 s and 52 MiB peak
-# RSS there.
+# its fallback, costs one node per nonempty subset and is refused before
+# solving past it: G(22, 1/2) takes about 12 s and 52 MiB peak RSS there.
 TREEWIDTH_NODE_BUDGET = 2**22 - 1
 # The decision path holds each level, and each width's search memo, as
 # masks, about 64 bytes a set: 16 MiB at this many sets, past which a
@@ -59,28 +56,24 @@ SEPARATOR_VERTEX_CAP = 20
 
 @dataclass(frozen=True)
 class SolveBudget:
-    """Limits for the exact solvers; None fields take per-solver defaults."""
+    """Limits for the exact solvers: a vertex cap, None for the solver's
+    default, and a limit on search nodes, None for no limit."""
 
     max_vertices: int | None = None
-    time_limit: float | None = None
     node_limit: int | None = None
 
     def __post_init__(self):
-        for name in ("max_vertices", "time_limit", "node_limit"):
+        for name in ("max_vertices", "node_limit"):
             value = getattr(self, name)
             if value is not None and value < 0:
                 raise ValueError(f"{name} must not be negative, got {value}")
 
 
 class _BudgetClock:
-    """Node counter plus an occasionally-polled wall clock."""
+    """A solver's search-node counter, held to the budget's node limit."""
 
     def __init__(self, budget: SolveBudget):
         self.node_limit = budget.node_limit
-        self.time_limit = budget.time_limit
-        self.deadline = (
-            time.monotonic() + budget.time_limit if budget.time_limit is not None else None
-        )
         self.nodes = 0
 
     def tick(self, cost: int = 1) -> None:
@@ -89,15 +82,11 @@ class _BudgetClock:
         explored = self.nodes
         self.nodes += cost
         if self.node_limit is not None and self.nodes > self.node_limit:
-            self._exceeded(f"search-node limit {self.node_limit}", explored)
-        # the clock is read once every 1,024 nodes
-        if self.deadline is not None and self.nodes >> 10 != explored >> 10:
-            if time.monotonic() > self.deadline:
-                self._exceeded(f"time limit of {self.time_limit} s", explored)
-
-    def _exceeded(self, limit: str, explored: int) -> None:
-        # the nodes being ticked are not explored
-        raise BudgetExceededError(f"{limit} exceeded after {explored} search nodes explored")
+            # the nodes being ticked are not explored
+            raise BudgetExceededError(
+                f"search-node limit {self.node_limit} exceeded after {explored} "
+                "search nodes explored"
+            )
 
 
 def _check_vertex_cap(g: Graph, budget: SolveBudget | None, default_cap: int) -> SolveBudget:
@@ -238,7 +227,8 @@ def treewidth_exact(
     the lowest v with max(TW(S - v), |N(K) - S|) = TW(S), the choice of a
     plain ascending scan that keeps only strict improvements; it is
     turned into a valid decomposition whose width equals the optimum.
-    One budget node per nonempty subset.
+    It costs one budget node per nonempty subset, 2^n - 1 on every graph,
+    so a node limit below that is refused before the tables are made.
     """
     budget = _check_vertex_cap(g, budget, TREEWIDTH_VERTEX_CAP)
     if g.n > TREEWIDTH_TABLE_MAX_VERTICES:
@@ -246,20 +236,22 @@ def treewidth_exact(
             f"{g.n} vertices need 2^{g.n} subsets of 9 table bytes each; "
             f"they are limited to {TREEWIDTH_TABLE_MAX_VERTICES} vertices (128 MiB)"
         )
-    tick = _BudgetClock(budget).tick
     n = g.n
+    if budget.node_limit is not None and (1 << n) - 1 > budget.node_limit:
+        raise BudgetExceededError(
+            f"search-node limit {budget.node_limit} is below the subset DP's "
+            f"{(1 << n) - 1} nodes, one per nonempty subset: refused before solving"
+        )
     adj = g.adjacency
     best, high, nb = _subset_tables(n)
     for h in range(n):
         # the subsets whose highest vertex is h, in increasing order
         hb = 1 << h
         ah = adj[h]
-        tick()
         high[hb] = hb
         nb[hb] = ah
         best[hb] = ah.bit_count()
         for s in range(hb + 1, hb << 1):
-            tick()
             x = s ^ hb
             ns = nb[x] | ah
             nb[s] = ns
@@ -338,7 +330,7 @@ def min_degree_width(g: Graph) -> int:
     return width
 
 
-def _width_levels(adj: list[int], part: int, w: int, tick) -> list[set[int]]:
+def _width_levels(adj: list[int], part: int, w: int, clock) -> list[set[int]]:
     """Levels 0..|part|-w-1 of the sets T inside ``part``, a component of
     the graph, with TW(T) <= w, as masks; the list ends early at the first
     empty level.
@@ -347,13 +339,15 @@ def _width_levels(adj: list[int], part: int, w: int, tick) -> list[set[int]]:
     set Q(T, v) = (N(v) | N(components of G[T] that v touches)) - T - v
     has at most w vertices: each component K of G[T] adds N(K) - T to the
     fill set of every vertex of N(K) - T, which are the vertices that
-    touch it.  One ``tick`` per set expanded; a level that grows past
-    TREEWIDTH_LEVEL_BUDGET sets is refused as it grows."""
+    touch it.  Each set expanded costs ``clock`` the |part| vertices its
+    pass goes over; a level that grows past TREEWIDTH_LEVEL_BUDGET sets is
+    refused as it grows."""
+    size = part.bit_count()
     levels = [{0}]
-    for j in range(1, part.bit_count() - w):
+    for j in range(1, size - w):
         grown = set()
         for t in levels[-1]:
-            tick()
+            clock.tick(size)
             out = part ^ t
             fill = list(adj)
             for k, reach in components(adj, t):
@@ -380,6 +374,17 @@ def _width_levels(adj: list[int], part: int, w: int, tick) -> list[set[int]]:
     return levels
 
 
+def _decision_clock(g: Graph, budget: SolveBudget | None) -> _BudgetClock:
+    """The decision path's admission, the vertex cap and then the
+    _DECISION_MAX_VERTICES of its n-bit sets, and the budget's clock."""
+    budget = _check_vertex_cap(g, budget, TREEWIDTH_VERTEX_CAP)
+    if g.n > _DECISION_MAX_VERTICES:
+        raise BudgetExceededError(
+            f"{g.n} vertices exceed the {_DECISION_MAX_VERTICES} of the decision path"
+        )
+    return _BudgetClock(budget)
+
+
 def treewidth_at_most(g: Graph, w: int, budget: SolveBudget | None = None) -> bool:
     """Whether the treewidth is at most ``w``, by the decision form of the
     subset DP (Bodlaender, Fomin, Koster, Kratsch and Thilikos).
@@ -388,13 +393,13 @@ def treewidth_at_most(g: Graph, w: int, budget: SolveBudget | None = None) -> bo
     C eliminated after j others of C reaches at most |C| - j - 1 vertices.
     So tw <= w iff in each C some set of |C| - w - 1 vertices can be
     eliminated first with every fill degree at most w: iff level
-    |C| - w - 1 of :func:`_width_levels` is not empty.  One budget node
-    per set expanded."""
-    budget = _check_vertex_cap(g, budget, TREEWIDTH_VERTEX_CAP)
-    tick = _BudgetClock(budget).tick
+    |C| - w - 1 of :func:`_width_levels` is not empty.  Its budget is
+    :func:`treewidth_by_decision`'s: the same vertex caps, and the same
+    |C| nodes for each set a family expands."""
+    clock = _decision_clock(g, budget)
     adj = g.adjacency
     return all(
-        _width_levels(adj, part, w, tick)[-1] for part, _ in components(adj, (1 << g.n) - 1)
+        _width_levels(adj, part, w, clock)[-1] for part, _ in components(adj, (1 << g.n) - 1)
     )
 
 
@@ -554,12 +559,7 @@ def treewidth_by_decision(
     refutation of the search and of the recovery's candidates (not the
     recovery's n splits of S, at most n^2 vertices in all).
     """
-    budget = _check_vertex_cap(g, budget, TREEWIDTH_VERTEX_CAP)
-    if g.n > _DECISION_MAX_VERTICES:
-        raise BudgetExceededError(
-            f"{g.n} vertices exceed the {_DECISION_MAX_VERTICES} of the decision path"
-        )
-    clock = _BudgetClock(budget)
+    clock = _decision_clock(g, budget)
     n = g.n
     adj = g.adjacency
     parts = components(adj, (1 << n) - 1)
@@ -573,8 +573,7 @@ def treewidth_by_decision(
             if top <= 0:
                 continue
             if (part, w) not in families:
-                expand = partial(clock.tick, part.bit_count())
-                families[part, w] = _width_levels(adj, part, w, expand)
+                families[part, w] = _width_levels(adj, part, w, clock)
             levels = families[part, w]
             x = s & part
             size = x.bit_count()

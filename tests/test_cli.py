@@ -20,6 +20,7 @@ from qktw.suites import counting_suite, perp_census_suite
 from qktw.graph import Graph, path_graph, petersen_graph
 from qktw.treedec import (
     TreeDecomposition,
+    pace_read_gr,
     pace_read_td,
     pace_write_gr,
     pace_write_td,
@@ -313,19 +314,28 @@ def test_tw_exact_command(tmp_path, capsys):
 def test_tw_exact_budget_failure_reaches_stderr(tmp_path, capsys, monkeypatch):
     gr = tmp_path / "pet.gr"
     pace_write_gr(petersen_graph(), gr)
-    # the decision path, given a node limit, trips at once; the subset DP
-    # that takes over trips at 100 nodes
-    monkeypatch.setattr(
-        cli,
-        "SolveBudget",
-        lambda max_vertices, node_limit=None: SolveBudget(
-            max_vertices, node_limit=100 if node_limit is None else 0
-        ),
-    )
+    # the decision path trips the node budget, the subset DP refuses its
+    # 2^10 - 1 subsets before solving, and the decision path's refusal is
+    # the one reported
+    monkeypatch.setattr(cli, "TREEWIDTH_NODE_BUDGET", 100)
+    solve, refused = cli.treewidth_exact, []
+
+    def recording(graph, budget):
+        try:
+            return solve(graph, budget)
+        except BudgetExceededError as exc:
+            refused.append(str(exc))
+            raise
+
+    monkeypatch.setattr(cli, "treewidth_exact", recording)
     assert run(["tw-exact", str(gr)]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: search-node limit 100 exceeded after 100 search nodes explored\n"
+    assert refused == [
+        "search-node limit 100 is below the subset DP's 1023 nodes, one per nonempty subset: "
+        "refused before solving"
+    ]
 
 
 def test_tw_exact_table_budget(tmp_path, capsys, monkeypatch):
@@ -334,11 +344,13 @@ def test_tw_exact_table_budget(tmp_path, capsys, monkeypatch):
     code, payload = run_json(capsys, ["tw-exact", str(gr), "--max-vertices", "40"])
     assert code == 0 and payload["treewidth"] == 1
     # where the decision path trips and the node budget admits 2^24 - 1
-    # subsets, the subset DP refuses by its table limit
+    # subsets, the subset DP refuses by its table limit before allocating,
+    # and the decision path's refusal is the one reported
     monkeypatch.setattr(exact, "TREEWIDTH_LEVEL_BUDGET", 0)
     monkeypatch.setattr(cli, "TREEWIDTH_NODE_BUDGET", 2**24)
+    monkeypatch.setattr(exact, "_subset_tables", None)
     assert run(["tw-exact", str(gr), "--max-vertices", "40"]) == 3
-    assert "23 vertices" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: the width-1 search holds more than 0 sets\n"
 
 
 def test_tw_exact_node_budget_fails_fast(tmp_path, capsys, monkeypatch):
@@ -347,9 +359,9 @@ def test_tw_exact_node_budget_fails_fast(tmp_path, capsys, monkeypatch):
     code, payload = run_json(capsys, ["tw-exact", str(gr), "--max-vertices", "26"])
     assert code == 0 and payload["treewidth"] == 1
     # past a tripped decision path, 2^23 - 1 subsets are past the node
-    # budget: refused at once, and no subset DP runs
+    # budget: the subset DP refuses them at once, with no table made
     monkeypatch.setattr(exact, "TREEWIDTH_LEVEL_BUDGET", 0)
-    monkeypatch.setattr(cli, "treewidth_exact", None)
+    monkeypatch.setattr(exact, "_subset_tables", None)
     start = time.monotonic()
     assert run(["tw-exact", str(gr), "--max-vertices", "26"]) == 3
     assert time.monotonic() - start < 1
@@ -369,6 +381,26 @@ def test_tw_exact_node_budget_fails_fast(tmp_path, capsys, monkeypatch):
     pace_write_gr(path_graph(22), gr)
     assert run(["tw-exact", str(gr), "--max-vertices", "26"]) == 0
     assert solved == [22]
+
+
+@pytest.mark.parametrize(
+    "build", [["-n", "4", "-k", "2", "-t", "1"], ["--quadric"]], ids=["kneser", "quadric"]
+)
+def test_tw_exact_decides_k421_at_the_formula_value(tmp_path, capsys, build):
+    # K_2(4,2,1), and the quadric graph on the 35 points of Q+(5,2) that
+    # the Klein map makes isomorphic to it, lie past the subset DP's
+    # tables: the decision path alone decides them, within the shipped
+    # node budget
+    gr, td = tmp_path / "k421.gr", tmp_path / "k421.td"
+    assert run(["gen", "-q", "2", *build, "-o", str(gr)]) == 0
+    capsys.readouterr()
+    _, verdict = run_json(capsys, ["verdict", "-q", "2", "-n", "4", "-k", "2", "-t", "1"])
+    code, payload = run_json(capsys, ["tw-exact", str(gr), "-o", str(td), "--max-vertices", "35"])
+    assert code == 0 and payload["vertices"] == 35
+    assert str(payload["treewidth"]) == verdict["formula_value"] == "27"
+    decomposition, declared = pace_read_td(td)
+    report = validate_td(pace_read_gr(gr), decomposition)
+    assert declared == 35 and report.passed and report.width == 27
 
 
 def gnp(n, p, seed):

@@ -2,6 +2,7 @@ import inspect
 import random
 import sys
 import textwrap
+import time
 from itertools import combinations, permutations
 
 import pytest
@@ -440,13 +441,28 @@ def test_balanced_matches_the_component_predicate(g, data):
         assert exact._balanced(g.adjacency, y, y.bit_count()) == reference_balanced(g, y)
 
 
-def test_treewidth_node_limit_is_one_node_per_nonempty_subset():
+def test_treewidth_node_limit_is_one_node_per_nonempty_subset(monkeypatch):
+    class Allocated(Exception):
+        pass
+
+    def allocate(n):
+        raise Allocated(n)
+
     g = random_graph(9, 0.4, seed=5)
     full = 2**g.n - 1
     assert treewidth_exact(g, SolveBudget(node_limit=full)) == treewidth_exact(g)
+    # priced before it runs: one node short is refused before any table
+    # is made, and the DP keeps no clock to tick
+    monkeypatch.setattr(exact, "_subset_tables", allocate)
+    monkeypatch.setattr(exact, "_BudgetClock", None)
     with pytest.raises(BudgetExceededError) as info:
         treewidth_exact(g, SolveBudget(node_limit=full - 1))
-    assert str(info.value) == "search-node limit 510 exceeded after 510 search nodes explored"
+    assert str(info.value) == (
+        "search-node limit 510 is below the subset DP's 511 nodes, one per nonempty subset: "
+        "refused before solving"
+    )
+    with pytest.raises(Allocated):
+        treewidth_exact(g, SolveBudget(node_limit=full))
 
 
 class ReadLog(bytearray):
@@ -546,22 +562,7 @@ def test_separator_node_limit_is_one_node_per_candidate():
         min_balanced_separator(g, SolveBudget(node_limit=at_witness - 1))
 
 
-def test_time_limit_trips_inside_the_dp():
-    # the clock is polled every 1024 nodes, far inside the 65,535 subsets
-    g = random_graph(16, 0.5, seed=16)
-    with pytest.raises(BudgetExceededError) as info:
-        treewidth_exact(g, SolveBudget(time_limit=1e-9))
-    assert str(info.value) == "time limit of 1e-09 s exceeded after 1023 search nodes explored"
-
-
-def test_zero_time_limit_is_a_limit():
-    g = random_graph(16, 0.5, seed=16)
-    with pytest.raises(BudgetExceededError) as info:
-        treewidth_exact(g, SolveBudget(time_limit=0))
-    assert str(info.value) == "time limit of 0 s exceeded after 1023 search nodes explored"
-
-
-@pytest.mark.parametrize("field", ["max_vertices", "time_limit", "node_limit"])
+@pytest.mark.parametrize("field", ["max_vertices", "node_limit"])
 def test_negative_limits_are_refused(field):
     with pytest.raises(ValueError, match=f"{field} must not be negative"):
         SolveBudget(**{field: -1})
@@ -642,9 +643,7 @@ def _mutant(name, old, new):
 MUTATIONS = {
     "fill-degree-plus-one": ("_width_levels", ".bit_count() <= w:", ".bit_count() <= w + 1:"),
     "fill-degree-minus-one": ("_width_levels", ".bit_count() <= w:", ".bit_count() < w:"),
-    "levels-cut-one-short": (
-        "_width_levels", "range(1, part.bit_count() - w)", "range(1, part.bit_count() - w - 1)"
-    ),
+    "levels-cut-one-short": ("_width_levels", "range(1, size - w)", "range(1, size - w - 1)"),
     "top-level-one-short": (
         "treewidth_by_decision", "top = part.bit_count() - w - 1", "top = part.bit_count() - w - 2"
     ),
@@ -670,12 +669,28 @@ def _families(monkeypatch):
     levels_of = exact._width_levels
     built = []
 
-    def logged(adj, part, w, tick):
-        built.append(levels_of(adj, part, w, tick))
+    def logged(adj, part, w, clock):
+        built.append(levels_of(adj, part, w, clock))
         return built[-1]
 
     monkeypatch.setattr(exact, "_width_levels", logged)
     return built
+
+
+def _family_nodes(monkeypatch):
+    """Patch ``_width_levels`` to log each family's width and the nodes it
+    ticked."""
+    levels_of = exact._width_levels
+    log = []
+
+    def logged(adj, part, w, clock):
+        start = clock.nodes
+        levels = levels_of(adj, part, w, clock)
+        log.append((w, clock.nodes - start))
+        return levels
+
+    monkeypatch.setattr(exact, "_width_levels", logged)
+    return log
 
 
 def _expanded(families):
@@ -735,20 +750,24 @@ def test_decision_node_limit_counts_the_vertices_of_each_pass(monkeypatch):
         treewidth_by_decision(g, SolveBudget(node_limit=nodes - 1))
     families.clear()
     assert treewidth_at_most(g, result[0]) and len(families) == 1
-    nodes = _expanded(families)
+    nodes = g.n * _expanded(families)
     assert treewidth_at_most(g, result[0], SolveBudget(node_limit=nodes))
-    with pytest.raises(BudgetExceededError, match="search-node limit"):
+    with pytest.raises(BudgetExceededError, match=f"search-node limit {nodes - 1} exceeded"):
         treewidth_at_most(g, result[0], SolveBudget(node_limit=nodes - 1))
 
 
-@pytest.mark.parametrize("limit", [0, 1e-9])
-def test_decision_time_limit_is_polled_every_1024_nodes(limit):
-    # the first family expands sets of 24 nodes each, and the clock is
-    # read on the 43rd, which passes 1,024 nodes
-    g = random_graph(24, 0.5, seed=24)
-    with pytest.raises(BudgetExceededError) as info:
-        treewidth_by_decision(g, SolveBudget(max_vertices=24, time_limit=limit))
-    assert str(info.value) == f"time limit of {limit} s exceeded after 1008 search nodes explored"
+def test_treewidth_at_most_ticks_what_the_decision_path_ticks_for_its_family(monkeypatch):
+    # the family just below the treewidth, which the width search builds
+    g = random_graph(14, 0.6, seed=4)
+    ticked = _family_nodes(monkeypatch)
+    below = treewidth_by_decision(g)[0] - 1
+    nodes = dict(ticked)[below]
+    assert nodes > g.n
+    ticked.clear()
+    assert not treewidth_at_most(g, below, SolveBudget(node_limit=nodes))
+    assert ticked == [(below, nodes)]
+    with pytest.raises(BudgetExceededError, match=f"search-node limit {nodes - 1} exceeded"):
+        treewidth_at_most(g, below, SolveBudget(node_limit=nodes - 1))
 
 
 def test_decision_path_takes_the_vertex_cap_but_no_table_cap():
@@ -769,7 +788,10 @@ def test_decision_path_decides_each_component_apart():
     assert treewidth_by_decision(g, SolveBudget(max_vertices=20, node_limit=200)) == (
         treewidth_exact(g, SolveBudget(max_vertices=20))
     )
-    assert not treewidth_at_most(g, 9, SolveBudget(max_vertices=20, node_limit=1))
+    # at width 9 the clique's family expands one set of 11 vertices
+    assert not treewidth_at_most(g, 9, SolveBudget(max_vertices=20, node_limit=11))
+    with pytest.raises(BudgetExceededError, match="search-node limit 10 exceeded"):
+        treewidth_at_most(g, 9, SolveBudget(max_vertices=20, node_limit=10))
 
 
 @pytest.mark.parametrize(
@@ -1025,3 +1047,11 @@ def test_decision_path_refuses_past_its_vertex_limit():
     g = path_graph(exact._DECISION_MAX_VERTICES + 1)
     with pytest.raises(BudgetExceededError, match="2049 vertices exceed the 2048 of the decision path"):
         treewidth_by_decision(g, SolveBudget(max_vertices=5000))
+
+
+def test_treewidth_at_most_refuses_past_the_decision_path_vertex_limit():
+    g = path_graph(exact._DECISION_MAX_VERTICES + 1)
+    start = time.monotonic()
+    with pytest.raises(BudgetExceededError, match="2049 vertices exceed the 2048 of the decision path"):
+        treewidth_at_most(g, 1, SolveBudget(max_vertices=5000))
+    assert time.monotonic() - start < 1

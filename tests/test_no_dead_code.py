@@ -7,6 +7,9 @@ not an entry point is deleted, not kept for the tests.
 A reference is a ``Name``, an ``Attribute`` or an import alias with the
 same bare name, so the scan is coarse: a name used for something else
 elsewhere still passes.  It reads the files; it imports nothing.
+
+Options are held to the same rule: every field of ``exact.SolveBudget``
+must be passed by keyword in some ``SolveBudget(...)`` call there.
 """
 
 import ast
@@ -81,3 +84,30 @@ def test_every_src_definition_is_referenced():
 
 def test_the_allow_list_names_only_unreferenced_definitions():
     assert set(ALLOWED) <= set(unreferenced())
+
+
+def budget_fields_never_passed():
+    """The fields of ``exact.SolveBudget`` that no ``SolveBudget(...)``
+    call in the scanned sources passes by keyword."""
+    sources = _sources()
+    exact_tree = next(tree for path, tree in sources if path == PACKAGE / "exact.py")
+    (budget,) = [
+        node
+        for node in exact_tree.body
+        if isinstance(node, ast.ClassDef) and node.name == "SolveBudget"
+    ]
+    fields = [item.target.id for item in budget.body if isinstance(item, ast.AnnAssign)]
+    assert fields
+    passed = set()
+    for _, tree in sources:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "SolveBudget":
+                    passed.update(keyword.arg for keyword in node.keywords)
+    return [name for name in fields if name not in passed]
+
+
+def test_every_solve_budget_field_is_passed_by_some_caller():
+    assert budget_fields_never_passed() == []
