@@ -657,6 +657,19 @@ def test_alpha_command(capsys):
     assert payload["exact"] is None and not payload["within_budget"]
 
 
+@pytest.mark.parametrize(
+    "q, n, k, t, vertices, alpha",
+    [(2, 6, 3, 2, 1395, "15"), (3, 5, 2, 1, 1210, "40")],
+)
+def test_alpha_is_exact_past_the_default_vertex_cap(capsys, q, n, k, t, vertices, alpha):
+    argv = ["alpha", "-q", str(q), "-n", str(n), "-k", str(k), "-t", str(t)]
+    code, payload = run_json(capsys, [*argv, "--max-vertices", str(vertices)])
+    assert code == 0
+    assert payload["exact"] == payload["formula"] == alpha and payload["agree"]
+    code, payload = run_json(capsys, [*argv, "--max-vertices", str(vertices - 1)])
+    assert code == 0 and payload["exact"] is None and not payload["within_budget"]
+
+
 def test_verify_grid(capsys):
     code, payload = run_json(capsys, ["verify", "grid", "-q", "2"])
     assert code == 0

@@ -110,6 +110,8 @@ MIS_SEARCH_TREES = [
     (40, 0.5, 5, 36, (0, 4, 10, 16, 21, 32, 34)),
     (60, 0.1, 6, 1946, (0, 2, 4, 6, 7, 10, 12, 16, 23, 24, 26, 34, 35, 39, 44, 47, 49, 51, 53,
                         56, 57, 58)),
+    (100, 0.4, 1, 1582, (3, 4, 5, 14, 15, 16, 61, 63, 66, 71, 92)),
+    (150, 0.5, 1, 2209, (1, 2, 33, 35, 50, 54, 124, 141, 146, 148)),
 ]
 
 
@@ -119,6 +121,94 @@ def test_mis_search_tree_is_pinned(n, p, seed, nodes, witness):
     assert mis_exact(g, SolveBudget(node_limit=nodes)) == (len(witness), witness)
     with pytest.raises(BudgetExceededError, match="search-node limit"):
         mis_exact(g, SolveBudget(node_limit=nodes - 1))
+
+
+def test_mis_search_tree_is_pinned_on_k3_5_2_1():
+    g = build_kneser_graph(KneserParams(3, 5, 2, 1))
+    assert g.n == 1210
+    size, witness = mis_exact(g, SolveBudget(max_vertices=g.n, node_limit=532))
+    assert size == 40 == alpha_value(KneserParams(3, 5, 2, 1))
+    assert witness == (
+        164, 204, 244, 282, 319, 356, 385, 422, 459, 473, 504, 535, 564, 592, 620, 640, 668, 696,
+        737, 768, 799, 828, 856, 884, 904, 932, 960, 1103, 1117, 1128, 1134, 1145, 1153, 1159,
+        1170, 1178, 1187, 1191, 1195, 1197,
+    )
+    with pytest.raises(BudgetExceededError, match="search-node limit 531 exceeded"):
+        mis_exact(g, SolveBudget(max_vertices=g.n, node_limit=531))
+
+
+def reference_mis(g, budget=None):
+    """``mis_exact`` with the coloring that clears each vertex's
+    complement-neighbours by ``&= ~comp[v]``: its search tree is the
+    kernel's, node for node.  Returns (size, witness, search nodes)."""
+    budget = budget or SolveBudget()
+    clock = exact._BudgetClock(budget)
+    comp = g.complement().adjacency
+    best_size = 0
+    best_mask = 0
+
+    def expand(rmask, rsize, cand):
+        nonlocal best_size, best_mask
+        clock.tick()
+        if not cand:
+            if rsize > best_size:
+                best_size, best_mask = rsize, rmask
+            return
+        kmin = best_size - rsize
+        rest = cand
+        color = 0
+        while rest and color < kmin:
+            color += 1
+            avail = rest
+            while avail:
+                bit = avail & -avail
+                avail &= ~(comp[bit.bit_length() - 1] | bit)
+                rest ^= bit
+        order = []
+        while rest:
+            color += 1
+            avail = rest
+            while avail:
+                v = (avail & -avail).bit_length() - 1
+                bit = 1 << v
+                avail &= ~comp[v]
+                avail &= ~bit
+                rest &= ~bit
+                order.append((v, color))
+        for v, color in reversed(order):
+            if rsize + color <= best_size:
+                return
+            bit = 1 << v
+            expand(rmask | bit, rsize + 1, cand & comp[v])
+            cand &= ~bit
+
+    expand(0, 0, (1 << g.n) - 1)
+    return best_size, tuple(iter_bits(best_mask)), clock.nodes
+
+
+def _differential_graphs():
+    rng = random.Random(31)
+    for n in range(1, 41):
+        yield Graph(n)
+        yield complete_graph(n)
+        for _ in range(4):
+            yield random_graph(n, rng.choice([0.05, 0.2, 0.35, 0.5, 0.65, 0.8, 0.95]),
+                               rng.randrange(10**6))
+
+
+def test_mis_matches_the_reference_kernel_node_for_node():
+    graphs = list(_differential_graphs())
+    assert len(graphs) >= 200
+    for g in graphs:
+        size, witness, nodes = reference_mis(g)
+        # within `nodes` and not within one fewer: the same node count
+        assert mis_exact(g, SolveBudget(node_limit=nodes)) == (size, witness)
+        short = SolveBudget(node_limit=nodes - 1)
+        with pytest.raises(BudgetExceededError) as ours:
+            mis_exact(g, short)
+        with pytest.raises(BudgetExceededError) as theirs:
+            reference_mis(g, short)
+        assert str(ours.value) == str(theirs.value)
 
 
 def test_treewidth_named_graphs():
