@@ -13,6 +13,11 @@ Subcommands:
 
 Exit codes: 0 all checks passed, 1 a check failed, 2 usage or parse error,
 3 budget or size limit exceeded.
+
+Each request is parsed once: arguments that start with a known subcommand
+go straight to that subcommand's parser, and only the rest (no arguments,
+a leading option, an unknown command) go through the top-level parser.
+Both routes give the same namespace, help, usage and error text.
 """
 
 from __future__ import annotations
@@ -84,6 +89,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Treewidth verification toolkit for generalized q-Kneser graphs.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # ``run`` parses a known command's arguments with its parser alone
+    parser.commands = sub.choices
 
     gen = sub.add_parser("gen", help="build a graph and write it in .gr format")
     gen.add_argument("-q", type=int, required=True)
@@ -288,7 +295,9 @@ _DISPATCH = {
 
 
 # Built by the first ``run`` call and reused by later ones in the process;
-# importing the module builds nothing.
+# importing the module builds nothing.  ``run`` skips the top-level parse
+# for a known subcommand: that parse classifies every argument and then
+# hands them all to the subcommand's parser, which parses them again.
 _PARSER: argparse.ArgumentParser | None = None
 
 
@@ -300,8 +309,16 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def run(argv: list[str]) -> int:
+    parser = _parser()
+    command = parser.commands.get(argv[0]) if argv else None
     try:
-        args = _parser().parse_args(argv)
+        if command is None:
+            args = parser.parse_args(argv)
+        else:
+            args, extra = command.parse_known_args(argv[1:])
+            if extra:
+                parser.error(f"unrecognized arguments: {' '.join(extra)}")
+            args.command = argv[0]
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:

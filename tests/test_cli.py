@@ -15,6 +15,8 @@ from qktw import cli, exact, suites
 from qktw.cli import run
 from qktw.errors import BudgetExceededError
 from qktw.exact import SolveBudget, treewidth_at_most, treewidth_exact
+from qktw.gf import is_prime_power
+from qktw.kneser import KneserParams, treewidth_verdict
 from qktw.report import CheckCase, SuiteReport, verify_all_json
 from qktw.suites import counting_suite, perp_census_suite
 from qktw.graph import Graph, path_graph, petersen_graph
@@ -800,6 +802,113 @@ def test_parser_is_built_once_per_process(capsys, monkeypatch):
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, check=True,
     )
     assert probe.stdout == "None\n"  # importing builds nothing
+
+
+def reference_run(argv):
+    """``run`` as it parsed before a known command went to its own parser:
+    the top-level parser classifies every argument, then the subparser
+    parses them again."""
+    try:
+        args = cli.build_parser().parse_args(argv)
+    except SystemExit as exc:
+        return exc.code if isinstance(exc.code, int) else cli.EXIT_USAGE
+    return cli._DISPATCH[args.command](args)
+
+
+_NKT = ["-n", "4", "-k", "2", "-t", "1"]
+_VERDICT = ["verdict", "-q", "2", *_NKT]
+
+_PARSE_CASES = [
+    [], ["-h"], ["--he"], ["nope"], ["nope", "-q", "2"],
+    ["gen", "-q", "2", *_NKT, "-o", "k.gr", "--labels", "k.lab"],
+    ["gen", "--quadric", "-q", "2", "--output=k.gr"],
+    _VERDICT,
+    ["alpha", "-q", "2", *_NKT, "--max-vertices", "10"],
+    ["td-build", "-q", "2", *_NKT, "-o", "k.td", "--gr", "k.gr"],
+    ["td-validate", "k.gr", "k.td"],
+    ["tw-exact", "k.gr", "-o", "k.td", "--max-vertices", "5"],
+    ["verify", "grid", "-q", "3", "--claims", "i,ii", "--tuples", "4"],
+    ["verify-all", "-o", "report.json"],
+    *([command, "-h"] for command in cli._DISPATCH),
+    ["verdict", "-q", "2", *_NKT, "--help"],
+    ["verdict", "-q", "2", "-n", "4"],  # -k and -t missing
+    ["td-validate", "k.gr"],
+    ["verify"],
+    ["verify", "nosuch"],
+    ["verdict", "-q", "x", *_NKT],
+    ["alpha", "-q", "2", *_NKT, "--max-vertices", "-1"],
+    ["tw-exact", "k.gr", "--max-vertices", "-3"],
+    [*_VERDICT, "extra", "more"],
+    ["verify-all", "extra"],
+    [*_VERDICT, "--bogus"],
+    ["verdict", "-x", *_NKT],
+    [*_VERDICT, "--out", "v.json"],
+    ["alpha", "-q", "2", *_NKT, "--max-v", "7"],
+    [*_VERDICT, "--output"],  # no value
+    ["verdict", "-q2", "-n4", "-k2", "-t1"],
+    ["verdict", "-q", "2", "-q", "3", *_NKT],
+    ["--", "verdict"],
+    ["verdict", "--", "-q"],
+    ["verdict", "--", "-q", "2", *_NKT],
+    ["verify", "--", "grid"],
+    ["-x", "verdict"],
+    ["-h", "verdict"],
+]
+
+
+def echo_args(args):
+    print(sorted(vars(args).items()))
+    return cli.EXIT_OK
+
+
+def test_one_parse_gives_what_the_top_level_parse_gave(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_DISPATCH", dict.fromkeys(cli._DISPATCH, echo_args))
+    codes = set()
+    for argv in _PARSE_CASES:
+        got = run(argv)
+        got_out, got_err = capsys.readouterr()
+        want = reference_run(argv)
+        want_out, want_err = capsys.readouterr()
+        assert (got, got_out, got_err) == (want, want_out, want_err), argv
+        codes.add(got)
+    assert codes == {0, 2}
+
+
+class TopLevelParse(Exception):
+    pass
+
+
+def test_a_known_command_never_reaches_the_top_level_parse(capsys, monkeypatch):
+    expected = json.dumps(treewidth_verdict(KneserParams(2, 4, 2, 1)).to_json(), indent=2) + "\n"
+    parser = cli.build_parser()
+    monkeypatch.setattr(cli, "_PARSER", parser)
+
+    def refuse(*args, **kwargs):
+        raise TopLevelParse
+
+    monkeypatch.setattr(parser, "parse_args", refuse)
+    monkeypatch.setattr(parser, "parse_known_args", refuse)
+    assert run(_VERDICT) == 0
+    assert capsys.readouterr().out == expected
+    for argv in ([], ["-h"], ["nope"], ["--", "verdict"]):
+        with pytest.raises(TopLevelParse):
+            run(argv)
+
+
+def test_verdict_prints_the_verdict_json_byte_for_byte(capsys):
+    # t < k and n in 2k-t+1..2k+60 as the benchmark's formula sweep draws
+    # them, at q <= 64 and k <= 12
+    rng = random.Random(32)
+    qs = [q for q in range(2, 65) if is_prime_power(q)]
+    cases = [(3, 7, 4, 2)]  # n < 2k: reflected through duality
+    while len(cases) < 200:
+        q, k = rng.choice(qs), rng.randint(2, 12)
+        t = rng.randint(1, k - 1)
+        cases.append((q, rng.randint(2 * k - t + 1, 2 * k + 60), k, t))
+    for q, n, k, t in cases:
+        assert run(["verdict", "-q", str(q), "-n", str(n), "-k", str(k), "-t", str(t)]) == 0
+        expected = json.dumps(treewidth_verdict(KneserParams(q, n, k, t)).to_json(), indent=2)
+        assert capsys.readouterr().out == expected + "\n"
 
 
 def stub_reports():
