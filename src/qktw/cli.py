@@ -48,7 +48,7 @@ from .kneser import (
 )
 from .quadric import build_quadric_graph
 from .report import exact_str, verify_all_json
-from .suites import SUITE_NAMES, SUITES, run_suite, verify_all
+from .suites import SUITE_NAMES, SUITES, verify_all
 from .treedec import (
     pace_read_gr,
     pace_read_td,
@@ -75,12 +75,11 @@ def _vertex_budget(text: str) -> int:
     return value
 
 
-def _add_params(sub: argparse.ArgumentParser, need_nkt: bool = True) -> None:
+def _add_params(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("-q", type=int, required=True, help="field order (prime power)")
-    if need_nkt:
-        sub.add_argument("-n", type=int, required=True, help="ambient dimension")
-        sub.add_argument("-k", type=int, required=True, help="subspace dimension")
-        sub.add_argument("-t", type=int, required=True, help="intersection threshold")
+    sub.add_argument("-n", type=int, required=True, help="ambient dimension")
+    sub.add_argument("-k", type=int, required=True, help="subspace dimension")
+    sub.add_argument("-t", type=int, required=True, help="intersection threshold")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -271,7 +270,7 @@ def _cmd_verify(args) -> int:
     kwargs = {
         name: value for name, _ in _SUITE_OPTIONS if (value := getattr(args, name)) is not None
     }
-    report = run_suite(args.suite, **kwargs)
+    report = SUITES[args.suite](**kwargs)
     _emit(report.to_json(), args.output)
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 

@@ -6,7 +6,7 @@ class NotAPrimePowerError(ValueError):
 
 
 class UnsupportedFieldError(ValueError):
-    """Prime-power order beyond the built-in modulus table (non-prime q > 64)."""
+    """Prime-power order past the lookup tables (q > 64)."""
 
 
 class SizeLimitError(RuntimeError):
@@ -27,10 +27,6 @@ class PaceParseError(ValueError):
 
 class OutOfCertifiedRangeError(ValueError):
     """Parameters fall outside the range where the counting argument applies."""
-
-
-class InvalidDualParamsError(ValueError):
-    """Dual parameters would be degenerate."""
 
 
 class NotIndependentError(ValueError):

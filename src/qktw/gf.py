@@ -6,14 +6,14 @@ polynomial in base p (digit i = coefficient of x^i).  Plain-int elements
 compare, hash, and sort like ints, which is exactly what the subspace
 canonical forms need.
 
-Fields with q <= 64 get full add/mul/inv lookup tables, since subspace
-enumeration and rank computations hit them in their innermost loops.
-Larger prime q falls back to modular arithmetic; larger non-prime q is
-rejected.  The vector kernels (the lifts, row reduction and linear maps
-of :mod:`qktw.subspace`) go through one primitive, :meth:`FieldSpec.axpy`
-(x + c*y over whole rows), and :meth:`FieldSpec.scale`: with tables,
-each reads the row mul[c] once per vector instead of calling ``mul`` and
-``add`` per coordinate.
+Every field is a lookup-table field: the orders are the prime powers up
+to 64, each with full add/mul/neg/inv tables, since subspace enumeration
+and rank computations hit them in their innermost loops.  Larger orders
+are refused.  The vector kernels (the lifts, row reduction and linear
+maps of :mod:`qktw.subspace`) go through one primitive,
+:meth:`FieldSpec.axpy` (x + c*y over whole rows), and
+:meth:`FieldSpec.scale`: each reads the row mul[c] once per vector
+instead of calling ``mul`` and ``add`` per coordinate.
 """
 
 from __future__ import annotations
@@ -147,10 +147,7 @@ class FieldSpec:
         self.p = p
         self.e = e
         self.modulus = modulus
-        if q <= MAX_TABLE_ORDER:
-            self._build_tables()
-        else:
-            self._add = self._mul = self._inv = self._neg = None
+        self._build_tables()
 
     # -- construction -------------------------------------------------
 
@@ -169,8 +166,6 @@ class FieldSpec:
         return out
 
     def _mul_direct(self, a: int, b: int) -> int:
-        if self.e == 1:
-            return (a * b) % self.p
         p = self.p
         da = self._digits(a)
         db = self._digits(b)
@@ -190,8 +185,6 @@ class FieldSpec:
         return self._undigits(conv[: self.e])
 
     def _add_direct(self, a: int, b: int) -> int:
-        if self.e == 1:
-            return (a + b) % self.p
         da = self._digits(a)
         db = self._digits(b)
         return self._undigits([(x + y) % self.p for x, y in zip(da, db)])
@@ -220,8 +213,7 @@ class FieldSpec:
     # -- operations ----------------------------------------------------
 
     # The scalar ops take elements only, 0..q-1, and raise ValueError for
-    # anything else: a table would read a negative element as a wrong row,
-    # and a tableless prime would reduce q or more silently.  With tables,
+    # anything else: a table would read a negative element as a wrong row.
     # a | b >= 0 iff both are nonnegative, and an element past q has no
     # table entry; the try costs nothing when nothing is raised.
 
@@ -230,90 +222,61 @@ class FieldSpec:
         return ValueError(f"{bad} is not an element of GF({self.q})")
 
     def add(self, a: int, b: int) -> int:
-        t = self._add
-        if t is None:
-            q = self.q
-            if 0 <= a < q and 0 <= b < q:
-                return (a + b) % q
-        elif (a | b) >= 0:
+        if (a | b) >= 0:
             try:
-                return t[a][b]
+                return self._add[a][b]
             except IndexError:
                 pass
         raise self._not_elements(a, b)
 
     def neg(self, a: int) -> int:
-        t = self._neg
-        if t is None:
-            q = self.q
-            if 0 <= a < q:
-                return -a % q
-        elif a >= 0:
+        if a >= 0:
             try:
-                return t[a]
+                return self._neg[a]
             except IndexError:
                 pass
         raise self._not_elements(a)
 
     def sub(self, a: int, b: int) -> int:
-        t = self._add
-        if t is None:
-            q = self.q
-            if 0 <= a < q and 0 <= b < q:
-                return (a - b) % q
-        elif (a | b) >= 0:
+        if (a | b) >= 0:
             try:
-                return t[a][self._neg[b]]
+                return self._add[a][self._neg[b]]
             except IndexError:
                 pass
         raise self._not_elements(a, b)
 
     def mul(self, a: int, b: int) -> int:
-        t = self._mul
-        if t is None:
-            q = self.q
-            if 0 <= a < q and 0 <= b < q:
-                return a * b % q
-        elif (a | b) >= 0:
+        if (a | b) >= 0:
             try:
-                return t[a][b]
+                return self._mul[a][b]
             except IndexError:
                 pass
         raise self._not_elements(a, b)
 
     def axpy(self, x: Sequence[int], c: int, y: Sequence[int]) -> list[int]:
-        """x + c*y coordinatewise: with tables, one pass over the rows
-        mul[c] and add[a]; a tableless field is prime, so plain integers
-        reduced mod q.  c must be an element, 0..q-1."""
-        q = self.q
-        if not 0 <= c < q:
-            raise ValueError(f"scalar {c} is not an element of GF({q})")
-        t = self._mul
-        if t is None:
-            return [(a + c * b) % q for a, b in zip(x, y)]
-        row, add = t[c], self._add
+        """x + c*y coordinatewise, in one pass over the table rows mul[c]
+        and add[a].  c must be an element, 0..q-1."""
+        if not 0 <= c < self.q:
+            raise ValueError(f"scalar {c} is not an element of GF({self.q})")
+        row, add = self._mul[c], self._add
         return [add[a][row[b]] for a, b in zip(x, y)]
 
     def scale(self, c: int, x: Sequence[int]) -> list[int]:
         """c*x coordinatewise; c must be an element, 0..q-1."""
-        q = self.q
-        if not 0 <= c < q:
-            raise ValueError(f"scalar {c} is not an element of GF({q})")
-        t = self._mul
-        if t is None:
-            return [c * b % q for b in x]
-        return list(map(t[c].__getitem__, x))
+        if not 0 <= c < self.q:
+            raise ValueError(f"scalar {c} is not an element of GF({self.q})")
+        return list(map(self._mul[c].__getitem__, x))
 
     def inv(self, a: int) -> int:
+        """The multiplicative inverse of a nonzero element, from the table."""
         if a == 0:
             raise ZeroDivisionError("0 has no multiplicative inverse")
-        t = self._inv
-        # tableless fields are prime, so Fermat inversion applies
-        return t[a] if t is not None else pow(a, self.q - 2, self.q)
+        return self._inv[a]
 
     def pow(self, a: int, m: int) -> int:
+        """a**m for m >= 0, by repeated squaring."""
         if m < 0:
-            return self.pow(self.inv(a), -m)
+            raise ValueError(f"exponent {m} is negative")
         out = 1
         base = a
         while m:
@@ -344,15 +307,13 @@ def primitive_element(f: FieldSpec) -> int:
 def make_field(q: int) -> FieldSpec:
     """Return the canonical FieldSpec for prime-power q.
 
-    All prime powers up to 64 are supported through the built-in modulus
-    table; larger prime orders use plain modular arithmetic; larger
-    non-prime orders are rejected.
+    The orders are the prime powers up to MAX_TABLE_ORDER (64): primes
+    reduce modulo q, and the other orders use the built-in modulus table.
+    A larger order raises UnsupportedFieldError, whatever its factors.
     """
     p, e = prime_power(q)
-    if e == 1:
-        return FieldSpec(q, p, 1, ())
     if q > MAX_TABLE_ORDER:
         raise UnsupportedFieldError(
-            f"non-prime order {q} exceeds the supported table range (q <= {MAX_TABLE_ORDER})"
+            f"order {q} exceeds the supported table range (q <= {MAX_TABLE_ORDER})"
         )
-    return FieldSpec(q, p, e, _MODULI[q])
+    return FieldSpec(q, p, e, _MODULI[q] if e > 1 else ())

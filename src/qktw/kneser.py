@@ -18,7 +18,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import InvalidDualParamsError, OutOfCertifiedRangeError, SizeLimitError
+from .errors import OutOfCertifiedRangeError, SizeLimitError
 from .gf import FieldSpec, make_field, primitive_element, prime_power, prime_powers_up_to
 from .graph import GRAPH_MAX_VERTICES, Graph, mask_mismatches
 from .qbinom import gauss_binom, range_slack_for
@@ -60,12 +60,8 @@ class KneserParams:
 
     @property
     def dual(self) -> "KneserParams":
-        t_dual = self.n - 2 * self.k + self.t
-        if t_dual < 1:
-            raise InvalidDualParamsError(
-                f"dual parameters of {self} would have t = {t_dual}"
-            )
-        return KneserParams(self.q, self.n, self.n - self.k, t_dual)
+        """(q, n, n - k, n - 2k + t); n > 2k - t makes its t at least 1."""
+        return KneserParams(self.q, self.n, self.n - self.k, self.n - 2 * self.k + self.t)
 
     def as_dict(self) -> dict[str, int]:
         return {"q": self.q, "n": self.n, "k": self.k, "t": self.t}

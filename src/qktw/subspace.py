@@ -144,20 +144,18 @@ def rref_canonical(rows: Sequence[Sequence[int]], f: FieldSpec) -> Subspace:
     return Subspace(f, n, tuple(tuple(r) for r in reduced))
 
 
-def enumerate_k_subspaces(
-    n: int, k: int, f: FieldSpec, cap: int = DEFAULT_ENUMERATION_CAP
-) -> list[Subspace]:
+def enumerate_k_subspaces(n: int, k: int, f: FieldSpec) -> list[Subspace]:
     """All k-dimensional subspaces of F_q^n, sorted lexicographically by RREF.
 
-    The count equals the Gaussian binomial [n,k]_q; SizeLimitError protects
-    against accidentally huge requests.
+    The count equals the Gaussian binomial [n,k]_q; a count past
+    DEFAULT_ENUMERATION_CAP raises SizeLimitError before any is built.
     """
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
     total = gauss_binom(n, k, f.q)
-    if total > cap:
+    if total > DEFAULT_ENUMERATION_CAP:
         raise SizeLimitError(
-            f"[{n},{k}]_{f.q} = {total} subspaces exceeds the cap of {cap}"
+            f"[{n},{k}]_{f.q} = {total} subspaces exceeds the cap of {DEFAULT_ENUMERATION_CAP}"
         )
     if k == 0:
         return [Subspace(f, n, ())]

@@ -477,13 +477,6 @@ SUITES = {
 SUITE_NAMES = tuple(SUITES)
 
 
-def run_suite(name: str, **kwargs) -> SuiteReport:
-    """Run one named verification suite with its default sweep."""
-    if name not in SUITES:
-        raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
-    return SUITES[name](**kwargs)
-
-
 def verify_all() -> list[SuiteReport]:
     """The full verification matrix, bounded to finish at desk scale."""
     return [

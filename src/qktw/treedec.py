@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import compress, groupby, islice, repeat
 from operator import lshift, or_
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .errors import (
     DegenerateInputError,
@@ -253,8 +253,8 @@ def _write_text(path, text: str) -> None:
 _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
 
-def pace_write_gr(g: Graph, path, comments: Sequence[str] = ()) -> None:
-    """Write ``g`` as a PACE .gr file: comments, problem line, edges.
+def pace_write_gr(g: Graph, path) -> None:
+    """Write ``g`` as a PACE .gr file: problem line, then edges.
 
     Edges come as "u v" lines, 1-indexed, u < v, in ascending order.  The
     file is streamed one chunk per vertex u: the names of the neighbours
@@ -264,8 +264,6 @@ def pace_write_gr(g: Graph, path, comments: Sequence[str] = ()) -> None:
     """
     names = [str(i + 1) for i in range(g.n)]
     with open(path, "w", newline="\n") as fh:
-        for c in comments:
-            fh.write(f"c {c}\n")
         fh.write(f"p tw {g.n} {g.edge_count}\n")
         for u, m in enumerate(g.adjacency):
             rest = m >> (u + 1)
@@ -577,10 +575,9 @@ def pace_read_gr(path) -> Graph:
     return _decoded_before_errors(_parse_gr, _text_blocks(path))
 
 
-def pace_write_td(td: TreeDecomposition, n_vertices: int, path, comments: Sequence[str] = ()) -> None:
+def pace_write_td(td: TreeDecomposition, n_vertices: int, path) -> None:
     max_bag = max((len(b) for b in td.bags), default=0)
-    lines = [f"c {c}" for c in comments]
-    lines.append(f"s td {td.node_count} {max_bag} {n_vertices}")
+    lines = [f"s td {td.node_count} {max_bag} {n_vertices}"]
     for i, bag in enumerate(td.bags, start=1):
         lines.append(" ".join(["b", str(i), *[str(v + 1) for v in bag]]))
     lines.extend(f"{x + 1} {y + 1}" for x, y in td.tree_edges)

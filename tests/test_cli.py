@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from qktw import cli, exact, suites
+from qktw import cli, exact, gf, suites
 from qktw.cli import run
 from qktw.errors import BudgetExceededError
 from qktw.exact import SolveBudget, treewidth_at_most, treewidth_exact
@@ -629,6 +629,55 @@ def test_verify_pair_count_budget(capsys, monkeypatch, q):
     monkeypatch.setattr(suites, "enumerate_k_subspaces", refuse)
     assert run(["verify", "pair-count", "-q", q]) == 3
     assert "budget of 32768" in capsys.readouterr().err
+
+
+def test_no_command_builds_a_field_past_the_tables(tmp_path, capsys, monkeypatch):
+    # every command refuses these orders on a size or order limit before it
+    # asks for a field, so none reaches make_field's refusal
+    def refuse(self, q, *args):
+        raise AssertionError(f"built GF({q})")
+
+    monkeypatch.setattr(gf.FieldSpec, "__init__", refuse)
+    out = str(tmp_path / "out")
+    nkt = ["-n", "4", "-k", "2", "-t", "1"]
+    for q, vertices, pairs in (
+        ("67", 20460930, 91849420090),
+        ("251", 3985065506, 251063127820010),
+    ):
+        too_many = (
+            f"error: K_{q}(4,2,1) has {vertices} vertices; "
+            "its adjacency masks are limited to 32768 vertices\n"
+        )
+        cases = [
+            (["gen", "-q", q, *nkt, "-o", out], too_many),
+            (
+                ["gen", "-q", q, "--quadric", "-o", out],
+                f"error: quadric graph limited to q <= 5, got q={q}\n",
+            ),
+            (["td-build", "-q", q, *nkt, "-o", out], too_many),
+            (
+                ["verify", "pair-count", "-q", q],
+                f"error: pair-count mask lists of {pairs} subspaces (q={q}, n <= 5, k <= 3) "
+                "exceed the budget of 32768\n",
+            ),
+            (
+                ["verify", "klein", "-q", q],
+                f"error: Klein verification limited to q <= 5, got q={q}\n",
+            ),
+            (["verify", "grid", "-q", q], f"error: grid search limited to q <= 4, got q={q}\n"),
+            (["verify", "perp-census", "-q", q], f"error: census limited to q <= 5, got q={q}\n"),
+        ]
+        if q == "67":
+            # [4,2]_251 is past a 10^9 budget, so alpha at 251 builds nothing
+            cases.append((["alpha", "-q", q, *nkt, "--max-vertices", "1000000000"], too_many))
+        for argv, err in cases:
+            assert run(argv) == 3, argv
+            assert capsys.readouterr() == ("", err), argv
+    assert list(tmp_path.iterdir()) == []
+    code, payload = run_json(capsys, ["verdict", "-q", "251", "-n", "5", "-k", "2", "-t", "1"])
+    assert code == 0 and payload == treewidth_verdict(KneserParams(251, 5, 2, 1)).to_json()
+    code, payload = run_json(capsys, ["verify", "gauss-bounds", "-q", "67"])
+    assert code == 0 and payload["summary"]["failed"] == 0
 
 
 def test_tw_exact_refuses_a_negative_vertex_budget(tmp_path, capsys):

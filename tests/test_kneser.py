@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -52,6 +53,24 @@ def test_params_validation():
         KneserParams(2, 3, 2, 1)  # n <= 2k - t means an empty graph
     with pytest.raises(ValueError):
         KneserParams(6, 4, 2, 1)  # q must be a prime power
+
+
+def test_dual_is_always_valid_and_an_involution():
+    # n > 2k - t makes the dual's t = n - 2k + t at least 1: the sweep's
+    # tuples, and seeded tuples with 2k - t < n < 2k, whose duals are reduced
+    rng = random.Random(5)
+    seeded = []
+    for _ in range(300):
+        k = rng.randint(3, 40)
+        t = rng.randint(2, k - 1)
+        q = rng.choice([2, 3, 4, 5, 7, 8, 9, 64, 251])
+        seeded.append(KneserParams(q, rng.randint(2 * k - t + 1, 2 * k - 1), k, t))
+    for p in counting_sweep_params(50) + seeded:
+        d = p.dual
+        assert isinstance(d, KneserParams) and d.dual == p
+        assert (d.q, d.n, d.k, d.t) == (p.q, p.n, p.n - p.k, p.n - 2 * p.k + p.t)
+        if p.n < 2 * p.k:
+            assert d.is_reduced
 
 
 def test_build_kneser_graph_2421():

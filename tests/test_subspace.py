@@ -80,8 +80,10 @@ def test_enumeration_matches_gauss_binom():
 def test_enumeration_is_sorted_and_capped():
     subs = enumerate_k_subspaces(4, 2, F2)
     assert subs == sorted(subs, key=lambda s: s.rows)
-    with pytest.raises(SizeLimitError):
-        enumerate_k_subspaces(4, 2, F2, cap=10)
+    # [10,5]_2 = 109,221,651 is past DEFAULT_ENUMERATION_CAP: refused before
+    # any subspace is built
+    with pytest.raises(SizeLimitError, match="109221651 subspaces exceeds the cap of 2000000"):
+        enumerate_k_subspaces(10, 5, F2)
 
 
 def test_enumeration_count_mismatch_raises(monkeypatch):
@@ -321,9 +323,8 @@ def test_rank_bounds(args):
 
 # -- the row kernels against their per-coordinate oracles -----------------------
 
-# every field shape: prime and extension tables, the largest table, and two
-# tableless primes
-ROW_KERNEL_FIELDS = [2, 3, 4, 5, 7, 8, 9, 16, 27, 64, 67, 251]
+# every field shape: prime and extension tables, and the largest table
+ROW_KERNEL_FIELDS = [2, 3, 4, 5, 7, 8, 9, 16, 27, 64]
 
 
 def oracle_row_reduce(rows, f):
