@@ -28,7 +28,7 @@ import json
 import sys
 from pathlib import Path
 
-from .errors import BudgetExceededError, PaceParseError, SizeLimitError
+from .errors import BudgetExceededError, SizeLimitError
 from .exact import (
     MIS_VERTEX_CAP,
     TREEWIDTH_NODE_BUDGET,
@@ -325,9 +325,6 @@ def run(argv: list[str]) -> int:
     except (BudgetExceededError, SizeLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except PaceParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -9,8 +9,11 @@ canonical forms need.
 Every field is a lookup-table field: the orders are the prime powers up
 to 64, each with full add/mul/neg/inv tables, since subspace enumeration
 and rank computations hit them in their innermost loops.  Larger orders
-are refused.  The vector kernels (the lifts, row reduction and linear
-maps of :mod:`qktw.subspace`) go through one primitive,
+are refused.  Each table entry is built from entries already built:
+addition digit by digit, multiplication by Horner's rule on the digits
+of one factor through a table of multiplication by x.  The vector
+kernels (the lifts, row reduction and linear maps of
+:mod:`qktw.subspace`) go through one primitive,
 :meth:`FieldSpec.axpy` (x + c*y over whole rows), and
 :meth:`FieldSpec.scale`: each reads the row mul[c] once per vector
 instead of calling ``mul`` and ``add`` per coordinate.
@@ -20,6 +23,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from itertools import accumulate, repeat
 from typing import Sequence
 
 from .errors import NotAPrimePowerError, SizeLimitError, UnsupportedFieldError
@@ -151,64 +155,38 @@ class FieldSpec:
 
     # -- construction -------------------------------------------------
 
-    def _digits(self, a: int) -> list[int]:
-        p = self.p
-        out = []
-        for _ in range(self.e):
-            a, d = divmod(a, p)
-            out.append(d)
-        return out
-
-    def _undigits(self, digits: list[int]) -> int:
-        out = 0
-        for d in reversed(digits):
-            out = out * self.p + d
-        return out
-
-    def _mul_direct(self, a: int, b: int) -> int:
-        p = self.p
-        da = self._digits(a)
-        db = self._digits(b)
-        conv = [0] * (2 * self.e - 1)
-        for i, x in enumerate(da):
-            if x:
-                for j, y in enumerate(db):
-                    conv[i + j] = (conv[i + j] + x * y) % p
-        # reduce modulo the monic modulus
-        for i in range(len(conv) - 1, self.e - 1, -1):
-            c = conv[i]
-            if c:
-                conv[i] = 0
-                for j, m in enumerate(self.modulus[:-1]):
-                    pos = i - self.e + j
-                    conv[pos] = (conv[pos] - c * m) % p
-        return self._undigits(conv[: self.e])
-
-    def _add_direct(self, a: int, b: int) -> int:
-        da = self._digits(a)
-        db = self._digits(b)
-        return self._undigits([(x + y) % self.p for x, y in zip(da, db)])
-
     def _build_tables(self) -> None:
-        q = self.q
-        add = [[0] * q for _ in range(q)]
-        mul = [[0] * q for _ in range(q)]
+        """Fill the add and mul tables from entries already built, by the
+        three rules below; neg and inv are then read off their rows."""
+        q, p = self.q, self.p
+        # Addition, digit by digit with no carry: the low digit of a + b is
+        # (a + b) mod p, and the digits above it are those of a // p + b // p.
+        add = [list(range(q))]
+        for a in range(1, q):
+            higher = add[a // p]
+            add.append([higher[b // p] * p + (a + b) % p for b in range(q)])
+        neg = [row.index(0) for row in add]
+        # Multiplication by x shifts the digits up one place; a top digit
+        # shifted out is x^e, which is minus the modulus's lower terms
+        # (`low`), so each unit of it adds neg[low].  Unused when e = 1.
+        top = q // p
+        low = sum(m * p**i for i, m in enumerate(self.modulus[:-1]))
+        times_x: list[int] = []
+        for c in range(q):
+            times_x.append(c * p if c < top else add[times_x[c - top]][neg[low]])
+        # Multiplication, by Horner's rule on b's digits: a * b is
+        # a * (b - 1) + a for a one-digit b, and otherwise
+        # x * (a * (b // p)) + a * (b mod p).
+        mul = []
         for a in range(q):
-            for b in range(a, q):
-                s = self._add_direct(a, b)
-                v = self._mul_direct(a, b)
-                add[a][b] = add[b][a] = s
-                mul[a][b] = mul[b][a] = v
-        neg = [0] * q
-        inv = [0] * q
-        for a in range(q):
-            neg[a] = add[a].index(0)
-            if a:
-                inv[a] = mul[a].index(1)
+            row = [0]
+            for b in range(1, q):
+                row.append(add[row[b - 1]][a] if b < p else add[times_x[row[b // p]]][row[b % p]])
+            mul.append(row)
         self._add = add
         self._mul = mul
         self._neg = neg
-        self._inv = inv
+        self._inv = [0] + [row.index(1) for row in mul[1:]]
 
     # -- operations ----------------------------------------------------
 
@@ -268,23 +246,16 @@ class FieldSpec:
         return list(map(self._mul[c].__getitem__, x))
 
     def inv(self, a: int) -> int:
-        """The multiplicative inverse of a nonzero element, from the table."""
+        """The multiplicative inverse of a nonzero element, from the table;
+        0 raises ZeroDivisionError, a non-element ValueError."""
         if a == 0:
             raise ZeroDivisionError("0 has no multiplicative inverse")
-        return self._inv[a]
-
-    def pow(self, a: int, m: int) -> int:
-        """a**m for m >= 0, by repeated squaring."""
-        if m < 0:
-            raise ValueError(f"exponent {m} is negative")
-        out = 1
-        base = a
-        while m:
-            if m & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            m >>= 1
-        return out
+        if a > 0:
+            try:
+                return self._inv[a]
+            except IndexError:
+                pass
+        raise self._not_elements(a)
 
     # -- identity ------------------------------------------------------
 
@@ -299,8 +270,10 @@ class FieldSpec:
 
 
 def primitive_element(f: FieldSpec) -> int:
-    """The least element of multiplicative order q - 1, a generator of F_q^*."""
-    return next(w for w in range(1, f.q) if len({f.pow(w, k) for k in range(f.q - 1)}) == f.q - 1)
+    """The least element of multiplicative order q - 1, a generator of F_q^*:
+    the least w whose running products w, w^2, ..., w^(q-1) are distinct."""
+    q = f.q
+    return next(w for w in range(1, q) if len(set(accumulate(repeat(w, q - 1), f.mul))) == q - 1)
 
 
 @lru_cache(maxsize=None)
@@ -309,7 +282,7 @@ def make_field(q: int) -> FieldSpec:
 
     The orders are the prime powers up to MAX_TABLE_ORDER (64): primes
     reduce modulo q, and the other orders use the built-in modulus table.
-    A larger order raises UnsupportedFieldError, whatever its factors.
+    A larger prime power raises UnsupportedFieldError, whatever its prime.
     """
     p, e = prime_power(q)
     if q > MAX_TABLE_ORDER:

@@ -157,8 +157,6 @@ def enumerate_k_subspaces(n: int, k: int, f: FieldSpec) -> list[Subspace]:
         raise SizeLimitError(
             f"[{n},{k}]_{f.q} = {total} subspaces exceeds the cap of {DEFAULT_ENUMERATION_CAP}"
         )
-    if k == 0:
-        return [Subspace(f, n, ())]
     out: list[Subspace] = []
     elems = range(f.q)
     for pivots in combinations(range(n), k):

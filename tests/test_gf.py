@@ -3,7 +3,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qktw.errors import NotAPrimePowerError, SizeLimitError, UnsupportedFieldError
-from qktw.gf import MILLER_RABIN_EXACT_BELOW, make_field, prime_power, prime_powers_up_to
+from qktw.gf import (
+    MILLER_RABIN_EXACT_BELOW,
+    make_field,
+    prime_power,
+    prime_powers_up_to,
+    primitive_element,
+)
 
 SMALL_FIELDS = [2, 3, 4, 5, 7, 8, 9, 16]
 ALL_TABLE_FIELDS = prime_powers_up_to(64)
@@ -112,9 +118,6 @@ def test_small_inverses():
     assert make_field(5).inv(3) == 2
     with pytest.raises(ZeroDivisionError):
         make_field(5).inv(0)
-    # inverses come from inv alone: pow takes no negative exponent
-    with pytest.raises(ValueError, match="exponent -1 is negative"):
-        make_field(5).pow(3, -1)
 
 
 def test_identity_is_neutral():
@@ -146,7 +149,72 @@ def test_field_axioms_exhaustive(q):
 def test_frobenius(q):
     f = make_field(q)
     for a in range(f.q):
-        assert f.pow(a, q) == a
+        power = 1
+        for _ in range(q):
+            power = f.mul(power, a)
+        assert power == a
+
+
+class SchoolbookField:
+    """F_q arithmetic on coefficient lists, the schoolbook way: digits
+    added mod p, products convolved and reduced by the field's modulus."""
+
+    def __init__(self, f):
+        self.q, self.p, self.e, self.modulus = f.q, f.p, f.e, f.modulus
+
+    def digits(self, a):
+        return [a // self.p**i % self.p for i in range(self.e)]
+
+    def element(self, digits):
+        return sum(d * self.p**i for i, d in enumerate(digits))
+
+    def add(self, a, b):
+        return self.element([(x + y) % self.p for x, y in zip(self.digits(a), self.digits(b))])
+
+    def neg(self, a):
+        return self.element([-x % self.p for x in self.digits(a)])
+
+    def mul(self, a, b):
+        p, e = self.p, self.e
+        product = [0] * (2 * e - 1)
+        for i, x in enumerate(self.digits(a)):
+            for j, y in enumerate(self.digits(b)):
+                product[i + j] += x * y
+        for i in range(2 * e - 2, e - 1, -1):
+            for j, m in enumerate(self.modulus[:-1]):
+                product[i - e + j] -= product[i] * m
+            product[i] = 0
+        return self.element([c % p for c in product[:e]])
+
+
+@pytest.mark.parametrize("q", ALL_TABLE_FIELDS)
+def test_tables_equal_the_schoolbook_arithmetic(q):
+    f = make_field(q)
+    oracle = SchoolbookField(f)
+    elems = range(q)
+    assert [[f.add(a, b) for b in elems] for a in elems] == [
+        [oracle.add(a, b) for b in elems] for a in elems
+    ]
+    products = [[oracle.mul(a, b) for b in elems] for a in elems]
+    assert [[f.mul(a, b) for b in elems] for a in elems] == products
+    assert [f.neg(a) for a in elems] == [oracle.neg(a) for a in elems]
+    assert [f.inv(a) for a in elems if a] == [products[a].index(1) for a in elems if a]
+
+
+@pytest.mark.parametrize("q", ALL_TABLE_FIELDS)
+def test_primitive_element_is_the_least_generator(q):
+    oracle = SchoolbookField(make_field(q))
+
+    def distinct_powers(w):
+        powers, power = set(), 1
+        for _ in range(q - 1):
+            power = oracle.mul(power, w)
+            powers.add(power)
+        return len(powers)
+
+    w = primitive_element(make_field(q))
+    assert distinct_powers(w) == q - 1
+    assert all(distinct_powers(v) < q - 1 for v in range(1, w))
 
 
 @pytest.mark.parametrize("q", ALL_TABLE_FIELDS)
@@ -211,7 +279,7 @@ def test_scalar_ops_refuse_an_element_outside_the_field(q):
             (f.add, (bad, 1)), (f.add, (1, bad)),
             (f.sub, (bad, 1)), (f.sub, (1, bad)),
             (f.mul, (bad, 1)), (f.mul, (1, bad)),
-            (f.neg, (bad,)),
+            (f.neg, (bad,)), (f.inv, (bad,)),
         ):
             with pytest.raises(ValueError, match=f"^{bad} is not an element of GF\\({q}\\)$"):
                 op(*args)

@@ -4,9 +4,11 @@ the benchmark harness (``benchmark/*.py``, not its tests) somewhere other
 than its own definition: code that no certified path uses and that is
 not an entry point is deleted, not kept for the tests.
 
-A reference is a ``Name``, an ``Attribute`` or an import alias with the
-same bare name, so the scan is coarse: a name used for something else
-elsewhere still passes.  It reads the files; it imports nothing.
+A function or class is referenced by a ``Name``, an ``Attribute`` or an
+import alias with its bare name; a method or property only by an
+``Attribute`` (``x.name``), since a bare name cannot reach it.  The scan
+is still coarse: an attribute of the same name on an unrelated object
+passes.  It reads the files; it imports nothing.
 
 Options are held to the same rule: every field of ``exact.SolveBudget``
 must be passed by keyword in some ``SolveBudget(...)`` call there.
@@ -21,6 +23,7 @@ PACKAGE = ROOT / "src" / "qktw"
 # Entries are "module.name" with the reason each is kept unreferenced.
 ALLOWED = {
     "exact.treewidth_at_most": "G1's engine, ROADMAP T",
+    "graph.Graph.edges": "called by the tests and benchmark/tests/test_perfbench.py",
 }
 
 
@@ -46,32 +49,35 @@ def _definitions(tree):
 
 
 def _references(tree):
-    """(bare name, line) of every Name, Attribute and import alias."""
+    """(bare name, line, is an attribute) of every Name, Attribute and
+    import alias."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            yield node.id, node.lineno
+            yield node.id, node.lineno, False
         elif isinstance(node, ast.Attribute):
-            yield node.attr, node.lineno
+            yield node.attr, node.lineno, True
         elif isinstance(node, ast.alias):
-            yield node.asname or node.name.rsplit(".", 1)[-1], node.lineno
+            yield node.asname or node.name.rsplit(".", 1)[-1], node.lineno, False
 
 
 def unreferenced():
     sources = _sources()
-    refs: dict[str, list[tuple[pathlib.Path, int]]] = {}
+    refs: dict[str, list[tuple[pathlib.Path, int, bool]]] = {}
     for path, tree in sources:
-        for name, line in _references(tree):
-            refs.setdefault(name, []).append((path, line))
+        for name, line, attribute in _references(tree):
+            refs.setdefault(name, []).append((path, line, attribute))
     dead = []
     for path, tree in sources:
         if path.parent != PACKAGE:
             continue
         for qualname, node in _definitions(tree):
             start = min([node.lineno] + [d.lineno for d in node.decorator_list])
+            method = "." in qualname
             outside = [
-                where
-                for where in refs.get(node.name, ())
-                if where[0] != path or not start <= where[1] <= node.end_lineno
+                (where, line)
+                for where, line, attribute in refs.get(node.name, ())
+                if (attribute or not method)
+                and (where != path or not start <= line <= node.end_lineno)
             ]
             if not outside:
                 dead.append(f"{path.stem}.{qualname}")

@@ -63,8 +63,9 @@ def test_rref_errors():
 def test_enumeration_counts():
     assert len(enumerate_k_subspaces(4, 2, F2)) == 35
     assert len(enumerate_k_subspaces(4, 2, F3)) == 130
-    assert len(enumerate_k_subspaces(5, 0, F2)) == 1
-    assert enumerate_k_subspaces(5, 0, F2)[0].k == 0
+    for n in range(6):
+        (empty,) = enumerate_k_subspaces(n, 0, F2)
+        assert (empty.n, empty.k, empty.rows) == (n, 0, ())
 
 
 def test_enumeration_matches_gauss_binom():
