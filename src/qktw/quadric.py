@@ -359,9 +359,15 @@ def grid_extremal_search(q: int) -> GridSearchReport:
     """Exhaustive search over the (q+1) x (q+1) grid with pruning.
 
     Points are (row, col); two points are collinear when they share a row
-    or a column.  A depth-first include/exclude walk keeps only sets with
-    no 3-element pattern of pairwise distinct rows and columns, pruning
-    branches that cannot reach the incumbent size.
+    or a column.  A depth-first include/exclude walk, in cell order, keeps
+    only sets with no 3-element pattern of pairwise distinct rows and
+    columns.  It carries ``banned``, the cells non-collinear with both
+    points of some non-collinear chosen pair: a cell may be included
+    exactly when it is not banned.  Including a cell bans the cells
+    non-collinear with it and with one of its non-collinear chosen points.
+    ``banned`` only grows, so a branch can add at most the unbanned cells
+    from the current one on, and it is pruned only when even those fall
+    strictly short of the incumbent size: every maximum set is reached.
     """
     if q > GRID_SEARCH_MAX_Q:
         raise BudgetExceededError(
@@ -381,7 +387,7 @@ def grid_extremal_search(q: int) -> GridSearchReport:
     best = 0
     extremal: list[int] = []
 
-    def dfs(idx: int, chosen: int, count: int) -> None:
+    def dfs(idx: int, chosen: int, banned: int, count: int) -> None:
         nonlocal best, extremal
         if idx == size:
             if count > best:
@@ -390,23 +396,20 @@ def grid_extremal_search(q: int) -> GridSearchReport:
             elif count == best and count > 0:
                 extremal.append(chosen)
             return
-        if count + (size - idx) < best:
+        if count + (size - idx) - (banned >> idx).bit_count() < best:
             return
-        conflict_zone = chosen & nc[idx]
-        ok = True
-        probe = conflict_zone
-        while probe:
-            low = probe & -probe
-            a = low.bit_length() - 1
-            probe ^= low
-            if conflict_zone & nc[a]:
-                ok = False
-                break
-        if ok:
-            dfs(idx + 1, chosen | (1 << idx), count + 1)
-        dfs(idx + 1, chosen, count)
+        if not banned >> idx & 1:
+            near = nc[idx]
+            partners = chosen & near
+            reach = 0
+            while partners:
+                low = partners & -partners
+                reach |= nc[low.bit_length() - 1]
+                partners ^= low
+            dfs(idx + 1, chosen | (1 << idx), banned | (near & reach), count + 1)
+        dfs(idx + 1, chosen, banned, count)
 
-    dfs(0, 0, 0)
+    dfs(0, 0, 0, 0)
 
     expected_sets = set()
     for a, b in combinations(range(side), 2):

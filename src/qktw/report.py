@@ -29,28 +29,38 @@ def _str(x: int) -> str:
             sys.set_int_max_str_digits(limit)
 
 
-def exact_str(x) -> str | None:
-    """Render an int or Fraction exactly; None stays None."""
+def exact_str(x, memo: dict[int, str] | None = None) -> str | None:
+    """Render an int or Fraction exactly; None stays None.
+
+    With ``memo``, the text of each int (a Fraction's numerator and
+    denominator included) is looked up there first, and converted and
+    stored only when it is missing.
+    """
     if x is None:
         return None
     if isinstance(x, Fraction):
         if x.denominator == 1:
-            return _str(x.numerator)
-        return f"{_str(x.numerator)}/{_str(x.denominator)}"
+            return exact_str(x.numerator, memo)
+        return f"{exact_str(x.numerator, memo)}/{exact_str(x.denominator, memo)}"
+    if memo is not None and type(x) is int:
+        text = memo.get(x)
+        if text is None:
+            text = memo[x] = _str(x)
+        return text
     if isinstance(x, int):
         return _str(x)
     return str(x)
 
 
-def _jsonable(x):
+def _jsonable(x, memo: dict[int, str] | None = None):
     if isinstance(x, Fraction):
-        return exact_str(x)
+        return exact_str(x, memo)
     if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
+        return [_jsonable(v, memo) for v in x]
     if isinstance(x, dict):
-        return {str(k): _jsonable(v) for k, v in x.items()}
+        return {str(k): _jsonable(v, memo) for k, v in x.items()}
     if isinstance(x, int) and abs(x) >= 2**53:
-        return _str(x)
+        return exact_str(x, memo)
     return x
 
 
@@ -64,15 +74,17 @@ class CheckCase:
     passed: bool = True
     witness: dict | None = None
 
-    def to_json(self) -> dict:
+    def to_json(self, memo: dict[int, str] | None = None) -> dict:
+        """The case's JSON; every exact value in it is rendered through
+        ``memo`` (see ``exact_str``)."""
         out = {
-            "params": _jsonable(self.params),
-            "lhs": exact_str(self.lhs),
-            "rhs": exact_str(self.rhs),
+            "params": _jsonable(self.params, memo),
+            "lhs": exact_str(self.lhs, memo),
+            "rhs": exact_str(self.rhs, memo),
             "pass": self.passed,
         }
         if self.witness is not None:
-            out["witness"] = _jsonable(self.witness)
+            out["witness"] = _jsonable(self.witness, memo)
         return out
 
 
@@ -93,10 +105,16 @@ class SuiteReport:
     def passed(self) -> bool:
         return self.failed == 0
 
-    def to_json(self) -> dict:
+    def to_json(self, memo: dict[int, str] | None = None) -> dict:
+        """The suite's JSON.  Every case renders its exact values through
+        one ``memo`` of int texts, a new one unless the caller passes its
+        own, so each distinct int is converted to decimal once (the
+        parabola suite's 400 fractions hold 191 distinct ints)."""
+        if memo is None:
+            memo = {}
         return {
             "suite": self.suite,
-            "cases": [c.to_json() for c in self.cases],
+            "cases": [c.to_json(memo) for c in self.cases],
             "summary": {
                 "total": self.total,
                 "passed": self.total - self.failed,
@@ -106,9 +124,14 @@ class SuiteReport:
 
 
 def verify_all_json(reports: list[SuiteReport]) -> dict:
-    """The verify-all report: every suite's JSON and a matrix summary."""
+    """The verify-all report: every suite's JSON and a matrix summary.
+
+    All suites share one memo of int texts, so an exact value is
+    converted to decimal once per report.
+    """
+    memo: dict[int, str] = {}
     return {
-        "suites": [r.to_json() for r in reports],
+        "suites": [r.to_json(memo) for r in reports],
         "summary": {
             "suites": len(reports),
             "cases": sum(r.total for r in reports),

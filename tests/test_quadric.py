@@ -159,6 +159,52 @@ def test_grid_search_q3():
     assert rep.passed
 
 
+def oracle_grid_search(q):
+    """(max size, extremal masks in discovery order) by the plain DFS: a cell
+    is included unless it is non-collinear with two non-collinear chosen
+    points, tested pair by pair, and a branch is pruned only by the count
+    of cells left."""
+    side = q + 1
+    size = side * side
+    nc = [0] * size
+    for a in range(size):
+        for b in range(size):
+            if a // side != b // side and a % side != b % side:
+                nc[a] |= 1 << b
+    best = 0
+    extremal = []
+
+    def dfs(idx, chosen, count):
+        nonlocal best, extremal
+        if idx == size:
+            if count > best:
+                best, extremal = count, [chosen]
+            elif count == best and count > 0:
+                extremal.append(chosen)
+            return
+        if count + (size - idx) < best:
+            return
+        zone = chosen & nc[idx]
+        if not any(zone & nc[a] for a in iter_bits(zone)):
+            dfs(idx + 1, chosen | (1 << idx), count + 1)
+        dfs(idx + 1, chosen, count)
+
+    dfs(0, 0, 0)
+    return best, extremal
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_grid_search_matches_oracle(monkeypatch, q):
+    monkeypatch.setattr(quadric, "GRID_SEARCH_MAX_Q", 5)
+    rep = grid_extremal_search(q)
+    best, extremal = oracle_grid_search(q)
+    side = q + 1
+    masks = [sum(1 << (i * side + j) for i, j in s) for s in rep.extremal_sets]
+    assert rep.max_size == best == 2 * q + 2
+    assert masks == sorted(extremal)
+    assert rep.passed
+
+
 def test_grid_search_rejects_large_q():
     with pytest.raises(BudgetExceededError):
         grid_extremal_search(5)

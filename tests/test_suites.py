@@ -7,11 +7,11 @@ from fractions import Fraction
 
 import pytest
 
-from qktw import subspace, suites
+from qktw import report, subspace, suites
 from qktw.errors import BudgetExceededError
 from qktw.gf import make_field
 from qktw.kneser import KneserParams, treewidth_verdict
-from qktw.report import CheckCase, SuiteReport, exact_str
+from qktw.report import CheckCase, SuiteReport, exact_str, verify_all_json
 from qktw.subspace import Subspace, enumerate_k_subspaces, subspaces_of
 from qktw.suites import (
     bridge_suite,
@@ -89,6 +89,50 @@ def test_suite_report_json_shape():
     assert js["cases"][0] == {"params": {"q": 2}, "lhs": "1", "rhs": "2", "pass": True}
     assert js["cases"][1]["lhs"] == "1/3"
     json.dumps(js)  # must be serializable as-is
+
+
+@pytest.fixture(scope="module")
+def verify_all_reports():
+    return suites.verify_all()
+
+
+def test_memoized_rendering_equals_the_memo_free_one(verify_all_reports):
+    for rep in verify_all_reports:
+        assert rep.to_json()["cases"] == [c.to_json() for c in rep.cases]
+    assert verify_all_json(verify_all_reports)["suites"] == [
+        rep.to_json() for rep in verify_all_reports
+    ]
+
+
+def test_a_report_converts_each_distinct_int_once(monkeypatch, verify_all_reports):
+    calls = Counter()
+    convert = report._str
+
+    def counted(x):
+        calls[x] += 1
+        return convert(x)
+
+    monkeypatch.setattr(report, "_str", counted)
+    rendered = set()
+    for rep in verify_all_reports:
+        calls.clear()
+        for c in rep.cases:
+            c.to_json()  # memo-free: every int it holds, with repeats
+        ints = set(calls)
+        calls.clear()
+        rep.to_json()
+        assert calls == Counter(ints)
+        rendered |= ints
+    calls.clear()
+    verify_all_json(verify_all_reports)
+    assert calls == Counter(rendered) and len(rendered) > 500
+
+
+def test_exact_str_memo_keeps_bools_apart():
+    memo = {}
+    assert exact_str(1, memo) == "1"
+    assert exact_str(True, memo) == "True"
+    assert exact_str(Fraction(3, 1), memo) == "3" and memo == {1: "1", 3: "3"}
 
 
 def test_gauss_bounds_suite_small():
