@@ -1,7 +1,9 @@
 """Named verification sweeps shared by the CLI and the acceptance tests.
 
 Each suite returns a SuiteReport of individually-verifiable cases with
-exact sides, computed in one thread in a fixed order.  A suite's keyword
+exact sides, each computed by a single thread.  ``verify_all`` runs about
+half of its 14 suites in one forked child process beside the rest (see
+``_verify_all_plan``).  A suite's keyword
 parameters are its ``verify`` options: ``qktw verify`` passes ``-q``,
 ``--claims`` and ``--tuples`` as ``q``, ``claims`` and ``tuples`` to a
 suite whose signature names them and refuses them otherwise.  Every other
@@ -11,10 +13,11 @@ vertex, under GL(n,q) maps certified by :func:`graph.certify_collineations`.
 
 from __future__ import annotations
 
+import os
 import random
 import tempfile
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .errors import BudgetExceededError
 from .exact import mis_exact, treewidth_all_orderings, treewidth_by_decision
@@ -477,21 +480,90 @@ SUITES = {
 SUITE_NAMES = tuple(SUITES)
 
 
+def _verify_all_plan() -> tuple[tuple[Callable[[], SuiteReport], str], ...]:
+    """verify-all's suites in report order, each with the process that runs
+    it: "child" for the forked child, "parent" for the caller's process.
+
+    The shares were picked by cold cost measured in one process: about
+    117 ms of suites for the child and 86 ms for the parent, which then
+    renders the report.  parabola stays in the parent: its 400 big
+    Fractions would pickle to 319 KB, and unpickling them reduces each
+    fraction again (about 20 ms).  The tuple is built at each call, so a
+    patched or traced binding of a suite is the one that runs.
+    """
+    return (
+        (verdict_suite, "child"),
+        (construction_suite, "parent"),
+        (independence_suite, "parent"),
+        (klein_suite, "child"),
+        (duality_suite, "child"),
+        (grid_suite, "parent"),
+        (gauss_bounds_suite, "child"),
+        (bridge_suite, "child"),
+        (parabola_suite, "parent"),
+        (pair_count_suite, "child"),
+        (oracle_suite, "child"),
+        (perp_census_suite, "parent"),
+        (counting_suite, "child"),
+        (format_suite, "parent"),
+    )
+
+
 def verify_all() -> list[SuiteReport]:
-    """The full verification matrix, bounded to finish at desk scale."""
-    return [
-        verdict_suite(),
-        construction_suite(),
-        independence_suite(),
-        klein_suite(),
-        duality_suite(),
-        grid_suite(),
-        gauss_bounds_suite(),
-        bridge_suite(),
-        parabola_suite(),
-        pair_count_suite(),
-        oracle_suite(),
-        perp_census_suite(),
-        counting_suite(),
-        format_suite(),
-    ]
+    """The full verification matrix, bounded to finish at desk scale.
+
+    One forked child runs the suites that ``_verify_all_plan`` gives it
+    while this process runs the rest; the child sends its reports back
+    through a pipe as one pickle.  The reports come back in the plan's
+    order.  A suite that raises in either process raises here, this
+    process's own exception first; a child that ends without sending a
+    result raises RuntimeError naming its share.  The child is reaped
+    before this returns or raises.  Where ``os.fork`` is missing or fails,
+    this process runs every suite.
+    """
+    import pickle
+
+    plan = _verify_all_plan()
+    child = [i for i, (_, side) in enumerate(plan) if side == "child"]
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except (AttributeError, OSError):  # no fork on this platform, or it failed
+        os.close(read_fd)
+        os.close(write_fd)
+        return [suite() for suite, _ in plan]
+    if pid == 0:  # the child: send its reports, or what a suite raised; never return
+        status = 1
+        try:
+            os.close(read_fd)
+            try:
+                result = [plan[i][0]() for i in child]
+            except Exception as exc:
+                result = exc
+            with open(write_fd, "wb") as pipe:
+                pipe.write(pickle.dumps(result))
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    reports: list = [None] * len(plan)
+    try:
+        with open(read_fd, "rb") as pipe:
+            for i, (suite, side) in enumerate(plan):
+                if side == "parent":
+                    reports[i] = suite()
+            data = pipe.read()
+    finally:
+        _, status = os.waitpid(pid, 0)
+    if status != 0:
+        names = ", ".join(plan[i][0].__name__ for i in child)
+        raise RuntimeError(
+            f"verify-all: the forked child running {names} ended without a result "
+            f"(exit code {os.waitstatus_to_exitcode(status)})"
+        )
+    result = pickle.loads(data)
+    if isinstance(result, Exception):
+        raise result
+    for i, report in zip(child, result):
+        reports[i] = report
+    return reports

@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import importlib.util
 import json
@@ -1008,6 +1009,36 @@ def verify_all_report(tmp_path_factory):
 
 def test_verify_all_report_matches_the_pinned_digest(verify_all_report):
     assert hashlib.sha256(verify_all_report).hexdigest() == _VERIFY_ALL_DIGEST
+
+
+@pytest.mark.parametrize("fork", ["raises", "missing"])
+def test_verify_all_without_fork_writes_the_same_report(monkeypatch, tmp_path, fork):
+    if fork == "missing":
+        monkeypatch.delattr(os, "fork")
+    else:
+        def refused():
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+        monkeypatch.setattr(os, "fork", refused)
+    out = tmp_path / "report.json"
+    assert run(["verify-all", "-o", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == _VERIFY_ALL_DIGEST
+
+
+@pytest.mark.parametrize("side", ["parent", "child"])
+def test_a_budget_error_in_either_process_exits_3(monkeypatch, capsys, side):
+    plan = suites._verify_all_plan()
+    for suite, _ in plan:
+        monkeypatch.setattr(suites, suite.__name__, lambda: SuiteReport("stub"))
+
+    def refused():
+        raise BudgetExceededError("the width-3 search holds more than 7 sets")
+
+    monkeypatch.setattr(suites, next(s.__name__ for s, where in plan if where == side), refused)
+    assert run(["verify-all"]) == 3
+    assert capsys.readouterr().err == "error: the width-3 search holds more than 7 sets\n"
+    with pytest.raises(ChildProcessError):  # the child was reaped
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_verify_all_report_differs_only_by_the_examined_counts(verify_all_report):

@@ -1,5 +1,8 @@
 import hashlib
+import inspect
 import json
+import os
+import pickle
 import sys
 from collections import Counter
 from decimal import Decimal
@@ -7,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from qktw import report, subspace, suites
+from qktw import errors, report, subspace, suites
 from qktw.errors import BudgetExceededError
 from qktw.gf import make_field
 from qktw.kneser import KneserParams, treewidth_verdict
@@ -94,6 +97,101 @@ def test_suite_report_json_shape():
 @pytest.fixture(scope="module")
 def verify_all_reports():
     return suites.verify_all()
+
+
+VERIFY_ALL_ORDER = (
+    "verdicts", "constructions", "independence", "klein", "duality", "grid",
+    "gauss-bounds", "bridge", "parabola", "pair-count", "oracles",
+    "perp-census", "counting", "formats",
+)
+
+
+def shares():
+    """verify-all's (parent, child) shares as tuples of suite function names."""
+    plan = suites._verify_all_plan()
+    return tuple(
+        tuple(suite.__name__ for suite, s in plan if s == side) for side in ("parent", "child")
+    )
+
+
+def stub_suites(monkeypatch):
+    """Replace every verify-all suite by one that reports its function name
+    and the id of the process that ran it; returns the shares."""
+    parent, child = shares()
+    for name in parent + child:
+        def stub(name=name):
+            return SuiteReport(name, [CheckCase({"pid": os.getpid()})])
+
+        stub.__name__ = name
+        monkeypatch.setattr(suites, name, stub)
+    return parent, child
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_the_two_shares_hold_every_suite_once(verify_all_reports):
+    parent, child = shares()
+    defined = {name for name, fn in vars(suites).items()
+               if name.endswith("_suite") and inspect.isfunction(fn)}
+    assert len(parent + child) == len(set(parent + child)) == len(VERIFY_ALL_ORDER)
+    assert set(parent + child) == defined
+    assert parent and child and "parabola_suite" in parent
+    assert tuple(rep.suite for rep in verify_all_reports) == VERIFY_ALL_ORDER
+    assert_no_child_left()
+
+
+def test_each_share_runs_in_its_own_process(monkeypatch):
+    order = [suite.__name__ for suite, _ in suites._verify_all_plan()]
+    parent, child = stub_suites(monkeypatch)
+    reports = suites.verify_all()
+    assert [rep.suite for rep in reports] == order
+    ran_in = {rep.suite: rep.cases[0].params["pid"] for rep in reports}
+    assert {ran_in[name] for name in parent} == {os.getpid()}
+    (child_pid,) = {ran_in[name] for name in child}
+    assert child_pid != os.getpid()
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("side", [0, 1], ids=["parent", "child"])
+def test_a_suite_s_exception_reaches_the_caller_unchanged(monkeypatch, side):
+    share = stub_suites(monkeypatch)[side]
+
+    def fails():
+        raise ArithmeticError("exact arithmetic went wrong")
+
+    monkeypatch.setattr(suites, share[0], fails)
+    with pytest.raises(ArithmeticError) as info:
+        suites.verify_all()
+    assert info.type is ArithmeticError and str(info.value) == "exact arithmetic went wrong"
+    assert_no_child_left()
+
+
+def test_a_lost_child_is_an_error_naming_its_share(monkeypatch):
+    _, child = stub_suites(monkeypatch)
+    parent_pid = os.getpid()
+
+    def dies():
+        if os.getpid() == parent_pid:  # never end the test process itself
+            raise AssertionError("a child-side suite ran in the parent")
+        os._exit(1)
+
+    monkeypatch.setattr(suites, child[-1], dies)
+    with pytest.raises(RuntimeError, match="exit code 1") as info:
+        suites.verify_all()
+    assert all(name in str(info.value) for name in child[:-1] + ("dies",))
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("cls", [
+    cls for cls in vars(errors).values()
+    if isinstance(cls, type) and issubclass(cls, Exception) and cls.__module__ == errors.__name__
+])
+def test_every_package_error_crosses_a_pickle(cls):
+    back = pickle.loads(pickle.dumps(cls("a message")))
+    assert type(back) is cls and str(back) == str(cls("a message"))
 
 
 def test_memoized_rendering_equals_the_memo_free_one(verify_all_reports):
