@@ -28,7 +28,7 @@ import json
 import sys
 from pathlib import Path
 
-from .errors import BudgetExceededError, SizeLimitError
+from .errors import BudgetExceededError
 from .exact import (
     MIS_VERTEX_CAP,
     TREEWIDTH_NODE_BUDGET,
@@ -48,7 +48,7 @@ from .kneser import (
 )
 from .quadric import build_quadric_graph
 from .report import exact_str, verify_all_json
-from .suites import SUITE_NAMES, SUITES, verify_all
+from .suites import SUITES, verify_all
 from .treedec import (
     pace_read_gr,
     pace_read_td,
@@ -123,7 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
     twe.add_argument("--max-vertices", type=_vertex_budget, default=TREEWIDTH_VERTEX_CAP)
 
     ver = sub.add_parser("verify", help="run one verification suite")
-    ver.add_argument("suite", choices=SUITE_NAMES)
+    ver.add_argument("suite", choices=SUITES)
     ver.add_argument("-q", type=int, default=None, help="restrict to one field order")
     ver.add_argument("--tuples", type=int, default=None, help="counting sweep size (default 50)")
     ver.add_argument(
@@ -322,7 +322,7 @@ def run(argv: list[str]) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return _DISPATCH[args.command](args)
-    except (BudgetExceededError, SizeLimitError) as exc:
+    except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except (ValueError, OSError) as exc:

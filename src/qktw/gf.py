@@ -26,7 +26,7 @@ from functools import lru_cache
 from itertools import accumulate, repeat
 from typing import Sequence
 
-from .errors import NotAPrimePowerError, SizeLimitError, UnsupportedFieldError
+from .errors import BudgetExceededError, NotAPrimePowerError
 
 MAX_TABLE_ORDER = 64
 
@@ -54,12 +54,12 @@ MILLER_RABIN_EXACT_BELOW = 3317044064679887385961981
 
 
 def _is_prime(r: int) -> bool:
-    """Exact primality of r >= 2; SizeLimitError where it cannot be exact."""
+    """Exact primality of r >= 2; BudgetExceededError where it cannot be exact."""
     for b in _MR_BASES:
         if r % b == 0:
             return r == b
     if r >= MILLER_RABIN_EXACT_BELOW:
-        raise SizeLimitError(
+        raise BudgetExceededError(
             f"{r} has no prime factor up to 41, and primality is decided "
             f"exactly only below {MILLER_RABIN_EXACT_BELOW}"
         )
@@ -110,7 +110,7 @@ def prime_power(q: int) -> tuple[int, int]:
     the first exact root r is the only candidate for p, since a composite
     r makes q have two prime divisors.  Its primality is decided exactly
     (`_is_prime`); a prime candidate too large for that raises
-    SizeLimitError instead of a probable verdict.  Answers are kept for
+    BudgetExceededError instead of a probable verdict.  Answers are kept for
     the last 1,024 orders asked (a formula sweep asks the same few orders
     thousands of times); a refusal is not kept, so it is raised again.
     """
@@ -282,11 +282,11 @@ def make_field(q: int) -> FieldSpec:
 
     The orders are the prime powers up to MAX_TABLE_ORDER (64): primes
     reduce modulo q, and the other orders use the built-in modulus table.
-    A larger prime power raises UnsupportedFieldError, whatever its prime.
+    A larger prime power raises ValueError, whatever its prime.
     """
     p, e = prime_power(q)
     if q > MAX_TABLE_ORDER:
-        raise UnsupportedFieldError(
+        raise ValueError(
             f"order {q} exceeds the supported table range (q <= {MAX_TABLE_ORDER})"
         )
     return FieldSpec(q, p, e, _MODULI[q] if e > 1 else ())

@@ -171,8 +171,8 @@ class Graph:
         return g
 
     @classmethod
-    def from_edges(cls, n: int, edges: Iterable[tuple[int, int]], labels=None) -> "Graph":
-        g = cls(n, labels)
+    def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
+        g = cls(n)
         for u, v in edges:
             g.add_edge(u, v)
         return g

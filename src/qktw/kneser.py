@@ -18,7 +18,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import OutOfCertifiedRangeError, SizeLimitError
+from .errors import BudgetExceededError
 from .gf import FieldSpec, make_field, primitive_element, prime_power, prime_powers_up_to
 from .graph import GRAPH_MAX_VERTICES, Graph, mask_mismatches
 from .qbinom import gauss_binom, range_slack_for
@@ -113,10 +113,10 @@ def intersection_counts(q: int, n: int, k: int) -> dict[int, int]:
 
 
 def _check_graph_size(p: KneserParams) -> None:
-    """SizeLimitError when [n,k]_q passes GRAPH_MAX_VERTICES."""
+    """BudgetExceededError when [n,k]_q passes GRAPH_MAX_VERTICES."""
     total = gauss_binom(p.n, p.k, p.q)
     if total > GRAPH_MAX_VERTICES:
-        raise SizeLimitError(
+        raise BudgetExceededError(
             f"K_{p.q}({p.n},{p.k},{p.t}) has {total} vertices; its adjacency "
             f"masks are limited to {GRAPH_MAX_VERTICES} vertices"
         )
@@ -129,7 +129,7 @@ def build_kneser_graph(p: KneserParams) -> Graph:
     "shares a t-subspace", so a vertex's neighbours are the complement of
     its :func:`meet_masks` mask; no pair of vertices is compared.  The
     constant degree is cross-checked against the closed-form intersection
-    profile.  Graphs past GRAPH_MAX_VERTICES raise SizeLimitError before
+    profile.  Graphs past GRAPH_MAX_VERTICES raise BudgetExceededError before
     anything is enumerated.
     """
     _check_graph_size(p)
@@ -313,7 +313,7 @@ def counting_inequality_check(p: KneserParams) -> CountingReport:
     reduced = p if p.is_reduced else p.dual
     q, n, k, t = reduced.q, reduced.n, reduced.k, reduced.t
     if not _main_range_tags(q, n, k, t):
-        raise OutOfCertifiedRangeError(
+        raise ValueError(
             f"{p} is outside the certified ranges; the counting bound may fail"
         )
     alpha = gauss_binom(n - t, k - t, q)

@@ -10,7 +10,7 @@ exponent of q would otherwise be a quarter-integer.  No floating point
 anywhere — the margins of the certified inequalities are thin for q = 2,
 and a "pass" is meant as a rigorous certificate, not a numeric
 approximation.  A Gaussian binomial with more than GAUSS_MAX_BITS bits by
-a cheap lower bound is refused with SizeLimitError before any arithmetic.
+a cheap lower bound is refused with BudgetExceededError before any arithmetic.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import SizeLimitError
+from .errors import BudgetExceededError
 from .gf import prime_power
 from .report import CheckCase
 
@@ -105,7 +105,7 @@ def gauss_binom(n: int, k: int, q: int) -> int:
 
     Defined for any integer q >= 2 (primality is not required); counts the
     k-dimensional subspaces of F_q^n when q is a prime power.  Raises
-    SizeLimitError, before any arithmetic, when k(n-k)(bit_length(q)-1),
+    BudgetExceededError, before any arithmetic, when k(n-k)(bit_length(q)-1),
     a lower bound on the value's bit length, passes GAUSS_MAX_BITS.
 
     With k' = min(k, n-k) the value is [d+k', k']_q on the diagonal
@@ -118,7 +118,7 @@ def gauss_binom(n: int, k: int, q: int) -> int:
     # [n,k]_q >= q^(k(n-k)) >= 2^(k(n-k)(bit_length(q)-1))
     bits = k * (n - k) * (q.bit_length() - 1)
     if bits > GAUSS_MAX_BITS:
-        raise SizeLimitError(
+        raise BudgetExceededError(
             f"[{n},{k}]_{q} has at least {bits} bits, over the limit of {GAUSS_MAX_BITS}"
         )
     k = min(k, n - k)

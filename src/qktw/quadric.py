@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 
-from .errors import BudgetExceededError, NotALineError, SizeLimitError
+from .errors import BudgetExceededError
 from .gf import make_field, primitive_element
 from .graph import (
     Graph,
@@ -246,7 +246,7 @@ def klein_map(line: Subspace) -> ProjPoint:
     the quadric form, so the image always lies on Q+(5,q).
     """
     if line.n != 4 or line.k != 2:
-        raise NotALineError(
+        raise ValueError(
             f"expected a 2-dimensional subspace of F_q^4, got k={line.k}, n={line.n}"
         )
     f = line.field
@@ -269,7 +269,7 @@ def klein_map(line: Subspace) -> ProjPoint:
 def build_quadric_graph(q: int) -> Graph:
     """Non-perpendicularity graph on the points of Q+(5,q)."""
     if q > QUADRIC_GRAPH_MAX_Q:
-        raise SizeLimitError(
+        raise BudgetExceededError(
             f"quadric graph limited to q <= {QUADRIC_GRAPH_MAX_Q}, got q={q}"
         )
     model = QuadricModel(q)

@@ -35,7 +35,7 @@ from functools import lru_cache
 from itertools import combinations, product
 from typing import Iterable, Sequence
 
-from .errors import AmbientMismatchError, DimensionMismatchError, SizeLimitError
+from .errors import BudgetExceededError
 from .gf import FieldSpec
 from .qbinom import gauss_binom
 
@@ -131,10 +131,10 @@ def rref_canonical(rows: Sequence[Sequence[int]], f: FieldSpec) -> Subspace:
     """Canonical Subspace spanned by the given rows (dimension = rank)."""
     rows = [list(r) for r in rows]
     if not rows:
-        raise DimensionMismatchError("need at least one row")
+        raise ValueError("need at least one row")
     n = len(rows[0])
     if any(len(r) != n for r in rows):
-        raise DimensionMismatchError("ragged row input")
+        raise ValueError("ragged row input")
     q = f.q
     for r in rows:
         for v in r:
@@ -148,13 +148,13 @@ def enumerate_k_subspaces(n: int, k: int, f: FieldSpec) -> list[Subspace]:
     """All k-dimensional subspaces of F_q^n, sorted lexicographically by RREF.
 
     The count equals the Gaussian binomial [n,k]_q; a count past
-    DEFAULT_ENUMERATION_CAP raises SizeLimitError before any is built.
+    DEFAULT_ENUMERATION_CAP raises BudgetExceededError before any is built.
     """
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
     total = gauss_binom(n, k, f.q)
     if total > DEFAULT_ENUMERATION_CAP:
-        raise SizeLimitError(
+        raise BudgetExceededError(
             f"[{n},{k}]_{f.q} = {total} subspaces exceeds the cap of {DEFAULT_ENUMERATION_CAP}"
         )
     out: list[Subspace] = []
@@ -275,7 +275,7 @@ def held_subspaces(
     on_points = []
     for u in spaces:
         if u.field != f or u.n != n:
-            raise AmbientMismatchError("subspaces live in different ambient spaces")
+            raise ValueError("subspaces live in different ambient spaces")
         if not 0 <= top <= u.k:
             raise ValueError(f"need 0 <= top <= dim, got top={top}, dim={u.k}")
         lifts = subspaces_of(u, 1) if top else ()

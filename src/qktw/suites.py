@@ -477,7 +477,6 @@ SUITES = {
     "klein": klein_suite,
     "perp-census": perp_census_suite,
 }
-SUITE_NAMES = tuple(SUITES)
 
 
 def _verify_all_plan() -> tuple[tuple[Callable[[], SuiteReport], str], ...]:

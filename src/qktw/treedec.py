@@ -23,13 +23,7 @@ from itertools import compress, groupby, islice, repeat
 from operator import lshift, or_
 from typing import Iterable, Iterator
 
-from .errors import (
-    DegenerateInputError,
-    EmptyTreeError,
-    NotIndependentError,
-    PaceParseError,
-    SizeLimitError,
-)
+from .errors import BudgetExceededError, PaceParseError
 from .graph import GRAPH_MAX_VERTICES, Graph, component, components, iter_bits
 
 
@@ -56,7 +50,7 @@ class TreeDecomposition:
 
     def width(self) -> int:
         if not self.bags:
-            raise EmptyTreeError("decomposition has no nodes")
+            raise ValueError("decomposition has no nodes")
         return max(len(b) for b in self.bags) - 1
 
 
@@ -102,13 +96,13 @@ def validate_td(g: Graph, td: TreeDecomposition) -> TdValidationReport:
     occurrence mask is the whole mask.  Node x's mask is as wide as its
     highest neighbour, so the masks take up to nb^2 / 8 bytes; like the
     graph's vertices, the nodes are limited to GRAPH_MAX_VERTICES, and
-    SizeLimitError is raised past it.
+    BudgetExceededError is raised past it.
 
     Violations are report content, never exceptions.
     """
     nb = td.node_count
     if nb > GRAPH_MAX_VERTICES:
-        raise SizeLimitError(
+        raise BudgetExceededError(
             f"decomposition has {nb} nodes; at most {GRAPH_MAX_VERTICES} can be validated"
         )
     tree_problems: list[str] = []
@@ -193,7 +187,7 @@ def star_decomposition(g: Graph, independent: Iterable[int]) -> TreeDecompositio
     """
     a = sorted(set(independent))
     if not a or len(a) >= g.n:
-        raise DegenerateInputError(
+        raise ValueError(
             "independent set must be nonempty and a proper subset of the vertices"
         )
     if a[0] < 0 or a[-1] >= g.n:
@@ -203,7 +197,7 @@ def star_decomposition(g: Graph, independent: Iterable[int]) -> TreeDecompositio
         amask |= 1 << v
     for v in a:
         if g.adjacency_mask(v) & amask:
-            raise NotIndependentError(f"vertex {v} has a neighbor inside the set")
+            raise ValueError(f"vertex {v} has a neighbor inside the set")
     center = tuple(v for v in range(g.n) if not (amask >> v) & 1)
     bags = [center] + [tuple(sorted({v, *g.neighbors(v)})) for v in a]
     edges = tuple((0, i) for i in range(1, len(bags)))

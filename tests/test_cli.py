@@ -806,6 +806,7 @@ def test_verify_claims_without_q_run_both_orders(capsys):
     [
         (["perp-census", "--claims", ""], "error: unknown claim ''"),
         (["perp-census", "--claims", "i,"], "error: unknown claim ''"),
+        (["perp-census", "--claims", "v"], "error: unknown claim 'v'\n"),
         (["counting", "--tuples", "100000"], "error: need count <= 4151,"),
     ],
 )
@@ -814,6 +815,104 @@ def test_verify_refuses_values_its_suite_cannot_run(capsys, argv, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(message)
+
+
+_K2841_TOO_BIG = (
+    "error: K_2(8,4,1) has 200787 vertices; its adjacency masks are limited to 32768 vertices\n"
+)
+_SUITE_CHOICES = "gauss-bounds,parabola,bridge,pair-count,counting,grid,klein,perp-census"
+
+# A refusal from each command, as argv ({dir} is the test's directory),
+# exit code and the whole of stderr: 3 for BudgetExceededError, 2 for a
+# ValueError, a parse error or a usage check.
+_REFUSALS = [
+    (["gen", "-q", "2", "-n", "8", "-k", "4", "-t", "1", "-o", "{dir}/out"], 3, _K2841_TOO_BIG),
+    (
+        ["gen", "--quadric", "-q", "7", "-o", "{dir}/out"],
+        3,
+        "error: quadric graph limited to q <= 5, got q=7\n",
+    ),
+    (
+        ["td-build", "-q", "2", "-n", "8", "-k", "4", "-t", "1", "-o", "{dir}/out"],
+        3,
+        _K2841_TOO_BIG,
+    ),
+    (
+        ["verdict", "-q", "1000000000000000004", "-n", "4", "-k", "2", "-t", "1"],
+        2,
+        "error: 1000000000000000004 is not a prime power\n",
+    ),
+    (
+        ["verdict", "-q", str(2**89 - 1), "-n", "4", "-k", "2", "-t", "1"],
+        3,
+        f"error: {2**89 - 1} has no prime factor up to 41, and primality is decided "
+        "exactly only below 3317044064679887385961981\n",
+    ),
+    (
+        ["verdict", "-q", "2", "-n", "4000", "-k", "2000", "-t", "1"],
+        3,
+        "error: [4000,2000]_2 has at least 4000000 bits, over the limit of 262144\n",
+    ),
+    (
+        ["verdict", "-q", "12", "-n", "4", "-k", "2", "-t", "1"],
+        2,
+        "error: 12 is not a prime power\n",
+    ),
+    (
+        ["verdict", "-q", "2", "-n", "4", "-k", "2", "-t", "2"],
+        2,
+        "error: need k > t >= 1, got k=2, t=2\n",
+    ),
+    (
+        ["alpha", "-q", "2", "-n", "4000", "-k", "2000", "-t", "1"],
+        3,
+        "error: [3999,1999]_2 has at least 3998000 bits, over the limit of 262144\n",
+    ),
+    (
+        ["alpha", "-q", "2", "-n", "8", "-k", "4", "-t", "1", "--max-vertices", "1000000"],
+        3,
+        _K2841_TOO_BIG,
+    ),
+    (
+        ["verify", "pair-count", "-q", "7"],
+        3,
+        "error: pair-count mask lists of 140050 subspaces (q=7, n <= 5, k <= 3) "
+        "exceed the budget of 32768\n",
+    ),
+    (["verify", "grid", "-q", "5"], 3, "error: grid search limited to q <= 4, got q=5\n"),
+    (["verify", "klein", "-q", "7"], 3, "error: Klein verification limited to q <= 5, got q=7\n"),
+    (["verify", "perp-census", "-q", "7"], 3, "error: census limited to q <= 5, got q=7\n"),
+    (["verify", "grid", "-q", "6"], 2, "verify: -q must be a prime power, got 6\n"),
+    (["verify", "counting", "--tuples", "0"], 2, "verify: --tuples must be at least 1, got 0\n"),
+    (["tw-exact", "{dir}/loop.gr"], 2, "error: line 3: loops are not allowed\n"),
+    (["td-validate", "{dir}/loop.gr", "{dir}/one.td"], 2, "error: line 3: loops are not allowed\n"),
+    (["tw-exact", "{dir}/header.gr"], 2, "error: line 1: vertex count must be in 1..32768\n"),
+    (
+        ["tw-exact", "{dir}/path155.gr", "--max-vertices", "100"],
+        3,
+        "error: 155 vertices exceeds the budget of 100\n",
+    ),
+    (
+        ["verify", "nonsense"],
+        2,
+        "usage: qktw verify [-h] [-q Q] [--tuples TUPLES] [--claims CLAIMS] [-o OUTPUT]\n"
+        f"                   {{{_SUITE_CHOICES}}}\n"
+        "qktw verify: error: argument suite: invalid choice: 'nonsense' (choose from "
+        + ", ".join(repr(name) for name in _SUITE_CHOICES.split(","))
+        + ")\n",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv,code,err", _REFUSALS)
+def test_each_refusal_ends_in_its_exit_code_and_message(tmp_path, capsys, argv, code, err):
+    (tmp_path / "loop.gr").write_text("p tw 3 2\n1 2\n2 2\n")
+    (tmp_path / "one.td").write_text("s td 1 3 3\nb 1 1 2 3\n")
+    (tmp_path / "header.gr").write_text("p tw 40000 0\n")
+    pace_write_gr(path_graph(155), tmp_path / "path155.gr")
+    assert run([arg.format(dir=tmp_path) for arg in argv]) == code
+    assert capsys.readouterr() == ("", err)
+    assert not (tmp_path / "out").exists()
 
 
 _SESSION = [

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qktw.errors import NotAPrimePowerError, SizeLimitError, UnsupportedFieldError
+from qktw.errors import BudgetExceededError, NotAPrimePowerError
 from qktw.gf import (
     MILLER_RABIN_EXACT_BELOW,
     make_field,
@@ -76,9 +76,18 @@ def test_prime_power_on_large_orders():
 
 def test_prime_power_refuses_what_it_cannot_decide_exactly():
     # 2^89 - 1 is prime but past the exact Miller-Rabin range, as is the
-    # strong pseudoprime to the first 13 prime bases
-    for q in (2**89 - 1, (2**89 - 1) ** 2, MILLER_RABIN_EXACT_BELOW):
-        with pytest.raises(SizeLimitError):
+    # strong pseudoprime to the first 13 prime bases; the refusal names the
+    # candidate prime, the exact root of q
+    for q, r in (
+        (2**89 - 1, 2**89 - 1),
+        ((2**89 - 1) ** 2, 2**89 - 1),
+        (MILLER_RABIN_EXACT_BELOW, MILLER_RABIN_EXACT_BELOW),
+    ):
+        undecided = (
+            f"^{r} has no prime factor up to 41, and primality is decided "
+            f"exactly only below {MILLER_RABIN_EXACT_BELOW}$"
+        )
+        with pytest.raises(BudgetExceededError, match=undecided):
             prime_power(q)
     # a factor up to 41 still decides a large order at once
     with pytest.raises(NotAPrimePowerError):
@@ -101,7 +110,9 @@ def test_make_field_basic():
 def test_every_order_past_the_tables_is_refused():
     # primes and prime powers alike: every field is a lookup-table field
     for q in (67, 127, 251, 81, 128):
-        with pytest.raises(UnsupportedFieldError, match=f"^order {q} exceeds"):
+        with pytest.raises(
+            ValueError, match=rf"^order {q} exceeds the supported table range \(q <= 64\)$"
+        ):
             make_field(q)
 
 
@@ -292,8 +303,12 @@ def test_prime_power_keeps_answers_but_raises_every_refusal_again():
     prime_power.cache_clear()
     assert prime_power(251) == prime_power(251) == (251, 1)
     assert prime_power.cache_info().hits == 1
-    for q, error in ((12, NotAPrimePowerError), (1, NotAPrimePowerError), (2**89 - 1, SizeLimitError)):
+    for q, error, message in (
+        (12, NotAPrimePowerError, "^12 is not a prime power$"),
+        (1, NotAPrimePowerError, "^field order must be at least 2, got 1$"),
+        (2**89 - 1, BudgetExceededError, f"^{2**89 - 1} has no prime factor up to 41"),
+    ):
         for _ in range(2):
-            with pytest.raises(error):
+            with pytest.raises(error, match=message):
                 prime_power(q)
     assert prime_power.cache_info().currsize == 1

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from qktw import kneser, suites
-from qktw.errors import OutOfCertifiedRangeError, SizeLimitError
+from qktw.errors import BudgetExceededError
 from qktw.gf import make_field
 from qktw.graph import GRAPH_MAX_VERTICES, certify_collineations, certify_maps
 from qktw.kneser import (
@@ -226,10 +226,14 @@ def test_graph_budget_fails_before_enumeration(monkeypatch):
     # [6,3]_3 = 33880 is just past 2^15; [8,4]_2 = 200787 passes the
     # 2,000,000 enumeration cap but not the adjacency budget
     assert gauss_binom(6, 3, 3) > GRAPH_MAX_VERTICES == 2**15
-    for params in (KneserParams(3, 6, 3, 1), KneserParams(2, 8, 4, 1)):
-        with pytest.raises(SizeLimitError):
+    for params, count in ((KneserParams(3, 6, 3, 1), 33880), (KneserParams(2, 8, 4, 1), 200787)):
+        too_big = (
+            f"^K_{params.q}\\({params.n},{params.k},{params.t}\\) has {count} vertices; "
+            f"its adjacency masks are limited to {GRAPH_MAX_VERTICES} vertices$"
+        )
+        with pytest.raises(BudgetExceededError, match=too_big):
             build_kneser_graph(params)
-        with pytest.raises(SizeLimitError):
+        with pytest.raises(BudgetExceededError, match=too_big):
             duality_isomorphism(params)
 
 
@@ -238,7 +242,9 @@ def test_graph_budget_boundary(monkeypatch):
     monkeypatch.setattr(kneser, "GRAPH_MAX_VERTICES", 35)
     assert build_kneser_graph(p).n == 35
     monkeypatch.setattr(kneser, "GRAPH_MAX_VERTICES", 34)
-    with pytest.raises(SizeLimitError):
+    with pytest.raises(
+        BudgetExceededError, match=r"^K_2\(4,2,1\) has 35 vertices; .* limited to 34 vertices$"
+    ):
         build_kneser_graph(p)
 
 
@@ -260,7 +266,11 @@ def test_counting_inequality_examples():
 
 
 def test_counting_inequality_range_gate():
-    with pytest.raises(OutOfCertifiedRangeError):
+    with pytest.raises(
+        ValueError,
+        match=r"^KneserParams\(q=2, n=4, k=2, t=1\) is outside the certified ranges; "
+        "the counting bound may fail$",
+    ):
         counting_inequality_check(KneserParams(2, 4, 2, 1))
     # in range through the uniform bound: n = 16 >= 3k - t + 9
     rep = counting_inequality_check(KneserParams(2, 16, 3, 2))

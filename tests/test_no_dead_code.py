@@ -11,7 +11,9 @@ is still coarse: an attribute of the same name on an unrelated object
 passes.  It reads the files; it imports nothing.
 
 Options are held to the same rule: every field of ``exact.SolveBudget``
-must be passed by keyword in some ``SolveBudget(...)`` call there.
+must be passed by keyword in some ``SolveBudget(...)`` call there.  So are
+exception types: every class in ``errors.py`` must be named by some
+``except`` clause in ``src/`` that names no other class of that module.
 """
 
 import ast
@@ -117,3 +119,24 @@ def budget_fields_never_passed():
 
 def test_every_solve_budget_field_is_passed_by_some_caller():
     assert budget_fields_never_passed() == []
+
+
+def errors_never_caught_alone():
+    """The classes of ``errors.py`` that no ``except`` clause in ``src/``
+    names apart from every other class there."""
+    sources = [(path, tree) for path, tree in _sources() if path.parent == PACKAGE]
+    errors_tree = next(tree for path, tree in sources if path == PACKAGE / "errors.py")
+    classes = [node.name for node in errors_tree.body if isinstance(node, ast.ClassDef)]
+    assert classes
+    caught_alone = set()
+    for _, tree in sources:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                named = {name for name, _, _ in _references(node.type)} & set(classes)
+                if len(named) == 1:
+                    caught_alone |= named
+    return [name for name in classes if name not in caught_alone]
+
+
+def test_every_error_class_is_caught_by_name():
+    assert errors_never_caught_alone() == []

@@ -1,5 +1,6 @@
 import os
 import random
+import re
 import subprocess
 import sys
 import threading
@@ -11,7 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qktw import qbinom
-from qktw.errors import NotAPrimePowerError, SizeLimitError
+from qktw.errors import BudgetExceededError, NotAPrimePowerError
 from qktw.gf import prime_powers_up_to
 from qktw.qbinom import (
     Quadratic,
@@ -243,14 +244,18 @@ def test_gauss_binom_size_limit():
     # k = 1 gives the bound (n-1)(bit_length(q)-1) exactly
     n = qbinom.GAUSS_MAX_BITS + 1
     assert gauss_binom.__wrapped__(n, 1, 2) == 2**n - 1
-    with pytest.raises(SizeLimitError, match="over the limit"):
-        gauss_binom(n + 1, 1, 2)
-    with pytest.raises(SizeLimitError):
-        gauss_binom(n + 1, n, 2)
-    with pytest.raises(SizeLimitError):
-        gauss_binom(10**6, 10**6 - 1, 2)
-    with pytest.raises(SizeLimitError):
-        gauss_binom(4000, 2000, 2)
+    for args, bits in (
+        ((n + 1, 1, 2), n),
+        ((n + 1, n, 2), n),
+        ((10**6, 10**6 - 1, 2), 10**6 - 1),
+        ((4000, 2000, 2), 2000 * 2000),
+    ):
+        over = (
+            f"[{args[0]},{args[1]}]_2 has at least {bits} bits, "
+            f"over the limit of {qbinom.GAUSS_MAX_BITS}"
+        )
+        with pytest.raises(BudgetExceededError, match=f"^{re.escape(over)}$"):
+            gauss_binom(*args)
     assert gauss_binom(10**6, 0, 3) == gauss_binom(10**6, 10**6, 3) == 1
 
 

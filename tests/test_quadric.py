@@ -4,7 +4,7 @@ from itertools import product
 import pytest
 
 from qktw import quadric, subspace
-from qktw.errors import BudgetExceededError, NotALineError
+from qktw.errors import BudgetExceededError
 from qktw.gf import make_field
 from qktw.graph import certify_maps, iter_bits, permute_mask
 from qktw.kneser import intersection_counts
@@ -76,7 +76,9 @@ def test_klein_map_examples():
     assert klein_map(line12) == (1, 0, 0, 0, 0, 0)
     line34 = rref_canonical([e(2), e(3)], F2)
     assert klein_map(line34) == (0, 1, 0, 0, 0, 0)
-    with pytest.raises(NotALineError):
+    with pytest.raises(
+        ValueError, match="^expected a 2-dimensional subspace of F_q\\^4, got k=1, n=4$"
+    ):
         klein_map(rref_canonical([e(0)], F2))
 
 

@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qktw import kneser, subspace
-from qktw.errors import AmbientMismatchError, DimensionMismatchError, SizeLimitError
+from qktw.errors import BudgetExceededError
 from qktw.gf import make_field, prime_powers_up_to
 from qktw.graph import Graph
 from qktw.kneser import KneserParams, build_kneser_graph, star_independent_set
@@ -52,9 +52,9 @@ def test_rref_examples():
 
 
 def test_rref_errors():
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(ValueError, match="^need at least one row$"):
         rref_canonical([], F2)
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(ValueError, match="^ragged row input$"):
         rref_canonical([(1, 0), (1, 0, 1)], F2)
     with pytest.raises(ValueError):
         rref_canonical([(2, 0)], F2)
@@ -83,7 +83,9 @@ def test_enumeration_is_sorted_and_capped():
     assert subs == sorted(subs, key=lambda s: s.rows)
     # [10,5]_2 = 109,221,651 is past DEFAULT_ENUMERATION_CAP: refused before
     # any subspace is built
-    with pytest.raises(SizeLimitError, match="109221651 subspaces exceeds the cap of 2000000"):
+    with pytest.raises(
+        BudgetExceededError, match=r"^\[10,5\]_2 = 109221651 subspaces exceeds the cap of 2000000$"
+    ):
         enumerate_k_subspaces(10, 5, F2)
 
 
@@ -104,7 +106,7 @@ def test_meet_masks_examples():
     assert meet_masks([u, v, w], 1) == [0b011, 0b111, 0b110]
     assert meet_masks([u, v, w], 2) == [0b001, 0b010, 0b100]
     assert meet_masks([u, u], 2) == [0b11, 0b11]
-    with pytest.raises(AmbientMismatchError):
+    with pytest.raises(ValueError, match="^subspaces live in different ambient spaces$"):
         meet_masks([u, span(F3, unit(4, 0, F3), unit(4, 1, F3))], 1)
 
 
@@ -572,5 +574,5 @@ def test_meet_masks_on_random_subsets(args):
 
 
 def test_meet_masks_rejects_mixed_ambients():
-    with pytest.raises(AmbientMismatchError):
+    with pytest.raises(ValueError, match="^subspaces live in different ambient spaces$"):
         meet_masks([span(F2, unit(4, 0)), span(F2, unit(3, 0))], 1)
